@@ -56,10 +56,8 @@ def seed_run(factory, lake, queries):
 
 def served_run(factory, lake, queries, store):
     """One full run through the serving layer with fresh objects (new process)."""
-    service = QueryService(
-        factory(), store=store, max_workers=MAX_WORKERS, chunk_size=2
-    )
-    service.warm(lake)
+    service = QueryService(factory(), max_workers=MAX_WORKERS, chunk_size=2)
+    service.warm(lake, store)
     return service.search_many(queries, K)
 
 

@@ -27,8 +27,8 @@ matrix of :mod:`repro.scenarios` (workload shapes × config grid → Pareto
 fronts, ``--smoke`` for the parity-gated CI slice).  ``search``,
 ``warm`` and ``serve`` share one config-override flag set
 (:func:`config_override_parent`): with ``--shards N`` the lake is
-partitioned, the shard indexes are built in parallel worker processes and
-persisted per shard, and the merged whole-lake entry is persisted too.
+partitioned and the shard indexes are built in parallel worker processes and
+persisted per shard — ``warm`` writes exactly the entries ``serve`` reads.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from typing import Sequence
 from repro.api.config import DiscoveryConfig
 from repro.api.facade import Discovery, build_benchmark
 from repro.api.registry import (
-    SEARCHERS,
     available_benchmarks,
     available_diversifiers,
     available_searchers,
@@ -463,9 +462,11 @@ def _print_search_profile(discovery: Discovery, backend: str | None, result) -> 
     """Per-stage timing breakdown of one ``search`` run (to stderr).
 
     The pipeline records search/embedding/alignment/diversification wall
-    times; when the backend is a :class:`CascadeSearcher` its ``last_profile``
-    splits the search stage further into prefilter / narrow exact scoring /
-    merge and reports whether the query escalated to the full exact path.
+    times (search is the real step-1 time through the query service, cache
+    hit or miss); when the backend is a :class:`CascadeSearcher` its
+    ``last_profile`` splits the search stage further into prefilter / narrow
+    exact scoring / merge and reports whether the query escalated to the
+    full exact path.
     """
     from repro.search.cascade import CascadeSearcher
 
@@ -581,66 +582,44 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_warm(args: argparse.Namespace) -> int:
-    from repro.search.cascade import CascadeSearcher
-    from repro.search.sharded import build_sharded
-    from repro.serving.store import IndexStore
-    from repro.utils.errors import SearchError
-
     # The shared override parent folds --shards/--workers/--cascade-* into
-    # the config, so warm honours a --config file exactly like search/serve.
+    # the config, so warm honours a --config file exactly like search/serve
+    # — and builds each backend through the same Discovery facade, so it
+    # writes exactly the store entries a server on this config reads.
     config = _load_config(args)
-    sharding = config.sharding or {}
-    num_shards = sharding.get("num_shards", 1)
-    workers = sharding.get("build_workers")
-    cascade = dict(config.cascade) if config.cascade is not None else {}
+    payload = config.to_dict()
+    payload["serving"] = {**(payload.get("serving") or {}), "store_dir": args.store}
     benchmark = build_benchmark(args.benchmark, num_queries=args.num_queries, seed=args.seed)
     lake = benchmark.lake
-    store = IndexStore.from_config(args.store, config.store)
-    sharded = num_shards > 1
+    sharding = config.sharding or {}
     print(
         f"warming {len(args.backends)} backend(s) over {args.benchmark!r} "
         f"({lake.num_tables} tables, {lake.num_rows} rows), "
-        f"store={store.root} [{store.backend_name}]"
-        + (f", shards={num_shards}, workers={workers or 'auto'}" if sharded else "")
-        + (f", cascade={cascade['mode']}" if cascade else "")
+        f"store={args.store} [{(config.store or {}).get('backend', 'directory')}]"
+        + (
+            f", shards={sharding['num_shards']}, "
+            f"workers={sharding.get('build_workers') or 'auto'}"
+            if sharding.get("num_shards", 1) > 1
+            else ""
+        )
+        + (f", cascade={config.cascade['mode']}" if config.cascade else "")
     )
     for backend in args.backends:
         if backend == "oracle":
-            searcher = SEARCHERS.create(backend, ground_truth=benchmark.ground_truth)
+            spec = {"name": backend, "params": {"ground_truth": benchmark.ground_truth}}
+        elif backend == config.searcher.name:
+            spec = payload["searcher"]  # keeps the config's parameters
         else:
-            searcher = SEARCHERS.create(backend)
-        persisted = searcher
-        if cascade and not sharded:
-            # Flat + cascade: the whole cascade entry (backend index +
-            # fitted prefilter) round-trips through one store entry.
-            persisted = CascadeSearcher(searcher, **cascade)
-        cached = store.contains(persisted, lake)
+            spec = {"name": backend}
+        discovery = Discovery.from_config({**payload, "searcher": spec})
+        before = discovery.store.stats()
         start = time.perf_counter()
-        if sharded:
-            build_sharded(
-                searcher,
-                lake,
-                num_shards=num_shards,
-                workers=workers,
-                store=store,
-            )
-            if cascade:
-                # The base is already live on this lake, so wrapping only
-                # fits the prefilter; the cascade entry persists alongside
-                # the per-shard and merged whole-lake entries.
-                persisted = CascadeSearcher(searcher, **cascade)
-                persisted.index(lake)
-                try:
-                    store.save(persisted, lake)
-                except SearchError:
-                    pass  # backends without index_state() still warmed
-        else:
-            store.load_or_build(persisted, lake)
-        elapsed = time.perf_counter() - start
-        action = "loaded" if cached else "built"
+        with discovery.attach(lake):
+            elapsed = time.perf_counter() - start
+            after = discovery.store.stats()
         print(
-            f"  {backend:>8}: {action} in {elapsed:.3f}s -> "
-            f"{store.describe_entry(persisted, lake)}"
+            f"  {backend:>8}: {'loaded' if after == before else 'built'} in "
+            f"{elapsed:.3f}s ({after['entries']} store entries)"
         )
     return 0
 

@@ -2,10 +2,11 @@
 
 ``Discovery.from_config(cfg).attach(lake)`` resolves every component named by
 a :class:`~repro.api.config.DiscoveryConfig` through the registries, wires the
-:class:`~repro.core.pipeline.DustPipeline` (and, when a ``serving`` section is
-configured, an :class:`~repro.serving.store.IndexStore`-backed
-:class:`~repro.serving.service.QueryService`) exactly as the hand-written call
-sites used to, and serves fluent queries::
+:class:`~repro.core.pipeline.DustPipeline` and one
+:class:`~repro.serving.service.QueryService` per backend (cached, parallel and
+:class:`~repro.serving.store.IndexStore`-backed as the ``serving`` section
+says; cache-less, serial and in-process without one) exactly as the
+hand-written call sites used to, and serves fluent queries::
 
     discovery = Discovery.from_config({"searcher": {"name": "overlap"}})
     discovery.attach(benchmark.lake)
@@ -44,6 +45,7 @@ from repro.search.sharded import ShardedSearcher
 from repro.serving.service import QueryService
 from repro.serving.store import IndexStore
 from repro.utils.errors import ConfigurationError
+from repro.utils.timing import timed
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (ingest -> api)
     from repro.ingest.controller import IngestController
@@ -204,8 +206,9 @@ class Discovery:
 
     Components (encoders, diversifier, pipeline config) are resolved once at
     construction; search backends are built and indexed lazily per backend
-    name when :meth:`attach`-ed to a lake — through the persistent index store
-    and query service when the config has a ``serving`` section.  When the
+    name when :meth:`attach`-ed to a lake, each behind its own query service
+    — through the persistent index store when the ``serving`` section names
+    one.  When the
     attached lake mutates, :meth:`refresh` marks every built backend stale
     and each re-synchronises (delta index update + result-cache drop) lazily
     on its next query.
@@ -226,7 +229,8 @@ class Discovery:
             else None
         )
         self._lake: DataLake | None = None
-        self._searchers: dict[str, TableUnionSearcher] = {}
+        #: One query service per built backend; every query, refresh and
+        #: persist of that backend's searcher routes through it.
         self._services: dict[str, QueryService] = {}
         self._pipelines: dict[str, DustPipeline] = {}
         #: Backends whose index predates a :meth:`refresh` call; each one
@@ -324,7 +328,6 @@ class Discovery:
         for service in self._services.values():
             service.close()
         self._services.clear()
-        self._searchers.clear()
         self._pipelines.clear()
         self._stale_backends.clear()
         self._store = None
@@ -342,7 +345,6 @@ class Discovery:
         """Bind a data lake and index the configured default backend."""
         self._check_open()
         self._lake = lake
-        self._searchers.clear()
         self._services.clear()
         self._pipelines.clear()
         self._stale_backends.clear()
@@ -351,7 +353,7 @@ class Discovery:
             # ingest() call rebuilds against the new attachment.
             self._ingest.close()
             self._ingest = None
-        self._ensure_backend(self.config.searcher.name)
+        self._ensure_backend(None)  # the configured default
         return self
 
     def refresh(self) -> "Discovery":
@@ -367,7 +369,7 @@ class Discovery:
         lake on first use, as always.
         """
         self.lake  # raises when not attached
-        self._stale_backends.update(self._searchers)
+        self._stale_backends.update(self._services)
         return self
 
     def resync(self) -> list[str]:
@@ -382,21 +384,10 @@ class Discovery:
         moved.
         """
         self._check_open()
-        lake = self.lake  # raises when not attached
+        self.lake  # raises when not attached
         moved: list[str] = []
-        for key, searcher in self._searchers.items():
-            service = self._services.get(key)
-            if service is not None:
-                # The service snapshots the fingerprint it last warmed or
-                # refreshed against; the live lake object may have mutated
-                # underneath it since.
-                drifted = service._lake_fingerprint != lake.fingerprint()
-            else:
-                drifted = (
-                    not searcher.is_indexed
-                    or searcher._indexed_table_fps != lake.table_fingerprints()
-                )
-            if drifted or key in self._stale_backends:
+        for key, service in self._services.items():
+            if service.drifted or key in self._stale_backends:
                 self._sync_backend(key)
                 moved.append(key)
         return moved
@@ -404,7 +395,7 @@ class Discovery:
     @property
     def built_backends(self) -> list[str]:
         """Names of the backends already built for this deployment, sorted."""
-        return sorted(self._searchers)
+        return sorted(self._services)
 
     def ingest(self, *, gate: Any = None) -> "IngestController":
         """The deployment's streaming write path (built lazily, one per lake).
@@ -462,11 +453,7 @@ class Discovery:
 
     def _sync_backend(self, key: str) -> None:
         """Apply a pending lake delta to one built backend."""
-        service = self._services.get(key)
-        if service is not None:
-            service.refresh()
-        else:
-            self._searchers[key].refresh()
+        self._services[key].refresh()
         self._stale_backends.discard(key)
 
     @property
@@ -504,9 +491,9 @@ class Discovery:
         sharding = self.config.sharding
         if sharding is not None and sharding["num_shards"] > 1:
             # Transparently shard-aware: the composite builds shard indexes
-            # in parallel, serves by fan-out/merge and (with a store)
-            # persists per shard — rankings bit-identical to the flat
-            # backend, so nothing downstream changes.
+            # in parallel, serves by fan-out/merge and (warmed through a
+            # store) persists per shard — rankings bit-identical to the
+            # flat backend, so nothing downstream changes.
             searcher: TableUnionSearcher = ShardedSearcher(
                 factory,
                 num_shards=sharding["num_shards"],
@@ -514,7 +501,6 @@ class Discovery:
                 workers=sharding["build_workers"],
                 parallelism=sharding["build_parallelism"],
                 parallel_min_seconds=sharding["parallel_min_seconds"],
-                store=self._store,
             )
         else:
             searcher = factory()
@@ -536,44 +522,40 @@ class Discovery:
             )
         return searcher
 
-    def _ensure_backend(self, backend: str) -> TableUnionSearcher:
+    def _ensure_backend(self, backend: str | None) -> QueryService:
+        """The (lazily built, lazily re-synced) service serving ``backend``."""
         self._check_open()
         key = self._backend_key(backend)
-        searcher = self._searchers.get(key)
-        if searcher is not None:
+        if key in self._services:
             if key in self._stale_backends:
                 self._sync_backend(key)
-            return searcher
+            return self._services[key]
         searcher = self._build_searcher(key)
-        if self.config.serving is not None:
-            serving = self.config.serving
+        serving = self.config.serving
+        if serving is not None:
             service = QueryService(
                 searcher,
-                store=self._store,
                 max_workers=serving["max_workers"],
                 chunk_size=serving["chunk_size"],
                 cache_size=serving["cache_size"],
                 parallelism=serving["parallelism"],
                 parallel_min_seconds=serving["parallel_min_seconds"],
             )
-            service.warm(self.lake)
-            self._services[key] = service
-        elif self._store is not None and not searcher.manages_own_persistence:
-            self._store.load_or_build(searcher, self.lake)
         else:
-            searcher.index(self.lake)
-        self._searchers[key] = searcher
-        return searcher
+            # No serving section: the same code path, costing nothing — no
+            # result cache, no worker fan-out, no store.
+            service = QueryService(searcher, cache_size=0, parallelism="serial")
+        service.warm(self.lake, self._store)
+        self._services[key] = service
+        return service
 
     def searcher(self, backend: str | None = None) -> TableUnionSearcher:
         """The (lazily indexed) searcher serving ``backend``."""
-        return self._ensure_backend(self._backend_key(backend))
+        return self._ensure_backend(backend).searcher
 
-    def service(self, backend: str | None = None) -> QueryService | None:
-        """The backend's :class:`QueryService`, or ``None`` without serving."""
-        key = self._backend_key(backend)
-        self._ensure_backend(key)
-        return self._services.get(key)
+    def service(self, backend: str | None = None) -> QueryService:
+        """The :class:`QueryService` every query to ``backend`` routes through."""
+        return self._ensure_backend(backend)
 
     def pipeline(self, backend: str | None = None) -> DustPipeline:
         """The wired :class:`DustPipeline` serving ``backend``."""
@@ -581,7 +563,7 @@ class Discovery:
         # Always route through _ensure_backend: a cached pipeline holds the
         # searcher by reference, and the backend may have a pending refresh()
         # delta to apply before serving another query.
-        searcher = self._ensure_backend(key)
+        searcher = self._ensure_backend(key).searcher
         pipeline = self._pipelines.get(key)
         if pipeline is None:
             pipeline = DustPipeline(
@@ -599,13 +581,8 @@ class Discovery:
         self, query_table: Table, k: int | None = None, *, backend: str | None = None
     ) -> list[SearchResult]:
         """Step-1 only: ranked unionable tables (service-cached when serving)."""
-        key = self._backend_key(backend)
-        self._ensure_backend(key)
         k = k if k is not None else self._pipeline_config.num_search_tables
-        service = self._services.get(key)
-        if service is not None:
-            return service.search(query_table, k)
-        return self._searchers[key].search(query_table, k)
+        return self.service(backend).search(query_table, k)
 
     def search_many(
         self,
@@ -615,14 +592,8 @@ class Discovery:
         backend: str | None = None,
     ) -> list[list[SearchResult]]:
         """Batch step-1 rankings (parallel + cached when serving is enabled)."""
-        key = self._backend_key(backend)
-        self._ensure_backend(key)
         k = k if k is not None else self._pipeline_config.num_search_tables
-        service = self._services.get(key)
-        if service is not None:
-            return service.search_many(query_tables, k)
-        searcher = self._searchers[key]
-        return [searcher.search(query, k) for query in query_tables]
+        return self.service(backend).search_many(query_tables, k)
 
     def search_tables(
         self, query_table: Table, k: int | None = None, *, backend: str | None = None
@@ -643,7 +614,7 @@ class Discovery:
             "backend": backend,
             "k": k if k is not None else self._pipeline_config.k,
             "config_fingerprint": self.config.fingerprint(),
-            "searcher_fingerprint": self._searchers[backend].config_fingerprint(),
+            "searcher_fingerprint": self._services[backend].searcher.config_fingerprint(),
             "lake": self.lake.name,
             "lake_fingerprint": self.lake.fingerprint(),
         }
@@ -654,13 +625,18 @@ class Discovery:
         """Run Algorithm 1 end to end for one query table."""
         key = self._backend_key(backend)
         pipeline = self.pipeline(key)
-        service = self._services.get(key)
-        search_results = (
-            service.search(query_table, self._pipeline_config.num_search_tables)
-            if service is not None
-            else None
+        # Step 1 runs here, through the service; the pipeline reports its time.
+        search_results, search_seconds = timed(
+            self._services[key].search,
+            query_table,
+            self._pipeline_config.num_search_tables,
         )
-        result = pipeline.run(query_table, k=k, search_results=search_results)
+        result = pipeline.run(
+            query_table,
+            k=k,
+            search_results=search_results,
+            search_seconds=search_seconds,
+        )
         return ResultSet(result=result, provenance=self._provenance(key, k))
 
     def run_many(
@@ -673,8 +649,7 @@ class Discovery:
         """Run Algorithm 1 for several queries against one built index."""
         key = self._backend_key(backend)
         pipeline = self.pipeline(key)
-        service = self._services.get(key)
-        results = pipeline.run_many(query_tables, k=k, service=service)
+        results = pipeline.run_many(query_tables, k=k, service=self._services[key])
         provenance = self._provenance(key, k)
         return [
             ResultSet(result=result, provenance=dict(provenance))
@@ -710,7 +685,7 @@ class Discovery:
                 else None
             ),
             "ingest": self._ingest.stats if self._ingest is not None else None,
-            "indexed_backends": sorted(self._searchers),
+            "indexed_backends": self.built_backends,
             "serving": self.config.serving is not None,
             "store": self._store.stats() if self._store is not None else None,
             "num_shards": (

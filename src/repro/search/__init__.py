@@ -8,13 +8,14 @@ ground-truth oracle when isolating the diversification stage.
 Indexes are maintainable, not just buildable: every backend supports
 ``update_index(added=..., removed=...)``/``refresh()`` for mutating lakes
 (with a full-rebuild correctness fallback) and ``index_state()``/
-``load_index_state()`` for cross-process persistence.  Indexes are also
-**partitionable**: ``build_partial(shard)``/``merge_partials(lake, parts)``
-let a lake's index be assembled from per-shard builds —
-:func:`~repro.search.sharded.build_sharded` runs those builds concurrently
-in forked workers, and :class:`~repro.search.sharded.ShardedSearcher` keeps
-the shards separate and serves queries by fan-out/merge, bit-identical to a
-flat index either way.
+``load_index_state()`` for cross-process persistence — one lifecycle,
+``warm(lake, store)``/``persist()``, that every consumer calls and each
+searcher implements its own way.  Indexes are also **partitionable**:
+:class:`~repro.search.sharded.ShardedSearcher` builds one index per lake
+shard concurrently in forked workers (``build_partial(shard)``/
+``load_partial(...)`` carry them across the process boundary), keeps the
+shards separate and serves queries by fan-out/merge, bit-identical to a flat
+index.
 
 Query latency is made sub-linear in lake size by the **tiered cascade**
 (:mod:`repro.search.cascade`): :class:`~repro.search.cascade.CascadeSearcher`
@@ -32,7 +33,7 @@ from repro.search.starmie import StarmieSearcher
 from repro.search.d3l import D3LSearcher
 from repro.search.santos import SantosSearcher
 from repro.search.oracle import OracleSearcher
-from repro.search.sharded import ShardedSearcher, build_sharded
+from repro.search.sharded import ShardedSearcher
 from repro.search.cascade import (
     CandidatePrefilter,
     CascadeSearcher,
@@ -51,7 +52,6 @@ __all__ = [
     "SantosSearcher",
     "OracleSearcher",
     "ShardedSearcher",
-    "build_sharded",
     "CandidatePrefilter",
     "CascadeSearcher",
     "LSHPrefilter",

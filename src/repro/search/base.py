@@ -6,18 +6,17 @@ import abc
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 import numpy as np
 
 from repro.datalake.delta import diff_table_fingerprints
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
-from repro.utils.errors import (
-    IndexDeltaUnsupported,
-    IndexMergeUnsupported,
-    SearchError,
-)
+from repro.utils.errors import IndexDeltaUnsupported, SearchError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> search)
+    from repro.serving.store import IndexStore
 
 #: JSON-serializable index metadata + named numpy payloads, as produced by
 #: :meth:`TableUnionSearcher.index_state` and consumed by ``load_index_state``.
@@ -25,36 +24,6 @@ from repro.utils.errors import (
 #: shape, so they are picklable across process boundaries and persistable
 #: through the :class:`~repro.serving.store.IndexStore` unchanged.
 IndexState = tuple[dict, dict[str, np.ndarray]]
-
-
-def merge_shard_table_maps(
-    lake: DataLake, per_part_maps: Iterable[Mapping[str, Any]], *, what: str
-) -> dict[str, Any]:
-    """Union per-shard ``table name -> entry`` maps, validated, in lake order.
-
-    The workhorse of every backend's partial-merge: shards must be disjoint
-    (a table indexed by two partials is a partitioning bug, not something to
-    resolve silently) and must cover the lake exactly.  The merged map is
-    returned keyed in the lake's iteration order so merged index structures
-    are laid out identically to a monolithic build.
-    """
-    merged: dict[str, Any] = {}
-    for part_map in per_part_maps:
-        for name, value in part_map.items():
-            if name in merged:
-                raise SearchError(
-                    f"{what}: table {name!r} appears in more than one shard partial"
-                )
-            merged[name] = value
-    lake_names = set(lake.table_names())
-    missing = lake_names - set(merged)
-    extra = set(merged) - lake_names
-    if missing or extra:
-        raise SearchError(
-            f"{what}: shard partials do not cover the lake exactly "
-            f"(missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})"
-        )
-    return {table.name: merged[table.name] for table in lake}
 
 
 @dataclass(frozen=True)
@@ -69,13 +38,15 @@ class SearchResult:
 class TableUnionSearcher(abc.ABC):
     """Base class for top-k unionable table search.
 
-    Lifecycle: construct, :meth:`index` a data lake once, then call
-    :meth:`search` for each query table.  When the lake mutates afterwards
+    Lifecycle: construct, :meth:`warm` onto a data lake once (:meth:`index`
+    is the store-less spelling), then call :meth:`search` for each query
+    table.  When the lake mutates afterwards
     (``add_table``/``remove_table``/``replace_table``), :meth:`update_index`
     applies the delta incrementally — or, for backends without an incremental
-    path, rebuilds — and :meth:`refresh` derives the delta automatically from
-    content fingerprints.  Implementations must not mutate the indexed lake
-    themselves.
+    path, rebuilds — :meth:`refresh` derives the delta automatically from
+    content fingerprints, and :meth:`persist` writes the moved index back to
+    the store it was warmed through.  Implementations must not mutate the
+    indexed lake themselves.
     """
 
     def __init__(self) -> None:
@@ -83,6 +54,9 @@ class TableUnionSearcher(abc.ABC):
         #: ``table name -> content fingerprint`` snapshot of the lake as last
         #: indexed; :meth:`refresh` diffs the live lake against it.
         self._indexed_table_fps: dict[str, str] = {}
+        #: The index store this searcher was last :meth:`warm`-ed through
+        #: (``None``: in-process only); :meth:`persist` writes there.
+        self.store: "IndexStore | None" = None
 
     # ------------------------------------------------------------------ index
     @abc.abstractmethod
@@ -107,6 +81,38 @@ class TableUnionSearcher(abc.ABC):
         self._build_index(lake)
         self._record_indexed_lake(lake)
         return self
+
+    # -------------------------------------------------------------- lifecycle
+    def warm(
+        self, lake: DataLake, store: "IndexStore | None" = None
+    ) -> "TableUnionSearcher":
+        """Serve ``lake`` — through ``store`` when one is given.
+
+        The one index-lifecycle entry point every consumer
+        (:class:`~repro.serving.service.QueryService`, the ``Discovery``
+        facade, the ``warm`` CLI) calls; none of them touch the store
+        themselves.  Without a store this is :meth:`index`.  With one, a
+        flat backend round-trips through a single whole-lake entry
+        (:meth:`~repro.serving.store.IndexStore.load_or_build`: exact load,
+        else delta-update of the closest prior snapshot, else build +
+        persist); composites override this to persist their own way — a
+        :class:`~repro.search.sharded.ShardedSearcher` per shard, a
+        :class:`~repro.search.cascade.CascadeSearcher` through its base plus
+        one prefilter entry.
+        """
+        self.store = store
+        if store is None:
+            return self.index(lake)
+        return store.load_or_build(self, lake)
+
+    def persist(self) -> None:
+        """Write the index back to the store it was warmed through.
+
+        Call after :meth:`refresh`/:meth:`update_index` moved the index; a
+        no-op for a searcher warmed without a store.
+        """
+        if self.store is not None:
+            self.store.try_save(self)
 
     # ----------------------------------------------------- incremental updates
     def _apply_index_delta(self, added: list[Table], removed: list[str]) -> None:
@@ -219,17 +225,6 @@ class TableUnionSearcher(abc.ABC):
         """Whether :meth:`index` has been called."""
         return self._lake is not None
 
-    @property
-    def manages_own_persistence(self) -> bool:
-        """Whether this searcher persists its own index (e.g. per shard).
-
-        When true, :class:`~repro.serving.store.IndexStore`-wrapping
-        consumers (``QueryService``, the facade) must not save or load it as
-        one monolithic store entry — warming/refreshing the searcher itself
-        performs the persistence.
-        """
-        return False
-
     # -------------------------------------------------------- sharded builds
     #: Whether a persisted index over a *shard* of a lake depends only on
     #: that shard's tables.  True for every backend whose per-table entries
@@ -241,12 +236,11 @@ class TableUnionSearcher(abc.ABC):
     def build_partial(self, shard: DataLake) -> IndexState:
         """Index ``shard`` alone and return the serialized partial index.
 
-        The partial is scratch output for :meth:`merge_partials` (or
-        :meth:`load_partial` onto a per-shard serving searcher): this
-        searcher's own index is clobbered and it is left *un-indexed*, so
-        partial builds can run on forked worker copies or on one scratch
-        instance sequentially without anyone mistaking the intermediate
-        state for a queryable index.
+        The partial is scratch output for :meth:`load_partial` onto a
+        per-shard serving searcher: this searcher's own index is clobbered
+        and it is left *un-indexed*, so partial builds can run on forked
+        worker copies without anyone mistaking the intermediate state for a
+        queryable index.
         """
         if shard.num_tables == 0:
             raise SearchError("cannot build a partial index over an empty shard")
@@ -276,42 +270,6 @@ class TableUnionSearcher(abc.ABC):
             raise SearchError("cannot load a partial index for an empty shard")
         self._load_partial_state(shard, state, arrays)
         self._record_indexed_lake(shard)
-        return self
-
-    def _merge_partial_states(self, lake: DataLake, parts: list[IndexState]) -> None:
-        """Implementation hook: assemble the full-lake index from shard partials.
-
-        ``parts`` are :meth:`build_partial` dumps over disjoint shards that
-        together cover ``lake`` exactly.  Implementations must produce an
-        index **bit-identical** to ``_build_index(lake)`` — scores and ranks,
-        not just sets — or raise :class:`IndexMergeUnsupported`, in which
-        case :meth:`merge_partials` falls back to a monolithic build.  The
-        default declares merging unsupported, so new backends are correct
-        before they are fast.
-        """
-        raise IndexMergeUnsupported(
-            f"{type(self).__name__} has no partial-index merge"
-        )
-
-    def merge_partials(
-        self, lake: DataLake, parts: Iterable[IndexState]
-    ) -> "TableUnionSearcher":
-        """Assemble and bind the full index for ``lake`` from per-shard partials.
-
-        The result is bit-identical to :meth:`index` over the same lake —
-        backends either merge exactly or the base class silently rebuilds
-        monolithically (the :class:`IndexMergeUnsupported` fallback).
-        """
-        if lake.num_tables == 0:
-            raise SearchError("cannot merge partial indexes for an empty data lake")
-        parts = list(parts)
-        if not parts:
-            raise SearchError("merge_partials() needs at least one partial index")
-        try:
-            self._merge_partial_states(lake, parts)
-        except IndexMergeUnsupported:
-            self._build_index(lake)
-        self._record_indexed_lake(lake)
         return self
 
     def finalize_shard_group(

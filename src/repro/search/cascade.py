@@ -42,7 +42,7 @@ import abc
 import hashlib
 import json
 import time
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -53,6 +53,9 @@ from repro.search.minhash import MinHashLSHIndex, MinHashSignature
 from repro.search.overlap import column_token_set
 from repro.utils.errors import SearchError, ServingError
 from repro.vectorops import EmbeddingMatrix
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> search)
+    from repro.serving.store import IndexStore
 
 
 def _rank_by_score(
@@ -334,11 +337,12 @@ PREFILTER_NAMES = ("auto", "lsh", "projection")
 class CascadePrefilterEntry:
     """Store adapter persisting a cascade's fitted prefilter as its own entry.
 
-    A cascade over a self-persisting base (a sharded searcher with per-shard
-    store entries) must not be saved monolithically — but without a persisted
-    prefilter every warm start refits it, which walks *every* shard and
-    defeats the O(touched-shards) lazy restore.  This adapter exposes just
-    enough of the :class:`TableUnionSearcher` persistence surface
+    The cascade's one on-disk format: the base persists itself (one
+    whole-lake entry when flat, one entry per shard when sharded) and the
+    fitted prefilter lives beside it — without it every warm start would
+    refit, which walks *every* shard and defeats the O(touched-shards) lazy
+    restore.  This adapter exposes just enough of the
+    :class:`TableUnionSearcher` persistence surface
     (``config_state``/``config_fingerprint``/``index_state``/
     ``load_index_state``/``INDEX_FORMAT_VERSION``) for
     :class:`~repro.serving.store.IndexStore` to treat the fitted prefilter as
@@ -405,9 +409,10 @@ class CascadeSearcher(TableUnionSearcher):
     ----------
     base:
         Any :class:`TableUnionSearcher` (including a
-        :class:`~repro.search.sharded.ShardedSearcher`).  The cascade indexes
-        it, persists alongside it, and exact-scores through its
-        :meth:`~TableUnionSearcher.score_candidates` hook.
+        :class:`~repro.search.sharded.ShardedSearcher`).  The cascade warms
+        and persists through it (adding only its own prefilter entry), and
+        exact-scores through its :meth:`~TableUnionSearcher.score_candidates`
+        hook.
     mode:
         ``"exact"`` — every query delegates to ``base.search``; rankings are
         bit-identical by construction and the prefilter is only maintained
@@ -510,33 +515,39 @@ class CascadeSearcher(TableUnionSearcher):
             raise SearchError("CascadeSearcher used before index() was called")
         return self._prefilter
 
-    # ------------------------------------------------------------------ index
-    def _base_in_sync(self, lake: DataLake) -> bool:
-        """Whether ``base`` already serves exactly this lake content."""
-        return (
-            self.base.is_indexed
-            and self.base._lake is lake
-            and self.base._indexed_table_fps == lake.table_fingerprints()
-        )
+    # -------------------------------------------------------------- lifecycle
+    def warm(
+        self, lake: DataLake, store: "IndexStore | None" = None
+    ) -> "CascadeSearcher":
+        """Index ``lake`` with base and prefilter persisted through ``store``."""
+        self.store = store
+        return self.index(lake)
 
-    def _prefilter_store(self):
-        """The base's index store, when the base persists itself per shard.
+    def _build_index(self, lake: DataLake) -> None:
+        """Warm the base through the bound store, then restore or fit the
+        prefilter.
 
-        Only a self-persisting base leaves the cascade un-persisted (see
-        :attr:`manages_own_persistence`) — that is exactly when the fitted
-        prefilter needs its own store entry to survive restarts.
+        A persisted prefilter entry short-circuits the fit — fitting touches
+        every shard, which would forfeit a lazily restored base's
+        O(touched-shards) cold start.
         """
-        if not self.base.manages_own_persistence:
-            return None
-        return getattr(self.base, "store", None)
+        self.base.warm(lake, self.store)
+        self.store = self.base.store  # a sharded base may bring its own
+        if not self._restore_prefilter(lake):
+            self._fit_prefilter(lake)
+            self._persist_prefilter(lake)
+
+    def persist(self) -> None:
+        """The base writes its own entries; the prefilter entry was already
+        re-persisted when the delta refit it."""
+        self.base.persist()
 
     def _restore_prefilter(self, lake: DataLake) -> bool:
         """Adopt a persisted prefilter entry; ``False`` means fit instead."""
-        store = self._prefilter_store()
-        if store is None:
+        if self.store is None:
             return False
         try:
-            store.load(CascadePrefilterEntry(self), lake)
+            self.store.load(CascadePrefilterEntry(self), lake)
         except ServingError:
             # Miss, config/lake drift, or corruption: a fresh fit (and the
             # re-persist that follows) heals all of them.
@@ -544,27 +555,12 @@ class CascadeSearcher(TableUnionSearcher):
         return True
 
     def _persist_prefilter(self, lake: DataLake) -> None:
-        store = self._prefilter_store()
-        if store is None:
+        if self.store is None:
             return
         try:
-            store.save(CascadePrefilterEntry(self), lake)
+            self.store.save(CascadePrefilterEntry(self), lake)
         except (SearchError, ServingError):
             pass  # persistence is an optimization; serving continues fitted
-
-    def _build_index(self, lake: DataLake) -> None:
-        # An already-bound, content-identical base is adopted as-is: the warm
-        # CLI builds the base through build_sharded() first and wrapping it
-        # must not pay a second full index build.
-        if not self._base_in_sync(lake):
-            self.base.index(lake)
-        # A persisted prefilter short-circuits the fit — fitting touches
-        # every shard, which would forfeit a lazily restored base's
-        # O(touched-shards) cold start.
-        if self._restore_prefilter(lake):
-            return
-        self._fit_prefilter(lake)
-        self._persist_prefilter(lake)
 
     def _apply_index_delta(self, added: list[Table], removed: list[str]) -> None:
         self.base.update_index(added=added, removed=removed)
@@ -573,18 +569,13 @@ class CascadeSearcher(TableUnionSearcher):
         self._fit_prefilter(self.base.lake)
         self._persist_prefilter(self.base.lake)
 
-    @property
-    def manages_own_persistence(self) -> bool:
-        """Delegated: a sharded base persists per shard; the cascade must not
-        then be saved as one monolithic store entry (its prefilter refits
-        from the restored shards at warm time)."""
-        return self.base.manages_own_persistence
-
-    # ----------------------------------------------------- index serialization
+    # ------------------------------------------------------------ fingerprint
     def config_state(self) -> dict:
-        # The base is keyed by its *fingerprint* (not raw config) so a
-        # cascade over a ShardedSearcher shares fingerprints with one over
-        # the equivalent flat backend — sharding is an execution strategy.
+        # The base is keyed by its *fingerprint* (not raw config): a
+        # ShardedSearcher reports its prototype's, so the persisted prefilter
+        # entry is shared with the equivalent flat deployment.  base_class
+        # still tells the two apart in this composite's own fingerprint
+        # (result-cache keys, provenance).
         return {
             "base_class": type(self.base).__name__,
             "base_fingerprint": self.base.config_fingerprint(),
@@ -597,39 +588,6 @@ class CascadeSearcher(TableUnionSearcher):
             "num_bands": self.num_bands,
             "seed": self.seed,
         }
-
-    def _index_state(self) -> IndexState:
-        base_state, base_arrays = self.base.index_state()
-        prefilter = self.prefilter
-        pre_state, pre_arrays = prefilter.state()
-        state = {
-            "base": base_state,
-            "cascade": {"prefilter_name": prefilter.name, "prefilter": pre_state},
-        }
-        arrays = {f"base__{key}": value for key, value in base_arrays.items()}
-        arrays.update(
-            {f"prefilter__{key}": value for key, value in pre_arrays.items()}
-        )
-        return state, arrays
-
-    def _load_index_state(
-        self, lake: DataLake, state: dict, arrays: Mapping[str, np.ndarray]
-    ) -> None:
-        base_arrays = {
-            key[len("base__") :]: value
-            for key, value in arrays.items()
-            if key.startswith("base__")
-        }
-        pre_arrays = {
-            key[len("prefilter__") :]: value
-            for key, value in arrays.items()
-            if key.startswith("prefilter__")
-        }
-        self.base.load_index_state(lake, state["base"], base_arrays)
-        prefilter = self._make_prefilter(state["cascade"]["prefilter_name"])
-        prefilter.load_state(state["cascade"]["prefilter"], pre_arrays)
-        prefilter.bind(self.base)
-        self._prefilter = prefilter
 
     # ----------------------------------------------------------------- search
     def _score_table(self, query_table: Table, lake_table: Table) -> float:

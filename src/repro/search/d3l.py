@@ -20,7 +20,7 @@ from repro.datalake.lake import DataLake
 from repro.datalake.profile import ColumnProfile, profile_column
 from repro.datalake.table import Table
 from repro.embeddings.word import FastTextLikeModel
-from repro.search.base import IndexState, TableUnionSearcher, merge_shard_table_maps
+from repro.search.base import IndexState, TableUnionSearcher
 from repro.search.overlap import column_token_set
 from repro.utils.errors import SearchError
 from repro.utils.text import is_null, normalize_text
@@ -193,11 +193,9 @@ class D3LSearcher(TableUnionSearcher):
         }
         return state, {"embeddings": matrix}
 
-    @staticmethod
-    def _decode_state(
-        state: dict, arrays: Mapping[str, np.ndarray]
-    ) -> dict[str, tuple[dict, dict, dict, dict]]:
-        """Rehydrate one index state as per-table (profiles, tokens, formats, embeddings)."""
+    def _load_index_state(
+        self, lake: DataLake, state: dict, arrays: Mapping[str, np.ndarray]
+    ) -> None:
         matrix = np.asarray(arrays["embeddings"], dtype=np.float64)
         expected = sum(len(entry["columns"]) for entry in state["tables"])
         if expected != matrix.shape[0]:
@@ -205,18 +203,19 @@ class D3LSearcher(TableUnionSearcher):
                 f"D3L index state lists {expected} columns but the embedding "
                 f"matrix has {matrix.shape[0]} rows"
             )
-        decoded: dict[str, tuple[dict, dict, dict, dict]] = {}
+        self._profiles, self._token_sets = {}, {}
+        self._formats, self._embeddings = {}, {}
         row = 0
         for entry in state["tables"]:
             name, columns = entry["name"], entry["columns"]
-            profiles = {
+            self._profiles[name] = {
                 column: ColumnProfile.from_state(state["profiles"][name][column])
                 for column in columns
             }
-            token_sets = {
+            self._token_sets[name] = {
                 column: set(state["token_sets"][name][column]) for column in columns
             }
-            formats = {
+            self._formats[name] = {
                 column: Counter(
                     {
                         fmt: int(count)
@@ -225,38 +224,10 @@ class D3LSearcher(TableUnionSearcher):
                 )
                 for column in columns
             }
-            embeddings = {
+            self._embeddings[name] = {
                 column: matrix[row + offset] for offset, column in enumerate(columns)
             }
             row += len(columns)
-            decoded[name] = (profiles, token_sets, formats, embeddings)
-        return decoded
-
-    def _install_entries(
-        self, entries: Mapping[str, tuple[dict, dict, dict, dict]]
-    ) -> None:
-        """Adopt decoded per-table signal entries as the built index."""
-        self._profiles = {name: entry[0] for name, entry in entries.items()}
-        self._token_sets = {name: entry[1] for name, entry in entries.items()}
-        self._formats = {name: entry[2] for name, entry in entries.items()}
-        self._embeddings = {name: entry[3] for name, entry in entries.items()}
-
-    def _load_index_state(
-        self, lake: DataLake, state: dict, arrays: Mapping[str, np.ndarray]
-    ) -> None:
-        self._install_entries(self._decode_state(state, arrays))
-
-    def _merge_partial_states(self, lake: DataLake, parts: list[IndexState]) -> None:
-        """Per-table signal union: every D3L signal is shard-local, so the
-        merged index is the (lake-ordered) union of the shard partials and is
-        bit-identical to a monolithic build by construction."""
-        self._install_entries(
-            merge_shard_table_maps(
-                lake,
-                (self._decode_state(state, arrays) for state, arrays in parts),
-                what="D3L partial merge",
-            )
-        )
 
     # ---------------------------------------------------------------- scoring
     def _query_column_signals(

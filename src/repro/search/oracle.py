@@ -70,8 +70,8 @@ class OracleSearcher(TableUnionSearcher):
 
         Build-time validation must see the *whole* lake (labelled tables land
         in arbitrary shards), so partial builds skip it; it re-runs in
-        :meth:`_merge_partial_states` and :meth:`finalize_shard_group` — the
-        oracle re-validation step of a sharded deployment.
+        :meth:`finalize_shard_group` — the oracle re-validation step of a
+        sharded deployment.
         """
         if shard.num_tables == 0:
             raise SearchError("cannot build a partial index over an empty shard")
@@ -85,13 +85,6 @@ class OracleSearcher(TableUnionSearcher):
         self._ground_truth = {
             query: list(tables) for query, tables in state["ground_truth"].items()
         }
-
-    def _merge_partial_states(self, lake: DataLake, parts: list["IndexState"]) -> None:
-        state, _ = parts[0]  # every partial carries the same ground truth
-        self._ground_truth = {
-            query: list(tables) for query, tables in state["ground_truth"].items()
-        }
-        self._build_index(lake)  # full-lake re-validation
 
     def finalize_shard_group(
         self, lake: DataLake, shard_searchers: "Sequence[TableUnionSearcher]"

@@ -17,7 +17,7 @@ import numpy as np
 from repro.api.registry import register_searcher
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
-from repro.search.base import IndexState, TableUnionSearcher, merge_shard_table_maps
+from repro.search.base import IndexState, TableUnionSearcher
 from repro.search.minhash import _MAX_HASH, MinHashLSHIndex, MinHashSignature
 from repro.utils.errors import SearchError
 from repro.utils.text import is_null, normalize_text
@@ -149,48 +149,6 @@ class ValueOverlapSearcher(TableUnionSearcher):
                     self._index.remove(key)
         for table in added:
             self._add_table_columns(table)
-        self._finalize_matrix()
-
-    def _merge_partial_states(self, lake: DataLake, parts: list[IndexState]) -> None:
-        """LSH band merge: re-band every shard's per-column signatures.
-
-        MinHash signatures are a pure function of one column's token set, so
-        shard partials already hold the exact signatures a monolithic build
-        would compute; merging re-inserts them into one banding index (band
-        buckets are unions of the shards') and restacks the scoring matrix
-        in lake order — the same layout as a fresh build, hence bit-identical
-        scores.
-        """
-        signature_by_key: dict[str, MinHashSignature] = {}
-        per_part_columns: list[dict[str, list[str]]] = []
-        for state, arrays in parts:
-            if (
-                int(state["num_hashes"]) != self.num_hashes
-                or int(state["num_bands"]) != self.num_bands
-            ):
-                raise SearchError(
-                    "shard partial MinHash configuration "
-                    f"({state['num_hashes']}/{state['num_bands']} hashes/bands) "
-                    f"does not match this searcher "
-                    f"({self.num_hashes}/{self.num_bands})"
-                )
-            signatures = np.asarray(arrays["signatures"], dtype=np.int64)
-            for key, row in zip(state["keys"], signatures):
-                signature_by_key[key] = MinHashSignature(
-                    values=tuple(int(value) for value in row)
-                )
-            per_part_columns.append(
-                {name: list(columns) for name, columns in state["columns_by_table"].items()}
-            )
-        columns_by_table = merge_shard_table_maps(
-            lake, per_part_columns, what="overlap partial merge"
-        )
-        index = MinHashLSHIndex(self.num_hashes, self.num_bands)
-        for columns in columns_by_table.values():
-            for key in columns:
-                index.add_signature(key, signature_by_key[key])
-        self._index = index
-        self._columns_by_table = columns_by_table
         self._finalize_matrix()
 
     # ----------------------------------------------------- index serialization

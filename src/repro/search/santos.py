@@ -19,7 +19,7 @@ from repro.api.registry import register_searcher
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
 from repro.embeddings.word import FastTextLikeModel
-from repro.search.base import IndexState, TableUnionSearcher, merge_shard_table_maps
+from repro.search.base import IndexState, TableUnionSearcher
 from repro.utils.errors import SearchError
 from repro.utils.text import is_null
 
@@ -175,11 +175,9 @@ class SantosSearcher(TableUnionSearcher):
         }
         return {"tables": tables}, arrays
 
-    @staticmethod
-    def _decode_state(
-        state: dict, arrays: Mapping[str, np.ndarray]
-    ) -> dict[str, tuple[dict, dict]]:
-        """Rehydrate one index state as per-table (column, relationship) vectors."""
+    def _load_index_state(
+        self, lake: DataLake, state: dict, arrays: Mapping[str, np.ndarray]
+    ) -> None:
         columns_matrix = np.asarray(arrays["column_vectors"], dtype=np.float64)
         relationships_matrix = np.asarray(
             arrays["relationship_vectors"], dtype=np.float64
@@ -195,46 +193,19 @@ class SantosSearcher(TableUnionSearcher):
             raise SearchError(
                 "SANTOS index state row counts do not match its vector payloads"
             )
-        decoded: dict[str, tuple[dict, dict]] = {}
+        self._column_vectors, self._relationship_vectors = {}, {}
         column_row = relationship_row = 0
         for entry in state["tables"]:
-            columns = {
+            self._column_vectors[entry["name"]] = {
                 column: columns_matrix[column_row + offset]
                 for offset, column in enumerate(entry["columns"])
             }
             column_row += len(entry["columns"])
-            relationships = {
+            self._relationship_vectors[entry["name"]] = {
                 (first, second): relationships_matrix[relationship_row + offset]
                 for offset, (first, second) in enumerate(entry["relationships"])
             }
             relationship_row += len(entry["relationships"])
-            decoded[entry["name"]] = (columns, relationships)
-        return decoded
-
-    def _install_entries(self, entries: Mapping[str, tuple[dict, dict]]) -> None:
-        """Adopt decoded per-table vector entries as the built index."""
-        self._column_vectors = {name: entry[0] for name, entry in entries.items()}
-        self._relationship_vectors = {
-            name: entry[1] for name, entry in entries.items()
-        }
-
-    def _load_index_state(
-        self, lake: DataLake, state: dict, arrays: Mapping[str, np.ndarray]
-    ) -> None:
-        self._install_entries(self._decode_state(state, arrays))
-
-    def _merge_partial_states(self, lake: DataLake, parts: list[IndexState]) -> None:
-        """Per-table signal union: SANTOS column and relationship vectors are
-        derived per table over a stateless word model, so the merged index is
-        the (lake-ordered) union of the shard partials — bit-identical to a
-        monolithic build by construction."""
-        self._install_entries(
-            merge_shard_table_maps(
-                lake,
-                (self._decode_state(state, arrays) for state, arrays in parts),
-                what="SANTOS partial merge",
-            )
-        )
 
     # ------------------------------------------------------- cascade prefilter
     def _mean_embedding(self, vectors: list[np.ndarray]) -> np.ndarray:

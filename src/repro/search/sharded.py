@@ -1,24 +1,17 @@
 """Sharded index construction and fan-out/merge search serving.
 
-Two entry points turn the per-shard protocol of
-:class:`~repro.search.base.TableUnionSearcher` (``build_partial`` /
-``merge_partials`` / ``finalize_shard_group``) into whole-lake machinery:
+:class:`ShardedSearcher` is a composite
+:class:`~repro.search.base.TableUnionSearcher` that partitions a lake, keeps
+one independently-indexed searcher per shard — built **concurrently in
+forked worker processes** (probe-gated, so tiny lakes never pay fork
+startup) — and answers queries by **fanning out** over the shard indexes and
+merging their top-k lists by ``(-score, table name)`` — the exact ordering
+of the monolithic ``search()``, so served rankings are bit-identical to an
+unsharded backend.  Because it *is* a ``TableUnionSearcher``, everything
+downstream (``QueryService`` caching and multi-query fan-out,
+``DustPipeline``, the ``Discovery`` facade) composes with it unchanged.
 
-* :func:`build_sharded` — partition a lake, build every shard's partial index
-  **concurrently in forked worker processes** (probe-gated, so tiny lakes
-  never pay fork startup) and merge the partials into one monolithic index on
-  the given searcher.  The merged index is bit-identical to a serial
-  ``searcher.index(lake)`` — ranks *and* scores.
-* :class:`ShardedSearcher` — a composite :class:`TableUnionSearcher` that
-  keeps one independently-indexed searcher per shard and answers queries by
-  **fanning out** over the shard indexes and merging their top-k lists by
-  ``(-score, table name)`` — the exact ordering of the monolithic
-  ``search()``, so served rankings are bit-identical to an unsharded backend.
-  Because it *is* a ``TableUnionSearcher``, everything downstream
-  (``QueryService`` caching and multi-query fan-out, ``DustPipeline``, the
-  ``Discovery`` facade) composes with it unchanged.
-
-Per-shard persistence: give :class:`ShardedSearcher` an
+Per-shard persistence: warm :class:`ShardedSearcher` through an
 :class:`~repro.serving.store.IndexStore` and each shard is loaded from /
 persisted to its own store entry, keyed by the shard's content fingerprint.
 Mutating the lake therefore re-indexes and re-persists **only the shards
@@ -43,8 +36,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.datalake.lake import DataLake
 from repro.datalake.partition import LakePartitioner, LakeShard, _stable_shard_hash
-from repro.search.base import IndexState, SearchResult, TableUnionSearcher
-from repro.utils.errors import IndexStoreMiss, SearchError, ServingError
+from repro.search.base import SearchResult, TableUnionSearcher
+from repro.utils.errors import SearchError
 from repro.utils.parallel import (
     default_worker_count,
     forked_map,
@@ -142,167 +135,19 @@ def _shards_from_assignment(
 def _ensure_store_capacity(store: "IndexStore | None", num_shards: int) -> None:
     """Raise the store's per-backend entry bound to fit live shard entries.
 
-    Live shard entries (plus the merged whole-lake entry) all share one
-    backend directory, and the store's eviction treats everything but the
-    latest save as a superseded snapshot — with a bound sized for single-lake
-    deployments it would delete *live* shard entries mid-build and every
-    later warm would rebuild a rotating victim.  Raising the bound only
-    retains more disk, so the composite does it once, centrally, instead of
-    every call site having to know the arithmetic.
+    Live shard entries all share one backend namespace, and the store's
+    eviction treats everything but the latest save as a superseded snapshot
+    — with a bound sized for single-lake deployments it would delete *live*
+    shard entries mid-build and every later warm would rebuild a rotating
+    victim.  Raising the bound only retains more disk, so the composite does
+    it once, centrally, instead of every call site having to know the
+    arithmetic.
     """
     if store is None or store.max_entries_per_backend is None:
         return
-    required = 2 * num_shards + 2  # live shards + merged entry + delta headroom
+    required = 2 * num_shards + 2  # live shards + delta-snapshot headroom
     if store.max_entries_per_backend < required:
         store.max_entries_per_backend = required
-
-
-def _materialize_shard_state(
-    searcher: TableUnionSearcher,
-    shard_lake: DataLake,
-    store: "IndexStore | None",
-) -> IndexState:
-    """Build (or restore) one shard's index and return its serialized state.
-
-    Runs inside a forked worker during parallel builds — the searcher and
-    shard lake are fork-inherited, only the returned state is pickled.  With
-    a store, the shard round-trips through ``load_or_build``: an existing
-    entry for the shard's content is a fast load, a drifted shard is healed
-    by the store's snapshot-delta path, and anything else is built once and
-    persisted — all per shard.
-    """
-    if store is not None and searcher.SHARD_LOCAL_INDEX:
-        store.load_or_build(searcher, shard_lake)
-        return searcher.index_state()
-    return searcher.build_partial(shard_lake)
-
-
-def _build_partials(
-    searchers: Sequence[TableUnionSearcher],
-    shard_lakes: Sequence[DataLake],
-    jobs: Sequence[int],
-    *,
-    store: "IndexStore | None",
-    workers: int | None,
-    parallelism: str,
-    parallel_min_seconds: float,
-    capture_in_process: bool = True,
-) -> dict[int, IndexState | None]:
-    """Materialise every shard index in ``jobs``; return captured states.
-
-    The shared probe-gated fan-out heuristic (one build serves as the probe;
-    the rest fork only when the estimated remaining work amortises worker
-    startup).  Threads are never used: partial builds mutate searcher
-    internals, and index building is GIL-bound anyway.
-
-    Forked shards always come back as serialized states (the only way index
-    structures cross the process boundary).  Shards built *in-process* are
-    left live on their searcher; with ``capture_in_process=False`` their map
-    entry is ``None`` instead of a redundant dump-and-reload round-trip —
-    callers that keep one searcher per shard (:class:`ShardedSearcher`) need
-    no state for them, while :func:`build_sharded` (one scratch searcher for
-    every shard) must capture each state before the next build clobbers it.
-    """
-    states: dict[int, IndexState | None] = {}
-
-    def materialize(shard_id: int) -> IndexState:
-        return _materialize_shard_state(
-            searchers[shard_id], shard_lakes[shard_id], store
-        )
-
-    def build_in_process(shard_id: int) -> None:
-        if capture_in_process:
-            states[shard_id] = materialize(shard_id)
-            return
-        searcher, shard_lake = searchers[shard_id], shard_lakes[shard_id]
-        if store is not None and searcher.SHARD_LOCAL_INDEX:
-            store.load_or_build(searcher, shard_lake)
-        elif searcher.SHARD_LOCAL_INDEX:
-            searcher.index(shard_lake)
-        else:  # oracle-style: index() would validate against the bare shard
-            searcher.load_partial(shard_lake, *searcher.build_partial(shard_lake))
-        states[shard_id] = None  # already live on the shard's own searcher
-
-    mode = resolve_parallelism(parallelism, threads_fallback=False)
-    worker_count = default_worker_count(len(jobs), max_workers=workers)
-    # Builds are CPU-bound: more workers than cores never helps and the
-    # oversubscription context-switching actively hurts, so the requested
-    # worker count is capped at the machine's physical parallelism.
-    worker_count = max(1, min(worker_count, os.cpu_count() or 1))
-    if mode != "process" or worker_count <= 1 or len(jobs) <= 1:
-        for shard_id in jobs:
-            build_in_process(shard_id)
-        return states
-
-    remaining, fan_out = probe_gate(
-        jobs, build_in_process, min_seconds=parallel_min_seconds, max_probes=1
-    )
-    if fan_out:
-        for shard_id, state in zip(
-            remaining, forked_map(materialize, remaining, workers=worker_count)
-        ):
-            states[shard_id] = state
-    else:
-        for shard_id in remaining:
-            build_in_process(shard_id)
-    return states
-
-
-def build_sharded(
-    searcher: TableUnionSearcher,
-    lake: DataLake,
-    *,
-    num_shards: int,
-    strategy: str = "hash",
-    workers: int | None = None,
-    parallelism: str = "auto",
-    parallel_min_seconds: float = 0.5,
-    store: "IndexStore | None" = None,
-) -> TableUnionSearcher:
-    """Index ``lake`` on ``searcher`` via parallel per-shard builds + merge.
-
-    Bit-identical to ``searcher.index(lake)`` — the partials are merged with
-    the backend's exact-merge implementation (corpus-contribution summation
-    for Starmie, signature/signal unions elsewhere, oracle re-validation).
-    With a ``store``, every shard is served through its own persisted entry
-    *and* the merged whole-lake index is persisted too, so both sharded and
-    unsharded consumers of the same content hit warm entries afterwards; an
-    already-warm whole-lake entry short-circuits the partition entirely.
-    The store's per-backend entry bound is raised as needed so live shard
-    entries are never evicted as superseded snapshots.
-    """
-    if store is not None:
-        _ensure_store_capacity(store, num_shards)
-        try:
-            return store.load(searcher, lake)  # warm whole-lake entry: done
-        except IndexStoreMiss:
-            pass
-        except ServingError:
-            pass  # corrupt entry: rebuild below overwrites and heals it
-    partitioner = LakePartitioner(num_shards, strategy=strategy)
-    shards = partitioner.partition(lake)
-    shard_lakes = [shard.to_lake() for shard in shards]
-    jobs = [i for i, shard_lake in enumerate(shard_lakes) if shard_lake.num_tables]
-    if len(jobs) <= 1:
-        if store is not None:
-            return store.load_or_build(searcher, lake)
-        return searcher.index(lake)
-    states = _build_partials(
-        [searcher] * len(shards),  # workers fork copies; serial reuse is safe
-        shard_lakes,
-        jobs,
-        store=store,
-        workers=workers,
-        parallelism=parallelism,
-        parallel_min_seconds=parallel_min_seconds,
-    )
-    searcher.merge_partials(lake, [states[shard_id] for shard_id in jobs])
-    if store is not None:
-        try:
-            store.save(searcher, lake)
-        except SearchError:
-            pass  # backends without index_state() still serve in-process
-    return searcher
 
 
 class ShardedSearcher(TableUnionSearcher):
@@ -319,14 +164,14 @@ class ShardedSearcher(TableUnionSearcher):
         ``"hash"`` keeps table->shard assignment mutation-stable, so a lake
         mutation touches exactly the shards whose tables changed.
     workers, parallelism, parallel_min_seconds:
-        Parallel-build knobs shared with :func:`build_sharded`.
+        Parallel shard-build knobs (worker processes, executor mode, the
+        probe gate's fan-out threshold).
     store:
-        Optional :class:`~repro.serving.store.IndexStore`.  Each shard then
-        persists as its own entry keyed by shard content fingerprint;
-        refreshes re-persist only the mutated shards.  The store's
-        per-backend entry bound counts shard entries, so give lakes sharded
-        N ways a store whose ``max_entries_per_backend`` comfortably exceeds
-        N (the facade and warm CLI do this automatically).
+        Optional :class:`~repro.serving.store.IndexStore` (equivalently,
+        pass it to :meth:`warm`).  Each shard then persists as its own entry
+        keyed by shard content fingerprint; refreshes re-persist only the
+        mutated shards.  The store's per-backend entry bound counts shard
+        entries and is raised to fit them automatically.
 
     The composite's ``config_fingerprint()`` is the *prototype's*: sharding
     is an execution strategy, not a semantic configuration — rankings are
@@ -399,12 +244,6 @@ class ShardedSearcher(TableUnionSearcher):
     def deferred_shards(self) -> list[int]:
         """Shard ids whose restoration is still pending first touch."""
         return sorted(self._deferred)
-
-    @property
-    def manages_own_persistence(self) -> bool:
-        """With a store, shards persist themselves — consumers must not
-        additionally save this composite as one monolithic entry."""
-        return self.store is not None
 
     def config_state(self) -> dict:
         return {
@@ -492,8 +331,7 @@ class ShardedSearcher(TableUnionSearcher):
             searcher = self._shard_searchers[shard_id]
             if searcher is not None:  # lost the race: another thread restored it
                 return searcher
-            searcher = self.factory()
-            self.store.load_or_build(searcher, self._shard_lakes[shard_id])
+            searcher = self._sync_shard(self.factory(), self._shard_lakes[shard_id])
             self._shard_searchers[shard_id] = searcher
             self._deferred.pop(shard_id, None)
             return searcher
@@ -501,6 +339,87 @@ class ShardedSearcher(TableUnionSearcher):
     def _materialize_all(self) -> None:
         for shard_id in sorted(self._deferred):
             self._materialize_shard(shard_id)
+
+    def warm(self, lake: DataLake, store: "IndexStore | None" = None) -> "ShardedSearcher":
+        """Index ``lake`` per shard — each shard through its own ``store`` entry.
+
+        A ``store`` given here replaces the constructor's; without one the
+        constructor's (if any) keeps serving.
+        """
+        if store is not None:
+            self.store = store
+            _ensure_store_capacity(store, self.num_shards)
+        return self.index(lake)
+
+    def persist(self) -> None:
+        """Nothing left to write: :meth:`_sync_shard` re-persists each shard
+        as it is rebuilt, so a refresh has already saved exactly the shards
+        that moved."""
+
+    def _sync_shard(
+        self, searcher: TableUnionSearcher, shard_lake: DataLake
+    ) -> TableUnionSearcher:
+        """Bring one shard's searcher onto ``shard_lake`` and persist it.
+
+        The single per-shard lifecycle step behind builds, deferred restores,
+        refreshes and rebalances: a fresh searcher warms through the store
+        (load, delta-heal or build + persist), a live one is delta-updated in
+        memory and re-persisted.  Backends whose index is not shard-local
+        (the oracle) bypass the store — their state round-trips through a
+        partial instead, and :meth:`finalize_shard_group` re-validates it.
+        """
+        if not searcher.SHARD_LOCAL_INDEX:
+            searcher.load_partial(shard_lake, *searcher.build_partial(shard_lake))
+        elif not searcher.is_indexed:
+            searcher.warm(shard_lake, self.store)
+        else:
+            searcher.rebase(shard_lake)
+            if self.store is not None:
+                self.store.try_save(searcher, shard_lake)
+        return searcher
+
+    def _build_shards(
+        self,
+        searchers: list[TableUnionSearcher | None],
+        shard_lakes: list[DataLake],
+        jobs: list[int],
+    ) -> None:
+        """Index every shard in ``jobs`` on its own searcher, forking when it pays.
+
+        The shared probe-gated fan-out heuristic (one build serves as the
+        probe; the rest fork only when the estimated remaining work amortises
+        worker startup).  Threads are never used: builds mutate searcher
+        internals, and index building is GIL-bound anyway.  Shards built
+        in-process are simply left live on their searcher; fork-built ones
+        come back as serialized states (the only way index structures cross
+        the process boundary) and are loaded onto the parent's searcher.
+        """
+
+        def build(shard_id: int) -> None:
+            self._sync_shard(searchers[shard_id], shard_lakes[shard_id])
+
+        def build_forked(shard_id: int):
+            build(shard_id)  # on the worker's fork-inherited copy
+            return searchers[shard_id].index_state()
+
+        mode = resolve_parallelism(self.parallelism, threads_fallback=False)
+        worker_count = default_worker_count(len(jobs), max_workers=self.workers)
+        # Builds are CPU-bound: more workers than cores never helps and the
+        # oversubscription context-switching actively hurts, so the requested
+        # worker count is capped at the machine's physical parallelism.
+        worker_count = max(1, min(worker_count, os.cpu_count() or 1))
+        remaining, fan_out = list(jobs), False
+        if mode == "process" and worker_count > 1 and len(jobs) > 1:
+            remaining, fan_out = probe_gate(
+                jobs, build, min_seconds=self.parallel_min_seconds, max_probes=1
+            )
+        if not fan_out:
+            for shard_id in remaining:
+                build(shard_id)
+            return
+        states = forked_map(build_forked, remaining, workers=worker_count)
+        for shard_id, state in zip(remaining, states):
+            searchers[shard_id].load_partial(shard_lakes[shard_id], *state)
 
     def _build_index(self, lake: DataLake) -> None:
         shards = self._partition(lake)
@@ -520,22 +439,7 @@ class ShardedSearcher(TableUnionSearcher):
         self._deferred = {}
         for shard_id in jobs:
             searchers[shard_id] = self.factory()
-        states = _build_partials(
-            searchers,  # type: ignore[arg-type]  (jobs index only built slots)
-            shard_lakes,
-            jobs,
-            store=self.store,
-            workers=self.workers,
-            parallelism=self.parallelism,
-            parallel_min_seconds=self.parallel_min_seconds,
-            capture_in_process=False,  # in-process shards are live already
-        )
-        for shard_id in jobs:
-            state = states[shard_id]
-            if state is not None:  # fork-built shards arrive as states
-                searchers[shard_id].load_partial(  # type: ignore[union-attr]
-                    shard_lakes[shard_id], *state
-                )
+        self._build_shards(searchers, shard_lakes, jobs)
         self._adopt_partition(lake, shards, shard_lakes, searchers)
 
     # ------------------------------------------------------------ maintenance
@@ -570,9 +474,7 @@ class ShardedSearcher(TableUnionSearcher):
                     continue
                 # Deferred shard whose content drifted: restore through the
                 # store's exact/delta path (which persists the new entry).
-                searcher = self.factory()
-                self.store.load_or_build(searcher, shard_lake)
-                searchers[shard_id] = searcher
+                searchers[shard_id] = self._sync_shard(self.factory(), shard_lake)
                 continue
             if (
                 previous is not None
@@ -581,17 +483,9 @@ class ShardedSearcher(TableUnionSearcher):
             ):
                 searchers[shard_id] = previous  # shard content untouched
                 continue
-            searcher = previous if previous is not None else self.factory()
-            if not searcher.SHARD_LOCAL_INDEX:
-                searcher.load_partial(shard_lake, *searcher.build_partial(shard_lake))
-            else:
-                searcher.rebase(shard_lake)
-                if self.store is not None:
-                    try:
-                        self.store.save(searcher, shard_lake)
-                    except SearchError:
-                        pass
-            searchers[shard_id] = searcher
+            searchers[shard_id] = self._sync_shard(
+                previous if previous is not None else self.factory(), shard_lake
+            )
         self._deferred = new_deferred
         self._adopt_partition(lake, shards, shard_lakes, searchers)
 
@@ -718,19 +612,10 @@ class ShardedSearcher(TableUnionSearcher):
                 )
                 if overlap > best_overlap:
                     best_id, best_overlap = pid, overlap
-            searcher = (
-                unclaimed.pop(best_id) if best_id is not None else self.factory()
+            searchers[shard_id] = self._sync_shard(
+                unclaimed.pop(best_id) if best_id is not None else self.factory(),
+                shard_lake,
             )
-            if not searcher.SHARD_LOCAL_INDEX:
-                searcher.load_partial(shard_lake, *searcher.build_partial(shard_lake))
-            else:
-                searcher.rebase(shard_lake)
-                if self.store is not None:
-                    try:
-                        self.store.save(searcher, shard_lake)
-                    except SearchError:
-                        pass
-            searchers[shard_id] = searcher
             rebuilt += 1
         self._assignment = new_assignment
         self._assignment_shards = count

@@ -22,12 +22,7 @@ from repro.datalake.table import Table
 from repro.embeddings.column import CorpusContribution, StarmieColumnEncoder
 from repro.embeddings.contextual import RobertaLikeModel
 from repro.embeddings.serialization import AlignedTuple
-from repro.search.base import (
-    IndexState,
-    SearchResult,
-    TableUnionSearcher,
-    merge_shard_table_maps,
-)
+from repro.search.base import IndexState, SearchResult, TableUnionSearcher
 from repro.utils.errors import IndexDeltaUnsupported, SearchError
 
 
@@ -123,44 +118,6 @@ class StarmieSearcher(TableUnionSearcher):
                 table
             )
 
-    def _merge_partial_states(self, lake: DataLake, parts: list[IndexState]) -> None:
-        """Corpus-contribution summation: the merged fit is exact by construction.
-
-        Each shard partial carries its tables' :class:`CorpusContribution`
-        integer counts; summing them in any order reproduces a monolithic
-        ``fit`` over the whole lake bit for bit (the same arithmetic as the
-        incremental-update path).  Shard-built embeddings were encoded under
-        a *shard-local* fit, but only oversized column documents consult the
-        fitted state at all — so retained embeddings are already exact and
-        only the oversized tables are re-encoded under the merged corpus.
-        """
-        per_part_entries: list[dict[str, tuple]] = []
-        for state, arrays in parts:
-            embeddings = self._decode_column_embeddings(state, arrays)
-            per_part_entries.append(
-                {
-                    name: (
-                        CorpusContribution.from_state(state["corpus"][name]),
-                        embeddings[name],
-                    )
-                    for name in embeddings
-                }
-            )
-        entries = merge_shard_table_maps(
-            lake, per_part_entries, what="Starmie partial merge"
-        )
-        self._corpus = {name: contribution for name, (contribution, _) in entries.items()}
-        self._fit_from_corpus()
-        self._column_embeddings = {
-            name: (
-                self.column_encoder.encode_table_columns(lake.get(name))
-                if contribution.oversized
-                else embeddings
-            )
-            for name, (contribution, embeddings) in entries.items()
-        }
-        self._query_memo = threading.local()
-
     def finalize_shard_group(
         self, lake: DataLake, shard_searchers: "Iterable[TableUnionSearcher]"
     ) -> None:
@@ -243,11 +200,15 @@ class StarmieSearcher(TableUnionSearcher):
         }
         return state, {"column_embeddings": matrix}
 
-    @staticmethod
-    def _decode_column_embeddings(
-        state: dict, arrays: Mapping[str, np.ndarray]
-    ) -> dict[str, dict[str, np.ndarray]]:
-        """Rehydrate the per-table column-embedding dicts of one index state."""
+    def _load_index_state(
+        self, lake: DataLake, state: dict, arrays: Mapping[str, np.ndarray]
+    ) -> None:
+        self._query_memo = threading.local()
+        self.column_encoder.load_fit_state(state["tfidf"])
+        self._corpus = {
+            name: CorpusContribution.from_state(contribution)
+            for name, contribution in state["corpus"].items()
+        }
         matrix = np.asarray(arrays["column_embeddings"], dtype=np.float64)
         expected = sum(len(entry["columns"]) for entry in state["tables"])
         if expected != matrix.shape[0]:
@@ -263,18 +224,7 @@ class StarmieSearcher(TableUnionSearcher):
                 for offset, column in enumerate(entry["columns"])
             }
             row += len(entry["columns"])
-        return embeddings
-
-    def _load_index_state(
-        self, lake: DataLake, state: dict, arrays: Mapping[str, np.ndarray]
-    ) -> None:
-        self._query_memo = threading.local()
-        self.column_encoder.load_fit_state(state["tfidf"])
-        self._corpus = {
-            name: CorpusContribution.from_state(contribution)
-            for name, contribution in state["corpus"].items()
-        }
-        self._column_embeddings = self._decode_column_embeddings(state, arrays)
+        self._column_embeddings = embeddings
 
     # ------------------------------------------------------- cascade prefilter
     def _mean_embedding(self, embeddings: Mapping[str, np.ndarray]) -> np.ndarray:

@@ -20,8 +20,6 @@ build-once/serve-many system:
   per-query latency events (:class:`~repro.serving.events.EventLog`) and a
   background :class:`~repro.serving.maintenance.MaintenanceLoop` that
   re-syncs, pre-warms and evicts between request bursts.
-* ``python -m repro.serving.warm`` — deprecated compatibility shim over
-  ``python -m repro warm``.
 """
 
 from repro.serving.store import IndexStore, STORE_FORMAT_VERSION

@@ -19,11 +19,15 @@ workloads:
   ``(backend config fingerprint, lake fingerprint, query fingerprint, k)``.
   The key is pure content, so repeated queries — within a run or across
   :meth:`warm` cycles on the same lake — are served from memory.
-* **Persistence** — give the service an
-  :class:`~repro.serving.store.IndexStore` and :meth:`warm` restores the
+* **Persistence** — hand :meth:`warm` an
+  :class:`~repro.serving.store.IndexStore` and the searcher restores the
   lake's index from disk instead of rebuilding it (building and persisting on
   first contact, delta-updating the closest prior snapshot when the lake's
-  content moved).
+  content moved).  *How* is the searcher's business
+  (:meth:`~repro.search.base.TableUnionSearcher.warm` /
+  :meth:`~repro.search.base.TableUnionSearcher.persist`): one entry for a
+  flat backend, one per shard for a sharded one — the service never touches
+  the store.
 * **Mutation** — when the warmed lake mutates in place
   (``add_table``/``remove_table``/``replace_table``), :meth:`refresh` applies
   the delta to the index, re-persists it and drops the now-stale result
@@ -40,7 +44,7 @@ from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
 from repro.search.base import SearchResult, TableUnionSearcher
 from repro.serving.store import IndexStore
-from repro.utils.errors import SearchError, ServingError
+from repro.utils.errors import ServingError
 from repro.utils.parallel import (
     default_worker_count,
     parallel_map,
@@ -59,7 +63,6 @@ class QueryService:
         self,
         searcher: TableUnionSearcher,
         *,
-        store: IndexStore | None = None,
         max_workers: int | None = None,
         chunk_size: int = 8,
         cache_size: int = 1024,
@@ -81,7 +84,6 @@ class QueryService:
                 f"parallelism must be auto/process/thread/serial, got {parallelism!r}"
             )
         self.searcher = searcher
-        self.store = store
         self.max_workers = max_workers
         self.chunk_size = chunk_size
         self.cache_size = cache_size
@@ -96,21 +98,16 @@ class QueryService:
         )
 
     # ------------------------------------------------------------------ warm
-    def warm(self, lake: DataLake) -> "QueryService":
-        """Index ``lake`` (through the store when one is configured).
+    def warm(self, lake: DataLake, store: IndexStore | None = None) -> "QueryService":
+        """Index ``lake`` — through ``store`` when one is given.
 
-        With a store, the lake's persisted index is loaded when present and
-        built + persisted otherwise; without one the searcher indexes
-        in-process.  Searchers that manage their own persistence (a
-        :class:`~repro.search.sharded.ShardedSearcher` with per-shard store
-        entries) index themselves — wrapping them in one monolithic store
-        entry would defeat their per-shard storage.  Warming onto a
-        different lake resets the result cache.
+        The searcher owns its lifecycle
+        (:meth:`~repro.search.base.TableUnionSearcher.warm`): with a store,
+        the lake's persisted index is loaded when present and built +
+        persisted otherwise; without one it indexes in-process.  Warming
+        onto a different lake resets the result cache.
         """
-        if self.store is not None and not self.searcher.manages_own_persistence:
-            self.store.load_or_build(self.searcher, lake)
-        else:
-            self.searcher.index(lake)
+        self.searcher.warm(lake, store)
         fingerprint = lake.fingerprint()
         with self._lock:
             if fingerprint != self._lake_fingerprint:
@@ -123,6 +120,14 @@ class QueryService:
         """Whether the underlying searcher holds a lake index."""
         return self.searcher.is_indexed
 
+    @property
+    def drifted(self) -> bool:
+        """Whether the warmed lake's content moved since the last warm/refresh."""
+        return (
+            not self.searcher.is_indexed
+            or self.searcher.lake.fingerprint() != self._lake_fingerprint
+        )
+
     # --------------------------------------------------------------- refresh
     def refresh(self) -> "QueryService":
         """Re-synchronise with the warmed lake after it mutated in place.
@@ -130,7 +135,7 @@ class QueryService:
         The searcher applies the net content delta incrementally
         (:meth:`~repro.search.base.TableUnionSearcher.refresh` — a rebuild
         only where a backend cannot apply it), the updated index is persisted
-        over the store when one is configured, and the result cache is
+        to the store it was warmed through, and the result cache is
         dropped: every cached ranking was computed against the previous lake
         content, and serving it against the new fingerprint would be a silent
         staleness bug.  A no-op when the lake content is unchanged, so it is
@@ -143,12 +148,11 @@ class QueryService:
         """
         if not self.searcher.is_indexed:
             raise ServingError("QueryService.refresh() called before warm()")
-        lake = self.searcher.lake
-        fingerprint = lake.fingerprint()
+        fingerprint = self.searcher.lake.fingerprint()
         if fingerprint == self._lake_fingerprint:
             return self
         self.searcher.refresh()
-        # Swap the cache/fingerprint *before* persistence: if store.save
+        # Swap the cache/fingerprint *before* persistence: if the save
         # fails (full disk, permissions), the in-memory service must already
         # be consistent with the updated index — otherwise later searches
         # would key into the stale cache with the old fingerprint and serve
@@ -156,17 +160,17 @@ class QueryService:
         with self._lock:
             self._cache.clear()
             self._lake_fingerprint = fingerprint
-        if self.store is not None and not self.searcher.manages_own_persistence:
-            try:
-                self.store.save(self.searcher, lake)
-            except SearchError:
-                pass  # backends without index_state() still serve in-process
+        self.searcher.persist()
         return self
 
     # ----------------------------------------------------------------- search
-    def _key(self, query_table: Table, k: int) -> CacheKey:
+    def _key(self, query_table: Table, k: int) -> CacheKey | None:
+        """The query's cache key — ``None`` for a cache-less service, which
+        then pays no fingerprint derivation at all."""
         if self._lake_fingerprint is None:
             raise ServingError("QueryService used before warm()/an indexed searcher")
+        if self.cache_size == 0:
+            return None
         # The backend fingerprint is read live, not captured at construction:
         # wrappers like CascadeSearcher fold their own configuration (mode,
         # budget, margin) into config_fingerprint(), and two cascade configs
@@ -178,10 +182,19 @@ class QueryService:
             int(k),
         )
 
-    def _cache_put(self, key: CacheKey, results: list[SearchResult]) -> None:
+    def _cache_get(self, key: CacheKey | None) -> list[SearchResult] | None:
+        """Serve a hit from the LRU (``None`` on a miss).  Caller holds the lock."""
+        cached = self._cache.get(key) if key is not None else None
+        if cached is None:
+            return None
+        self._cache.move_to_end(key)
+        self._hits += 1
+        return list(cached)
+
+    def _cache_put(self, key: CacheKey | None, results: list[SearchResult]) -> None:
         """Record a miss and insert into the bounded LRU.  Caller holds the lock."""
         self._misses += 1
-        if self.cache_size > 0:
+        if key is not None:
             self._cache[key] = list(results)
             self._cache.move_to_end(key)
             while len(self._cache) > self.cache_size:
@@ -191,11 +204,9 @@ class QueryService:
         """Top-k search for one query, served from the LRU cache when possible."""
         key = self._key(query_table, k)
         with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._hits += 1
-                return list(cached)
+            cached = self._cache_get(key)
+        if cached is not None:
+            return cached
         results = self.searcher.search(query_table, k)
         with self._lock:
             self._cache_put(key, results)
@@ -232,12 +243,8 @@ class QueryService:
         pending: list[int] = []
         with self._lock:
             for position, query in enumerate(queries):
-                cached = self._cache.get(self._key(query, k))
-                if cached is not None:
-                    self._cache.move_to_end(self._key(query, k))
-                    self._hits += 1
-                    answers[position] = list(cached)
-                else:
+                answers[position] = self._cache_get(self._key(query, k))
+                if answers[position] is None:
                     pending.append(position)
 
         if (
@@ -302,18 +309,17 @@ class QueryService:
 
     # -------------------------------------------------------------- lifecycle
     def close(self) -> None:
-        """Release the result cache and detach the store handle.
+        """Release the result cache.
 
         Worker pools are created per :meth:`search_many` call and already
         torn down when it returns, so closing is cheap: the LRU is dropped
-        (its cached rankings can pin large result lists), the store handle
-        is detached, and the service refuses further queries by behaving as
-        if it was never warmed.  Double-close is a no-op.
+        (its cached rankings can pin large result lists) and the service
+        refuses further queries by behaving as if it was never warmed.
+        Double-close is a no-op.
         """
         with self._lock:
             self._cache.clear()
             self._lake_fingerprint = None
-        self.store = None
 
     # ------------------------------------------------------------------ stats
     @property

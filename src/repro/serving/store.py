@@ -227,6 +227,20 @@ class IndexStore:
         self._evict_superseded(searcher, lake)
         return self.entry_dir(searcher, lake)
 
+    def try_save(
+        self, searcher: TableUnionSearcher, lake: DataLake | None = None
+    ) -> None:
+        """:meth:`save`, tolerating backends that cannot serialize their index.
+
+        Persistence is an optimization: a backend without ``index_state()``
+        still serves in-process, so every best-effort persist (a build's
+        first save, a refresh's re-save) goes through here.
+        """
+        try:
+            self.save(searcher, lake)
+        except SearchError:
+            pass
+
     def _evict_superseded(self, searcher: TableUnionSearcher, lake: DataLake) -> None:
         """Keep the freshest ``max_entries_per_backend`` entries of one backend.
 
@@ -326,9 +340,7 @@ class IndexStore:
         return searcher
 
     # ------------------------------------------------------------ delta update
-    def _update_from_prior(
-        self, searcher: TableUnionSearcher, lake: DataLake
-    ) -> TableUnionSearcher | None:
+    def _update_from_prior(self, searcher: TableUnionSearcher, lake: DataLake) -> bool:
         """Serve a store miss by delta-updating the closest prior snapshot.
 
         Scans the backend's persisted entries for the manifest whose recorded
@@ -336,10 +348,10 @@ class IndexStore:
         snapshot and applies the difference through
         :meth:`~repro.search.base.TableUnionSearcher.update_index` (which
         itself falls back to rebuilding when the backend cannot apply it
-        incrementally).  The updated index is persisted as a regular full
-        entry for ``lake``, so delta chains never accumulate on disk.
-        Returns ``None`` when no prior snapshot qualifies — the caller then
-        builds from scratch.
+        incrementally).  Returns ``False`` when no prior snapshot qualifies
+        — :meth:`load_or_build` then builds from scratch; either way it
+        persists the result as a regular full entry for ``lake``, so delta
+        chains never accumulate on disk.
         """
         current = lake.table_fingerprints()
         config_fingerprint = searcher.config_fingerprint()
@@ -361,10 +373,10 @@ class IndexStore:
             if best is None or changes < best[0]:
                 best = (changes, entry_key, manifest, added, removed)
         if best is None:
-            return None
+            return False
         changes, entry_key, manifest, added, removed = best
         if changes > self.max_delta_fraction * max(lake.num_tables, 1):
-            return None
+            return False
         try:
             state, arrays = self._backend.read_payloads(backend_key, entry_key, manifest)
             searcher.load_index_state(lake, state, arrays)
@@ -377,12 +389,8 @@ class IndexStore:
             # entry mid-read (FileNotFoundError), or layout drift surfacing
             # from load_index_state.  A fresh build always heals, so this
             # fallback mirrors load()'s treat-as-corruption philosophy.
-            return None
-        try:
-            self.save(searcher, lake)
-        except SearchError:
-            pass
-        return searcher
+            return False
+        return True
 
     def load_or_build(
         self, searcher: TableUnionSearcher, lake: DataLake
@@ -398,14 +406,10 @@ class IndexStore:
         try:
             return self.load(searcher, lake)
         except IndexStoreMiss:
-            updated = self._update_from_prior(searcher, lake)
-            if updated is not None:
-                return updated
+            healed = self._update_from_prior(searcher, lake)
         except ServingError:
-            pass  # corruption: heal with a fresh build below
-        searcher.index(lake)
-        try:
-            self.save(searcher, lake)
-        except SearchError:
-            pass  # a backend without index_state() still serves in-process
+            healed = False  # corruption: heal with a fresh build below
+        if not healed:
+            searcher.index(lake)
+        self.try_save(searcher, lake)
         return searcher

@@ -51,18 +51,6 @@ class IndexDeltaUnsupported(SearchError):
     """
 
 
-class IndexMergeUnsupported(SearchError):
-    """A searcher cannot assemble a full index from per-shard partials.
-
-    Raised by :meth:`TableUnionSearcher._merge_partial_states` implementations
-    (the default raises it unconditionally).
-    :meth:`TableUnionSearcher.merge_partials` catches it and falls back to a
-    monolithic build over the whole lake, so — like
-    :class:`IndexDeltaUnsupported` — raising it is always safe: never wrong,
-    only slower.
-    """
-
-
 class IngestError(ReproError):
     """A streaming-ingest event, batch, or rebalance operation failed."""
 

@@ -2,8 +2,7 @@
 
 Two subsystems fan work out over workers — :class:`~repro.serving.service.QueryService`
 (multi-query serving) and the sharded index builder
-(:func:`~repro.search.sharded.build_sharded` /
-:class:`~repro.search.sharded.ShardedSearcher`).  Both face the same three
+(:class:`~repro.search.sharded.ShardedSearcher`).  Both face the same three
 problems, solved here once:
 
 * **Executor selection** — scoring and index building are Python-loop-heavy,

@@ -310,6 +310,27 @@ class TestDiscoveryFacade:
         discovery.search(query)
         assert discovery.service().cache_stats["hits"] >= 1
 
+    @pytest.mark.parametrize("serving", [None, {}, {"cache_size": 8}])
+    def test_timings_report_real_search_time(self, small_benchmark, serving):
+        """Step 1 runs through the query service, outside the pipeline's
+        stage timer; its wall time must still land in ``timings`` — cache
+        hit or miss, with or without a ``serving`` section."""
+        config = dict(SMALL_CONFIG)
+        if serving is not None:
+            config["serving"] = serving
+        discovery = Discovery.from_config(config).attach(small_benchmark.lake)
+        assert isinstance(discovery.service(), QueryService)  # always present
+        queries = small_benchmark.query_tables
+        runs = [discovery.query(queries[0]).k(3).run() for _ in range(2)]  # miss, hit
+        runs += discovery.query().k(3).run_many(queries)
+        for result in runs:
+            stages = {k: v for k, v in result.timings.items() if k != "total"}
+            assert set(stages) == {"search", "alignment", "embedding", "diversification"}
+            assert result.timings["search"] > 0.0
+            assert result.timings["total"] == pytest.approx(sum(stages.values()))
+        # A real backend search costs far more than copying a result list.
+        assert runs[0].timings["search"] > 1e-4
+
     def test_result_set_serialization(self, small_benchmark):
         discovery = Discovery.from_config(SMALL_CONFIG).attach(small_benchmark.lake)
         query = small_benchmark.query_tables[0]

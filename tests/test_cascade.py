@@ -25,10 +25,11 @@ from repro.search import (
     LSHPrefilter,
     ProjectionPrefilter,
     SantosSearcher,
+    ShardedSearcher,
     StarmieSearcher,
     ValueOverlapSearcher,
-    build_sharded,
 )
+from repro.search.cascade import CascadePrefilterEntry
 from repro.serving import IndexStore
 from repro.utils.errors import ConfigurationError, SearchError
 
@@ -245,9 +246,9 @@ class TestShardedComposition:
     def test_sharded_cascade_matches_flat_cascade(self, tus_bench, backend):
         lake = fresh_lake(tus_bench)
         flat = BACKEND_FACTORIES[backend](tus_bench).index(lake)
-        sharded = build_sharded(
-            BACKEND_FACTORIES[backend](tus_bench), lake, num_shards=3
-        )
+        sharded = ShardedSearcher(
+            lambda: BACKEND_FACTORIES[backend](tus_bench), num_shards=3
+        ).index(lake)
         for mode, budget in (("exact", 32), ("approx", 6)):
             over_flat = CascadeSearcher(
                 flat, mode=mode, candidate_budget=budget
@@ -263,13 +264,23 @@ class TestShardedComposition:
         """Sharding is an execution strategy, not a semantic config change."""
         lake = fresh_lake(tus_bench)
         flat = CascadeSearcher(ValueOverlapSearcher().index(lake)).index(lake)
-        sharded_base = build_sharded(ValueOverlapSearcher(), lake, num_shards=3)
+        sharded_base = ShardedSearcher(ValueOverlapSearcher, num_shards=3)
         sharded = CascadeSearcher(sharded_base).index(lake)
-        assert flat.config_fingerprint() == sharded.config_fingerprint()
+        # Everything that keys a *store entry* is shared: the base's own
+        # fingerprint (per-shard and whole-lake entries live in one
+        # namespace) and the persisted prefilter's.
+        assert flat.base.config_fingerprint() == sharded.base.config_fingerprint()
+        assert (
+            CascadePrefilterEntry(flat).config_fingerprint()
+            == CascadePrefilterEntry(sharded).config_fingerprint()
+        )
+        # The composite's own fingerprint (result-cache key, provenance) also
+        # folds the base *class*, so it tells the two deployments apart.
+        assert flat.config_fingerprint() != sharded.config_fingerprint()
 
     def test_sharded_score_candidates_rejects_unknown_names(self, tus_bench):
         lake = fresh_lake(tus_bench)
-        sharded = build_sharded(ValueOverlapSearcher(), lake, num_shards=3)
+        sharded = ShardedSearcher(ValueOverlapSearcher, num_shards=3).index(lake)
         with pytest.raises(SearchError):
             sharded.score_candidates(tus_bench.query_tables[0], ["no_such_table"])
 
@@ -278,36 +289,88 @@ class TestShardedComposition:
 class TestPersistence:
     @pytest.mark.parametrize("backend", ["overlap", "santos"])
     def test_index_state_round_trip(self, tus_bench, backend):
+        """The cascade's own persisted state is its fitted prefilter."""
         lake = fresh_lake(tus_bench)
         built = CascadeSearcher(
             BACKEND_FACTORIES[backend](tus_bench), mode="approx", candidate_budget=6
         ).index(lake)
-        state, arrays = built.index_state()
+        state, arrays = CascadePrefilterEntry(built).index_state()
 
         restored = CascadeSearcher(
             BACKEND_FACTORIES[backend](tus_bench), mode="approx", candidate_budget=6
-        )
-        restored.load_index_state(lake, state, arrays)
+        ).index(lake)
+        restored._prefilter = None
+        CascadePrefilterEntry(restored).load_index_state(lake, state, arrays)
         assert rankings(restored, tus_bench.query_tables) == rankings(
             built, tus_bench.query_tables
         )
         assert restored.prefilter.name == built.prefilter.name
 
-    def test_store_round_trip(self, tus_bench, tmp_path):
+    def test_store_round_trip(self, tus_bench, tmp_path, monkeypatch):
         lake = fresh_lake(tus_bench)
-        store = IndexStore(tmp_path)
-        built = CascadeSearcher(
-            ValueOverlapSearcher(), mode="approx", candidate_budget=6
-        ).index(lake)
-        store.save(built, lake)
 
-        restored = CascadeSearcher(
-            ValueOverlapSearcher(), mode="approx", candidate_budget=6
-        )
-        store.load(restored, lake)
+        def deployment():
+            return CascadeSearcher(
+                ValueOverlapSearcher(), mode="approx", candidate_budget=6
+            )
+
+        built = deployment().warm(lake, IndexStore(tmp_path))
+        # One entry format: the base's own entry plus the prefilter's.
+        assert len(list(tmp_path.glob("ValueOverlapSearcher-*/*/manifest.json"))) == 1
+        assert len(list(tmp_path.glob("CascadePrefilterEntry-*/*/manifest.json"))) == 1
+        assert not list(tmp_path.glob("CascadeSearcher-*"))
+
+        def forbid(*_args, **_kwargs):
+            raise AssertionError("a warm store must restore, not rebuild or refit")
+
+        monkeypatch.setattr(ValueOverlapSearcher, "_build_index", forbid)
+        monkeypatch.setattr(CascadeSearcher, "_fit_prefilter", forbid)
+        store = IndexStore(tmp_path)
+        before = store.stats()
+        restored = deployment().warm(lake, store)
         assert rankings(restored, tus_bench.query_tables) == rankings(
             built, tus_bench.query_tables
         )
+        assert store.stats() == before
+
+    def test_legacy_monolithic_entry_heals_by_refit_and_repersist(
+        self, tus_bench, tmp_path
+    ):
+        """Stores written before the one-format change hold cascade-over-flat
+        deployments as a single ``CascadeSearcher-*`` entry.  That namespace
+        is no longer read: the first warm rebuilds the base, refits the
+        prefilter and persists both in the current format; the second warm
+        is a pure load."""
+        lake = fresh_lake(tus_bench)
+        store = IndexStore(tmp_path)
+        cascade = CascadeSearcher(
+            ValueOverlapSearcher(), mode="approx", candidate_budget=6
+        )
+        store._backend.write_entry(
+            f"CascadeSearcher-{cascade.config_fingerprint()[:12]}",
+            lake.fingerprint()[:16],
+            state={"base": {}, "cascade": {"prefilter_name": "lsh", "prefilter": {}}},
+            arrays={},
+            manifest={
+                "store_format": 1,
+                "config_fingerprint": cascade.config_fingerprint(),
+                "lake_fingerprint": lake.fingerprint(),
+            },
+        )
+        legacy_only = store.stats()["entries"]
+        healed = cascade.warm(lake, store)
+        assert store.stats()["entries"] == legacy_only + 2  # base + prefilter
+        reference = CascadeSearcher(
+            ValueOverlapSearcher(), mode="approx", candidate_budget=6
+        ).index(lake)
+        assert rankings(healed, tus_bench.query_tables) == rankings(
+            reference, tus_bench.query_tables
+        )
+        before = store.stats()
+        CascadeSearcher(
+            ValueOverlapSearcher(), mode="approx", candidate_budget=6
+        ).warm(lake, store)
+        assert store.stats() == before
 
     def test_refresh_refits_prefilter(self, tus_bench):
         lake = fresh_lake(tus_bench)
@@ -452,4 +515,5 @@ class TestCascadeCLI:
             ]
         )
         assert exit_code == 0
-        assert list(tmp_path.glob("CascadeSearcher-*/*/manifest.json"))
+        assert list(tmp_path.glob("ValueOverlapSearcher-*/*/manifest.json"))
+        assert list(tmp_path.glob("CascadePrefilterEntry-*/*/manifest.json"))

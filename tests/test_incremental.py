@@ -513,9 +513,9 @@ class TestServiceRefresh:
     def test_refresh_persists_updated_index(self, tus_bench, tmp_path):
         store = IndexStore(tmp_path)
         lake = fresh_lake(tus_bench)
-        service = QueryService(
-            ValueOverlapSearcher(), store=store, parallelism="serial"
-        ).warm(lake)
+        service = QueryService(ValueOverlapSearcher(), parallelism="serial").warm(
+            lake, store
+        )
         mutate_tenth(lake, tus_bench)
         service.refresh()
         assert store.contains(service.searcher, lake)

@@ -35,7 +35,7 @@ from repro.scenarios import (
     run_matrix,
 )
 from repro.scenarios.runner import EXACT_CONFIGS, REFERENCE_CONFIG
-from repro.search import CascadeSearcher, ValueOverlapSearcher, build_sharded
+from repro.search import CascadeSearcher, ShardedSearcher, ValueOverlapSearcher
 from repro.utils.errors import ConfigurationError
 
 GENERATORS = available_workloads()
@@ -108,8 +108,8 @@ class TestParitySweep:
         scenario = build(name, seed=5)
         queries = scenario.query_stream[: scenario.num_queries]
         flat = ValueOverlapSearcher().index(scenario.fresh_lake())
-        sharded = build_sharded(
-            ValueOverlapSearcher(), scenario.fresh_lake(), num_shards=4
+        sharded = ShardedSearcher(ValueOverlapSearcher, num_shards=4).index(
+            scenario.fresh_lake()
         )
         assert rankings(sharded, queries, k=10) == rankings(flat, queries, k=10)
 

@@ -711,20 +711,3 @@ class TestCliSurface:
         payload = validate_result_payload(json.loads(stdout))
         assert stdout.strip() == dump_result(payload)
         assert json.loads(output.read_text()) == json.loads(stdout)
-
-    def test_warm_shim_emits_deprecation_warning(self, tmp_path, capsys):
-        from repro.serving.warm import main as warm_main
-
-        with pytest.warns(DeprecationWarning, match="python -m repro warm"):
-            code = warm_main(
-                [
-                    "--store",
-                    str(tmp_path / "store"),
-                    "--benchmark",
-                    "ugen",
-                    "--backends",
-                    "overlap",
-                ]
-            )
-        assert code == 0
-        capsys.readouterr()

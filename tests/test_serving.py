@@ -374,7 +374,7 @@ class TestQueryService:
     def test_warm_through_store_skips_rebuild(self, small_benchmark, tmp_path):
         store = IndexStore(tmp_path / "store")
         lake = small_benchmark.lake
-        QueryService(ValueOverlapSearcher(), store=store).warm(lake)
+        QueryService(ValueOverlapSearcher()).warm(lake, store)
 
         # Same class/config (the store key): a rebuild would now be a bug.
         no_rebuild = ValueOverlapSearcher()
@@ -383,7 +383,7 @@ class TestQueryService:
             raise AssertionError("warm() should load, not rebuild")
 
         no_rebuild._build_index = exploding_build
-        warmed = QueryService(no_rebuild, store=store).warm(lake)
+        warmed = QueryService(no_rebuild).warm(lake, store)
         assert warmed.is_warm
         query = small_benchmark.query_tables[0]
         assert warmed.search(query, 4) == ValueOverlapSearcher().index(lake).search(

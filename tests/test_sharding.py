@@ -1,9 +1,9 @@
 """Tests for lake sharding: partitioning, partial builds, fan-out serving.
 
 Covers the :class:`LakePartitioner`/:class:`LakeShard` views, the seed-table
-journaling fix, the ``build_partial``/``merge_partials`` protocol (property-
-style parity against monolithic ``index()`` over random lakes and partitions,
-including shard-then-delta sequences), the :class:`ShardedSearcher` composite
+journaling fix, per-shard builds merged at query time (property-style parity
+against monolithic ``index()`` over random lakes and partitions, including
+shard-then-delta sequences), the :class:`ShardedSearcher` composite
 (fan-out/merge parity, shard-local refresh, per-shard store persistence), the
 shared :mod:`repro.utils.parallel` machinery and the API surface
 (``DiscoveryConfig`` sharding section, transparent facade sharding, the warm
@@ -28,9 +28,7 @@ from repro.search import (
     ShardedSearcher,
     StarmieSearcher,
     ValueOverlapSearcher,
-    build_sharded,
 )
-from repro.search.base import TableUnionSearcher
 from repro.search.sharded import balanced_assignment, skew_of
 from repro.serving import IndexStore, QueryService
 from repro.utils.errors import (
@@ -150,7 +148,7 @@ class TestPartialMergeParity:
     @pytest.mark.parametrize("backend", sorted(BACKEND_FACTORIES))
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_merge_of_partials_matches_monolithic(self, tus_bench, backend, seed):
-        """Property: random lake x random partition -> merged == monolithic."""
+        """Property: random lake x random partition -> fan-out merge == monolithic."""
         rng = seeded_rng(100 + seed)
         if backend == "oracle":
             lake = fresh_lake(tus_bench)  # ground truth must reference the lake
@@ -162,49 +160,33 @@ class TestPartialMergeParity:
         strategy = ["hash", "size"][int(rng.integers(0, 2))]
         factory = BACKEND_FACTORIES[backend]
         monolithic = factory(tus_bench).index(lake)
-
-        builder = factory(tus_bench)
-        shard_lakes = [
-            shard.to_lake()
-            for shard in LakePartitioner(num_shards, strategy=strategy).partition(lake)
-            if not shard.is_empty
-        ]
-        parts = [builder.build_partial(shard_lake) for shard_lake in shard_lakes]
-        merged = factory(tus_bench).merge_partials(lake, parts)
-        assert rankings(merged, queries) == rankings(monolithic, queries)
+        sharded = ShardedSearcher(
+            lambda: factory(tus_bench),
+            num_shards=num_shards,
+            strategy=strategy,
+            parallelism="serial",
+        ).index(lake)
+        assert sum(s is not None for s in sharded.shard_searchers) >= 1
+        assert rankings(sharded, queries) == rankings(monolithic, queries)
 
     @pytest.mark.parametrize("backend", ["overlap", "starmie", "d3l", "santos"])
     def test_shard_then_delta_then_remerge(self, tus_bench, backend):
         """Mutating one shard, delta-updating it and re-merging stays exact."""
         lake = fresh_lake(tus_bench)
         factory = BACKEND_FACTORIES[backend]
-        partitioner = LakePartitioner(3)
-        shard_lakes = [
-            shard.to_lake()
-            for shard in partitioner.partition(lake)
-            if not shard.is_empty
-        ]
-        shard_searchers = [factory(tus_bench) for _ in shard_lakes]
-        for searcher, shard_lake in zip(shard_searchers, shard_lakes):
-            searcher.index(shard_lake)
+        sharded = ShardedSearcher(
+            lambda: factory(tus_bench), num_shards=3, parallelism="serial"
+        ).index(lake)
 
-        # Mutate tables that all live in one shard (plus one add to it).
-        target = next(sl for sl in shard_lakes if sl.num_tables >= 2)
-        victim = target.table_names()[0]
-        grown = target.get(victim).copy()
+        # Grow one table in place and add another: only their shards move.
+        target = next(shard for shard in sharded.shards if shard.num_tables >= 2)
+        grown = lake.get(target.table_names[0]).copy()
         grown.append_rows([tuple(f"extra{i}" for i in range(grown.num_columns))])
-        target.replace_table(grown)
         lake.replace_table(grown)
-        added = make_table("zz_shardling")
-        target.add_table(added)
-        lake.add_table(added)
-
-        for searcher in shard_searchers:
-            searcher.refresh()  # only the mutated shard has a real delta
-        parts = [searcher.index_state() for searcher in shard_searchers]
-        remerged = factory(tus_bench).merge_partials(lake, parts)
+        lake.add_table(make_table("zz_shardling"))
+        sharded.refresh()
         monolithic = factory(tus_bench).index(lake)
-        assert rankings(remerged, tus_bench.query_tables) == rankings(
+        assert rankings(sharded, tus_bench.query_tables) == rankings(
             monolithic, tus_bench.query_tables
         )
 
@@ -214,65 +196,26 @@ class TestPartialMergeParity:
         searcher.build_partial(shard.to_lake())
         assert not searcher.is_indexed
 
-    def test_merge_rejects_overlapping_partials(self, tus_bench):
-        lake = fresh_lake(tus_bench)
-        searcher = ValueOverlapSearcher()
-        part = searcher.build_partial(lake)
-        with pytest.raises(SearchError):
-            ValueOverlapSearcher().merge_partials(lake, [part, part])
-
-    def test_merge_rejects_incomplete_coverage(self, tus_bench):
-        lake = fresh_lake(tus_bench)
-        shard_lakes = [
-            shard.to_lake()
-            for shard in LakePartitioner(3).partition(lake)
-            if not shard.is_empty
-        ]
-        searcher = ValueOverlapSearcher()
-        parts = [searcher.build_partial(shard_lake) for shard_lake in shard_lakes]
-        with pytest.raises(SearchError):
-            ValueOverlapSearcher().merge_partials(lake, parts[:-1])
-
-    def test_default_merge_falls_back_to_monolithic_build(self):
-        class RebuildOnly(TableUnionSearcher):
-            def __init__(self):
-                super().__init__()
-                self.builds = 0
-
-            def _build_index(self, lake):
-                self.builds += 1
-
-            def _index_state(self):
-                return {}, {}
-
-            def _score_table(self, query_table, lake_table):
-                return float(lake_table.num_rows)
-
-        lake = DataLake([make_table("a"), make_table("b")])
-        partial = RebuildOnly().build_partial(lake)
-        searcher = RebuildOnly()
-        searcher.merge_partials(lake, [partial])  # IndexMergeUnsupported -> build
-        assert searcher.builds == 1 and searcher.is_indexed
-
     def test_forked_build_sharded_matches_serial(self, tus_bench):
         lake = fresh_lake(tus_bench)
         monolithic = ValueOverlapSearcher().index(lake)
-        forked = build_sharded(
-            ValueOverlapSearcher(),
-            lake,
+        forked = ShardedSearcher(
+            ValueOverlapSearcher,
             num_shards=4,
             workers=2,
             parallelism="process",
             parallel_min_seconds=0.0,
-        )
+        ).index(lake)
         assert rankings(forked, tus_bench.query_tables) == rankings(
             monolithic, tus_bench.query_tables
         )
 
     def test_build_sharded_single_shard_is_plain_index(self, tus_bench):
         lake = fresh_lake(tus_bench)
-        searcher = build_sharded(ValueOverlapSearcher(), lake, num_shards=1)
+        searcher = ShardedSearcher(ValueOverlapSearcher, num_shards=1).index(lake)
+        (only,) = searcher.shard_searchers
         assert searcher.is_indexed and searcher.lake is lake
+        assert set(only.lake.table_names()) == set(lake.table_names())
 
 
 # -------------------------------------------------------------- rebase helper
@@ -497,33 +440,39 @@ class TestShardStorePersistence:
         entries = list(store.backend_dir(ValueOverlapSearcher()).glob("*/manifest.json"))
         assert len(entries) == occupied
 
-    def test_build_sharded_second_warm_is_a_pure_load(self, tus_bench, tmp_path):
+    def test_build_sharded_second_warm_is_a_pure_load(
+        self, tus_bench, tmp_path, monkeypatch
+    ):
         store = IndexStore(tmp_path)
         lake = fresh_lake(tus_bench)
-        first = build_sharded(
-            ValueOverlapSearcher(), lake, num_shards=4, parallelism="serial", store=store
-        )
-        searcher = ValueOverlapSearcher()
+
+        def deployment():
+            return ShardedSearcher(
+                ValueOverlapSearcher, num_shards=4, parallelism="serial"
+            )
+
+        first = deployment().warm(lake, store)
+        before = store.stats()
 
         def forbid(*_args, **_kwargs):
-            raise AssertionError("warm store entry should have short-circuited")
+            raise AssertionError("warm store entries should have been loaded")
 
-        searcher.merge_partials = forbid
-        searcher._build_index = forbid
-        build_sharded(searcher, lake, num_shards=4, parallelism="serial", store=store)
-        assert searcher.is_indexed
-        assert rankings(searcher, tus_bench.query_tables) == rankings(
+        monkeypatch.setattr(ValueOverlapSearcher, "_build_index", forbid)
+        second = deployment().warm(lake, IndexStore(tmp_path))
+        assert second.deferred_shards  # nothing loaded until first touch
+        assert rankings(second, tus_bench.query_tables) == rankings(
             first, tus_bench.query_tables
         )
+        assert store.stats() == before  # and nothing written
 
     def test_sharded_service_skips_monolithic_store_entry(self, tus_bench, tmp_path):
         store = IndexStore(tmp_path, max_entries_per_backend=None)
         lake = fresh_lake(tus_bench)
         searcher = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial", store=store
+            ValueOverlapSearcher, num_shards=3, parallelism="serial"
         )
-        service = QueryService(searcher, store=store, parallelism="serial").warm(lake)
-        assert searcher.manages_own_persistence
+        service = QueryService(searcher, parallelism="serial").warm(lake, store)
+        assert searcher.store is store  # the composite persists per shard
         assert not list(tmp_path.glob("ShardedSearcher-*"))  # no composite entry
         lake.add_table(make_table("zz_served"))
         service.refresh()
@@ -782,6 +731,58 @@ class TestShardingConfig:
         assert not list(tmp_path.glob("ShardedSearcher-*"))
         assert list(tmp_path.glob("ValueOverlapSearcher-*/*/manifest.json"))
 
+    def test_warm_cli_writes_exactly_what_a_sharded_cascade_server_reads(
+        self, tmp_path, capsys
+    ):
+        """Regression: ``warm`` used to build through a merged flat index, so
+        with a non-default shard strategy none of its entries were hit and a
+        sharded cascade server refit its prefilter on first boot."""
+        import json
+
+        from repro.api.facade import build_benchmark
+        from repro.ingest.rebalance import find_sharded
+
+        store_dir = tmp_path / "store"
+        config = {
+            "searcher": {"name": "overlap"},
+            "sharding": {"num_shards": 4, "strategy": "size"},
+            "cascade": {"mode": "approx", "candidate_budget": 8},
+            "serving": {"store_dir": str(store_dir)},
+        }
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(config))
+        argv = ["--benchmark", "tus", "--num-queries", "2", "--seed", "5"]
+        assert (
+            cli_main(
+                ["warm", "--config", str(config_file), "--store", str(store_dir)]
+                + argv
+                + ["--backends", "overlap"]
+            )
+            == 0
+        )
+        assert "built" in capsys.readouterr().out
+        benchmark = build_benchmark("tus", num_queries=2, seed=5)
+        lake, query = benchmark.lake, benchmark.query_tables[0]
+
+        with Discovery.from_config(config).attach(lake) as served:
+            warmed = served.store.stats()
+            sharded = find_sharded(served.searcher())
+            occupied = [s.shard_id for s in sharded.shards if not s.is_empty]
+            assert len(occupied) > 1
+            # (a) every shard restore is deferred: nothing loaded, nothing built
+            assert sharded.deferred_shards == occupied
+            # (b) attach + one cascade query only *read* the store
+            assert len(served.search(query, 5)) == 5
+            assert served.store.stats() == warmed
+            assert warmed["entries"] == len(occupied) + 1  # shards + prefilter
+
+        # (c) the same entries serve exact mode, bit-identical to a flat index
+        exact = {**config, "cascade": {"mode": "exact"}}
+        flat = ValueOverlapSearcher().index(lake)
+        with Discovery.from_config(exact).attach(lake) as served:
+            assert served.search(query, 5) == flat.search(query, 5)
+            assert served.store.stats() == warmed
+
     def test_warm_cli_sharded(self, tmp_path, capsys):
         exit_code = cli_main(
             [
@@ -802,5 +803,5 @@ class TestShardingConfig:
         output = capsys.readouterr().out
         assert "shards=2" in output
         manifests = list(tmp_path.glob("ValueOverlapSearcher-*/*/manifest.json"))
-        # one entry per non-empty shard plus the merged whole-lake entry
-        assert len(manifests) >= 2
+        # exactly one entry per non-empty shard — what a sharded server reads
+        assert len(manifests) == 2
