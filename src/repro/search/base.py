@@ -5,15 +5,16 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.datalake.delta import diff_table_fingerprints
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
-from repro.utils.errors import IndexDeltaUnsupported, SearchError
+from repro.utils.errors import SearchError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> search)
     from repro.serving.store import IndexStore
@@ -35,8 +36,21 @@ class SearchResult:
     rank: int
 
 
+def rank_scores(scores: Mapping[str, float], k: int) -> list[SearchResult]:
+    """Top-``k`` hits of a ``name -> score`` map by ``(-score, name)``.
+
+    The one ranking order of the library: decreasing score, ties broken by
+    table name so rankings are deterministic.
+    """
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    return [
+        SearchResult(table_name=name, score=float(score), rank=rank)
+        for rank, (name, score) in enumerate(ranked[:k], start=1)
+    ]
+
+
 class TableUnionSearcher(abc.ABC):
-    """Base class for top-k unionable table search.
+    """Base class — the *kernel* — of top-k unionable table search.
 
     Lifecycle: construct, :meth:`warm` onto a data lake once (:meth:`index`
     is the store-less spelling), then call :meth:`search` for each query
@@ -47,6 +61,14 @@ class TableUnionSearcher(abc.ABC):
     content fingerprints, and :meth:`persist` writes the moved index back to
     the store it was warmed through.  Implementations must not mutate the
     indexed lake themselves.
+
+    A backend is a plug-in: its constructor and :meth:`config_state`,
+    :meth:`_build_index` (optionally :meth:`_apply_index_delta`),
+    :meth:`_score_table`, :meth:`_compute_query_state` and the
+    :meth:`_index_state`/:meth:`_load_index_state` pair.  The query-state
+    memo, the ranking loop, narrow candidate scoring, delta-by-rebuild and —
+    for backends holding ``table -> column -> vector`` embeddings — the
+    cascade prefilter vectors all live here, once.
     """
 
     def __init__(self) -> None:
@@ -57,6 +79,8 @@ class TableUnionSearcher(abc.ABC):
         #: The index store this searcher was last :meth:`warm`-ed through
         #: (``None``: in-process only); :meth:`persist` writes there.
         self.store: "IndexStore | None" = None
+        #: One-entry, per-thread memo of :meth:`_query_state`.
+        self._query_memo = threading.local()
 
     # ------------------------------------------------------------------ index
     @abc.abstractmethod
@@ -64,9 +88,14 @@ class TableUnionSearcher(abc.ABC):
         """Build implementation-specific index structures for ``lake``."""
 
     def _record_indexed_lake(self, lake: DataLake) -> None:
-        """Bind ``lake`` and snapshot its content for later delta derivation."""
+        """Bind ``lake`` and snapshot its content for later delta derivation.
+
+        Every path that moves the index (build, delta, state load, rebase)
+        ends here, so this is also where the query-state memo is dropped.
+        """
         self._lake = lake
         self._indexed_table_fps = lake.table_fingerprints()
+        self._forget_query_state()
 
     def index(self, lake: DataLake) -> "TableUnionSearcher":
         """Index ``lake`` for subsequent searches.
@@ -120,17 +149,14 @@ class TableUnionSearcher(abc.ABC):
 
         ``added`` holds the tables to (re-)index — they are already members
         of :attr:`lake` — and ``removed`` the names whose index entries must
-        be dropped; a replaced table appears in both.  Implementations that
-        cannot honour a particular delta incrementally (for example because
-        it invalidates corpus-level statistics baked into other tables'
-        entries) raise :class:`IndexDeltaUnsupported`;
-        :meth:`update_index` then falls back to a full rebuild.  The default
-        declares every delta unsupported, so new backends are correct before
-        they are fast.
+        be dropped; a replaced table appears in both.  The default rebuilds
+        over the whole lake, so new backends are correct before they are
+        fast; an override must leave the index bit-identical to that rebuild
+        and may call it itself for a delta it cannot honour incrementally
+        (Starmie does, when corpus statistics baked into retained tables'
+        entries move).
         """
-        raise IndexDeltaUnsupported(
-            f"{type(self).__name__} has no incremental index maintenance"
-        )
+        self._build_index(self.lake)
 
     def update_index(
         self,
@@ -144,10 +170,9 @@ class TableUnionSearcher(abc.ABC):
         tables that joined (or replaced an incumbent — list the name in
         ``removed`` too), ``removed`` the names that left.  The update is
         exactly as correct as a rebuild: backends either apply the delta
-        with bit-identical results or raise
-        :class:`IndexDeltaUnsupported`, in which case this method silently
-        falls back to ``_build_index`` over the whole lake.  Prefer
-        :meth:`refresh`, which derives the delta for you.
+        with bit-identical results or rebuild over the whole lake (the
+        default :meth:`_apply_index_delta`).  Prefer :meth:`refresh`, which
+        derives the delta for you.
         """
         if self._lake is None:
             raise SearchError(
@@ -170,10 +195,7 @@ class TableUnionSearcher(abc.ABC):
                     f"removed table {name!r} is still a member of the indexed lake"
                 )
         if added or removed:
-            try:
-                self._apply_index_delta(added, removed)
-            except IndexDeltaUnsupported:
-                self._build_index(lake)
+            self._apply_index_delta(added, removed)
         self._record_indexed_lake(lake)
         return self
 
@@ -350,25 +372,109 @@ class TableUnionSearcher(abc.ABC):
         self._record_indexed_lake(lake)
         return self
 
+    # ---------------------------------------------------- query-state memo
+    def _compute_query_state(self, query_table: Table) -> Any:
+        """Implementation hook: everything scoring needs from the query alone.
+
+        Overlap's per-column match counts, D3L's signal inputs, SANTOS's
+        column + relationship vectors, Starmie's column embeddings: state
+        that depends only on the query table and the built index, never on
+        the candidate.  Read it back through :meth:`_query_state`.
+        """
+        return None
+
+    def _query_state(self, query_table: Table) -> Any:
+        """:meth:`_compute_query_state`, computed once per query table.
+
+        One-entry thread-local memo keyed by object identity plus the table's
+        (cached) content fingerprint: the identity check keeps the
+        per-candidate cost O(1) while in-place ``append_rows`` still
+        invalidates the entry, and :meth:`_record_indexed_lake` drops every
+        thread's entry whenever the index moves.
+        """
+        cached = getattr(self._query_memo, "entry", None)
+        fingerprint = query_table.content_fingerprint()
+        if cached is not None and cached[0] is query_table and cached[1] == fingerprint:
+            return cached[2]
+        state = self._compute_query_state(query_table)
+        self._query_memo.entry = (query_table, fingerprint, state)
+        return state
+
+    def _forget_query_state(self) -> None:
+        """Forget every thread's memoised query state (the index moved)."""
+        self._query_memo = threading.local()
+
+    # --------------------------------------------------- column-vector store
+    #: Dimension of the backend's column vectors (``None``: it holds none).
+    _vector_dimension: "int | None" = None
+
+    def _indexed_column_vectors(self) -> "Mapping[str, Mapping[str, np.ndarray]] | None":
+        """Implementation hook: the index's ``table -> column -> vector`` map.
+
+        Embedding-scored backends (Starmie/D3L/SANTOS) return the store they
+        score from; ``None`` (the default) means the backend has no natural
+        embedding.
+        """
+        return None
+
+    def _query_column_vectors(self, query_table: Table) -> Mapping[str, np.ndarray]:
+        """Implementation hook: the query's ``column -> vector`` map, read
+        from the memoised :meth:`_query_state`."""
+        raise SearchError(f"{type(self).__name__} exposes no prefilter embeddings")
+
+    def _stack_vectors(self, maps: Iterable[Mapping[Any, np.ndarray]]) -> np.ndarray:
+        """Row-stack every vector of ``maps`` in iteration order — the
+        persisted payload shape of a column-vector store (an empty
+        ``(0, dimension)`` float64 matrix when there is nothing to stack)."""
+        vectors = [vector for mapping in maps for vector in mapping.values()]
+        if not vectors:
+            return np.zeros((0, self._vector_dimension), dtype=np.float64)
+        return np.vstack(vectors)
+
+    def _unstack_vectors(
+        self, matrix: np.ndarray, keys_by_table: Mapping[str, Sequence[Any]]
+    ) -> dict[str, dict[Any, np.ndarray]]:
+        """Inverse of :meth:`_stack_vectors`: ``table -> key -> matrix row``."""
+        matrix = np.asarray(matrix, dtype=np.float64)
+        expected = sum(len(keys) for keys in keys_by_table.values())
+        if expected != matrix.shape[0]:
+            raise SearchError(
+                f"{type(self).__name__} index state lists {expected} vectors "
+                f"but the payload matrix has {matrix.shape[0]} rows"
+            )
+        store: dict[str, dict[Any, np.ndarray]] = {}
+        row = 0
+        for name, keys in keys_by_table.items():
+            store[name] = {key: matrix[row + offset] for offset, key in enumerate(keys)}
+            row += len(keys)
+        return store
+
+    def _mean_vector(self, vectors: Mapping[Any, np.ndarray]) -> np.ndarray:
+        """Mean of one table's column vectors (zeros for a column-less table)."""
+        if not vectors:
+            return np.zeros(self._vector_dimension, dtype=np.float64)
+        return np.mean(np.vstack(list(vectors.values())), axis=0)
+
     # ------------------------------------------------------- cascade prefilter
     def prefilter_table_vectors(self) -> "dict[str, np.ndarray] | None":
         """Per-table embedding vectors a cascade prefilter can project.
 
-        Embedding-scored backends (Starmie/D3L/SANTOS) return one dense vector
-        per indexed lake table — cheap aggregates of index entries they already
-        hold — so the random-projection prefilter of
-        :mod:`repro.search.cascade` can rank candidates without touching the
-        exact scorer.  Backends without a natural embedding (the overlap
-        searcher, the oracle) return ``None`` and the cascade falls back to
-        the LSH bucket-probe prefilter.
+        For backends with a column-vector store this is the per-table mean of
+        the indexed column vectors — a cheap aggregate of entries they already
+        hold whose cosine neighbourhoods track the exact score — so the
+        random-projection prefilter of :mod:`repro.search.cascade` can rank
+        candidates without touching the exact scorer.  Backends without a
+        natural embedding (the overlap searcher, the oracle) return ``None``
+        and the cascade falls back to the LSH bucket-probe prefilter.
         """
-        return None
+        indexed = self._indexed_column_vectors()
+        if not indexed:
+            return None
+        return {name: self._mean_vector(columns) for name, columns in indexed.items()}
 
     def prefilter_query_vector(self, query_table: Table) -> np.ndarray:
         """Query-side counterpart of :meth:`prefilter_table_vectors`."""
-        raise SearchError(
-            f"{type(self).__name__} exposes no prefilter embeddings"
-        )
+        return self._mean_vector(self._query_column_vectors(query_table))
 
     def prefilter_minhash_signatures(
         self, num_hashes: int, seed: int
@@ -387,81 +493,56 @@ class TableUnionSearcher(abc.ABC):
     # ----------------------------------------------------------------- search
     @abc.abstractmethod
     def _score_table(self, query_table: Table, lake_table: Table) -> float:
-        """Unionability score of ``lake_table`` with respect to ``query_table``."""
+        """Unionability score of ``lake_table`` with respect to ``query_table``.
 
-    def _score_candidate_names(
-        self, query_table: Table, names: Iterable[str]
-    ) -> dict[str, float]:
-        """Shared narrow-scoring loop: exact-score exactly ``names``.
-
-        The workhorse behind every backend's :meth:`score_candidates`
-        override — per-table scores depend only on the query and that table's
-        index entry, so scoring a candidate subset is the same arithmetic as
-        :meth:`search` restricted to it (the query-side memo each backend
-        keeps makes the per-candidate cost marginal).  Duplicate names are
-        scored once; the query's own name is skipped exactly as in
-        :meth:`search`; unknown names fail loudly — a prefilter proposing a
-        table the index does not hold is a bug, not something to skip.
+        Only called for tables the index holds; read the candidate's *index
+        entry* (by ``lake_table.name``), not the live table, so a lake that
+        mutated since the last refresh keeps scoring as indexed.
         """
-        lake = self.lake
-        scores: dict[str, float] = {}
-        for name in dict.fromkeys(names):
-            if name == query_table.name:
-                continue
-            if name not in lake:
-                raise SearchError(
-                    f"candidate table {name!r} is not in the indexed lake"
-                )
-            scores[name] = float(self._score_table(query_table, lake.get(name)))
-        return scores
 
     def score_candidates(
         self, query_table: Table, names: Iterable[str]
     ) -> dict[str, float]:
         """Exact scores for just the candidate tables in ``names``.
 
-        The narrow-scoring hook of the tiered query cascade
-        (:class:`~repro.search.cascade.CascadeSearcher`): after an
-        approximate prefilter prunes the lake down to a candidate set, only
-        that set is exact-scored.  Scores are **bit-identical** to the ones
-        :meth:`search` would assign — the cascade's exactness contract rests
-        on it.
-
-        The default implementation falls back to a full :meth:`search` and
-        filters, so wrappers that override ``search`` wholesale stay correct
-        without a dedicated narrow path; every built-in backend overrides
-        this with :meth:`_score_candidate_names` (or better) so the cost is
-        proportional to ``len(names)``, not the lake.
+        The one ranking loop: :meth:`search` is this over every indexed
+        table, and the tiered query cascade
+        (:class:`~repro.search.cascade.CascadeSearcher`) calls it with the
+        candidate set its prefilter kept — per-table scores depend only on
+        the query and that table's index entry, so both are **bit-identical**
+        (the memoised :meth:`_query_state` makes the per-candidate cost
+        marginal).  Duplicate names are scored once and the query's own name
+        is skipped.  Membership is decided here: a table is scored iff it is
+        in the index **and** still in the lake, so between a lake mutation
+        and the next :meth:`refresh` an added table is not served yet and a
+        removed one is silently dropped.  Names the index never held fail
+        loudly — a prefilter proposing one is a bug, not something to skip.
         """
-        wanted = {name for name in names if name != query_table.name}
-        missing = wanted - set(self.lake.table_names())
-        if missing:
-            raise SearchError(
-                f"candidate table {sorted(missing)[0]!r} is not in the indexed lake"
-            )
-        hits = self.search(query_table, max(self.lake.num_tables, 1))
-        return {hit.table_name: hit.score for hit in hits if hit.table_name in wanted}
+        lake = self.lake
+        scores: dict[str, float] = {}
+        for name in dict.fromkeys(names):
+            if name == query_table.name:
+                continue
+            if name not in self._indexed_table_fps:
+                raise SearchError(
+                    f"candidate table {name!r} is not in the indexed lake"
+                )
+            if name in lake:
+                scores[name] = float(self._score_table(query_table, lake.get(name)))
+        return scores
 
     def search(self, query_table: Table, k: int) -> list[SearchResult]:
         """Return the top-``k`` unionable tables for ``query_table``.
 
-        Tables are ranked by decreasing score; ties are broken by table name
-        so rankings are deterministic.  A table with the same name as the
-        query table is never returned (the paper's benchmarks keep the query
-        outside the lake, but user lakes may not).
+        Ranks :meth:`score_candidates` over every indexed table
+        (:func:`rank_scores`: decreasing score, ties broken by table name).
+        A table with the same name as the query table is never returned (the
+        paper's benchmarks keep the query outside the lake, but user lakes
+        may not).
         """
         if k <= 0:
             raise SearchError(f"k must be positive, got {k}")
-        scored = [
-            (self._score_table(query_table, lake_table), lake_table.name)
-            for lake_table in self.lake
-            if lake_table.name != query_table.name
-        ]
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        return [
-            SearchResult(table_name=name, score=float(score), rank=rank)
-            for rank, (score, name) in enumerate(scored[:k], start=1)
-        ]
+        return rank_scores(self.score_candidates(query_table, self._indexed_table_fps), k)
 
     def search_tables(self, query_table: Table, k: int) -> list[Table]:
         """Like :meth:`search` but returning the table objects directly."""

@@ -48,8 +48,8 @@ import numpy as np
 
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
-from repro.search.base import IndexState, SearchResult, TableUnionSearcher
-from repro.search.minhash import MinHashLSHIndex, MinHashSignature
+from repro.search.base import IndexState, SearchResult, TableUnionSearcher, rank_scores
+from repro.search.minhash import DEFAULT_MINHASH_SEED, MinHashLSHIndex, MinHashSignature
 from repro.search.overlap import column_token_set
 from repro.utils.errors import SearchError, ServingError
 from repro.vectorops import EmbeddingMatrix
@@ -136,7 +136,9 @@ class LSHPrefilter(CandidatePrefilter):
 
     name = "lsh"
 
-    def __init__(self, *, num_hashes: int = 64, num_bands: int = 16, seed: int = 7) -> None:
+    def __init__(
+        self, *, num_hashes: int = 64, num_bands: int = 16, seed: int = DEFAULT_MINHASH_SEED
+    ) -> None:
         # MinHashLSHIndex validates num_hashes/num_bands divisibility.
         self.num_hashes = num_hashes
         self.num_bands = num_bands
@@ -440,7 +442,7 @@ class CascadeSearcher(TableUnionSearcher):
         projection_dim: int = 16,
         num_hashes: int = 64,
         num_bands: int = 16,
-        seed: int = 7,
+        seed: int = DEFAULT_MINHASH_SEED,
     ) -> None:
         super().__init__()
         if not isinstance(base, TableUnionSearcher):
@@ -646,11 +648,7 @@ class CascadeSearcher(TableUnionSearcher):
         started = time.perf_counter()
         scores = self.base.score_candidates(query_table, names)
         scored = time.perf_counter()
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-        results = [
-            SearchResult(table_name=name, score=float(score), rank=rank)
-            for rank, (name, score) in enumerate(ranked[:k], start=1)
-        ]
+        results = rank_scores(scores, k)
         self.last_profile.update(
             {
                 "exact_scoring_seconds": scored - started,

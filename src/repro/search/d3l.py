@@ -9,9 +9,8 @@ those five signal families over the library's own substrates.
 from __future__ import annotations
 
 import re
-import threading
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from repro.datalake.table import Table
 from repro.embeddings.word import FastTextLikeModel
 from repro.search.base import IndexState, TableUnionSearcher
 from repro.search.overlap import column_token_set
-from repro.utils.errors import SearchError
 from repro.utils.text import is_null, normalize_text
 
 _FORMAT_PATTERNS: tuple[tuple[str, re.Pattern[str]], ...] = (
@@ -108,11 +106,11 @@ class D3LSearcher(TableUnionSearcher):
                 raise ValueError(f"unknown D3L signal weights: {sorted(unknown)}")
             self.signal_weights.update(signal_weights)
         self._word_model = FastTextLikeModel()
+        self._vector_dimension = self._word_model.info.dimension
         self._profiles: dict[str, dict[str, ColumnProfile]] = {}
         self._token_sets: dict[str, dict[str, set[str]]] = {}
         self._formats: dict[str, dict[str, Counter[str]]] = {}
         self._embeddings: dict[str, dict[str, np.ndarray]] = {}
-        self._query_memo = threading.local()
 
     # ------------------------------------------------------------------ index
     def _column_embedding(self, table: Table, column: str) -> np.ndarray:
@@ -160,13 +158,11 @@ class D3LSearcher(TableUnionSearcher):
 
     def _index_state(self) -> IndexState:
         tables: list[dict] = []
-        vectors: list[np.ndarray] = []
         profiles: dict[str, dict[str, dict]] = {}
         token_sets: dict[str, dict[str, list[str]]] = {}
         formats: dict[str, dict[str, dict[str, int]]] = {}
         for name, columns in self._embeddings.items():
             tables.append({"name": name, "columns": list(columns)})
-            vectors.extend(columns.values())
             profiles[name] = {
                 column: profile.to_state()
                 for column, profile in self._profiles[name].items()
@@ -179,35 +175,23 @@ class D3LSearcher(TableUnionSearcher):
                 column: dict(histogram)
                 for column, histogram in self._formats[name].items()
             }
-        dimension = self._word_model.info.dimension
-        matrix = (
-            np.vstack(vectors)
-            if vectors
-            else np.zeros((0, dimension), dtype=np.float64)
-        )
         state = {
             "tables": tables,
             "profiles": profiles,
             "token_sets": token_sets,
             "formats": formats,
         }
-        return state, {"embeddings": matrix}
+        return state, {"embeddings": self._stack_vectors(self._embeddings.values())}
 
     def _load_index_state(
         self, lake: DataLake, state: dict, arrays: Mapping[str, np.ndarray]
     ) -> None:
-        matrix = np.asarray(arrays["embeddings"], dtype=np.float64)
-        expected = sum(len(entry["columns"]) for entry in state["tables"])
-        if expected != matrix.shape[0]:
-            raise SearchError(
-                f"D3L index state lists {expected} columns but the embedding "
-                f"matrix has {matrix.shape[0]} rows"
-            )
-        self._profiles, self._token_sets = {}, {}
-        self._formats, self._embeddings = {}, {}
-        row = 0
-        for entry in state["tables"]:
-            name, columns = entry["name"], entry["columns"]
+        self._embeddings = self._unstack_vectors(
+            arrays["embeddings"],
+            {entry["name"]: entry["columns"] for entry in state["tables"]},
+        )
+        self._profiles, self._token_sets, self._formats = {}, {}, {}
+        for name, columns in self._embeddings.items():
             self._profiles[name] = {
                 column: ColumnProfile.from_state(state["profiles"][name][column])
                 for column in columns
@@ -224,33 +208,15 @@ class D3LSearcher(TableUnionSearcher):
                 )
                 for column in columns
             }
-            self._embeddings[name] = {
-                column: matrix[row + offset] for offset, column in enumerate(columns)
-            }
-            row += len(columns)
 
     # ---------------------------------------------------------------- scoring
-    def _query_column_signals(
+    def _compute_query_state(
         self, query_table: Table
     ) -> dict[str, tuple[ColumnProfile, set[str], Counter[str], np.ndarray]]:
-        """Query-side signal inputs, computed once per query table.
-
-        The base class scores the query against every lake table; without this
-        one-entry thread-local memo the query columns' profiles, token sets,
-        format histograms and embeddings would be recomputed once per
-        (lake table, lake column) pair.  The memo is keyed by object identity
-        plus the table's (cached) content fingerprint — the identity check
-        keeps the per-pair cost O(1) while in-place mutation via
-        ``append_rows`` still invalidates the entry.
-        """
-        cached = getattr(self._query_memo, "entry", None)
-        if (
-            cached is not None
-            and cached[0] is query_table
-            and cached[1] == query_table.content_fingerprint()
-        ):
-            return cached[2]
-        signals = {
+        """Per query column: its profile, token set, format histogram and
+        embedding — without the memo they would be recomputed once per
+        (lake table, lake column) pair."""
+        return {
             column: (
                 profile_column(query_table, column),
                 column_token_set(query_table, column),
@@ -259,12 +225,6 @@ class D3LSearcher(TableUnionSearcher):
             )
             for column in query_table.columns
         }
-        self._query_memo.entry = (
-            query_table,
-            query_table.content_fingerprint(),
-            signals,
-        )
-        return signals
 
     def _column_pair_score(
         self,
@@ -274,7 +234,7 @@ class D3LSearcher(TableUnionSearcher):
         lake_column: str,
     ) -> float:
         query_profile, query_tokens, query_formats, query_embedding = (
-            self._query_column_signals(query_table)[query_column]
+            self._query_state(query_table)[query_column]
         )
         lake_profile = self._profiles[lake_table_name][lake_column]
 
@@ -301,45 +261,25 @@ class D3LSearcher(TableUnionSearcher):
         return weighted / total_weight if total_weight > 0 else 0.0
 
     # ------------------------------------------------------- cascade prefilter
-    def _mean_embedding(self, vectors: list[np.ndarray]) -> np.ndarray:
-        if not vectors:
-            return np.zeros(self._word_model.info.dimension, dtype=np.float64)
-        return np.mean(np.vstack(vectors), axis=0)
-
-    def prefilter_table_vectors(self) -> dict[str, np.ndarray] | None:
-        """Per-table mean of the indexed column word-embeddings — the cheap
+    def _indexed_column_vectors(self) -> dict[str, dict[str, np.ndarray]]:
+        """The column word-embeddings: their per-table mean is the cheap
         stand-in for the embedding term of the aggregated signal."""
-        if not self._embeddings:
-            return None
-        return {
-            name: self._mean_embedding(list(columns.values()))
-            for name, columns in self._embeddings.items()
-        }
+        return self._embeddings
 
-    def prefilter_query_vector(self, query_table: Table) -> np.ndarray:
-        signals = self._query_column_signals(query_table)
-        return self._mean_embedding([signal[3] for signal in signals.values()])
-
-    def score_candidates(
-        self, query_table: Table, names: Iterable[str]
-    ) -> dict[str, float]:
-        """Narrow exact scoring: the query-side signal inputs are memoised, so
-        each candidate costs only its own column-pair comparisons."""
-        return self._score_candidate_names(query_table, names)
+    def _query_column_vectors(self, query_table: Table) -> dict[str, np.ndarray]:
+        signals = self._query_state(query_table)
+        return {column: signal[3] for column, signal in signals.items()}
 
     def _score_table(self, query_table: Table, lake_table: Table) -> float:
-        if query_table.num_columns == 0 or lake_table.num_columns == 0:
+        lake_columns = self._profiles[lake_table.name]  # the index entry's columns
+        if query_table.num_columns == 0 or not lake_columns:
             return 0.0
         total = 0.0
         for query_column in query_table.columns:
-            best = max(
-                (
-                    self._column_pair_score(
-                        query_table, query_column, lake_table.name, lake_column
-                    )
-                    for lake_column in lake_table.columns
-                ),
-                default=0.0,
+            total += max(
+                self._column_pair_score(
+                    query_table, query_column, lake_table.name, lake_column
+                )
+                for lake_column in lake_columns
             )
-            total += best
         return total / query_table.num_columns

@@ -20,6 +20,12 @@ from repro.utils.rng import stable_hash
 _MERSENNE_PRIME = (1 << 61) - 1
 _MAX_HASH = (1 << 32) - 1
 
+#: Seed of the default MinHash hash family.  Everything that must agree on
+#: the family to share signatures — :class:`MinHasher`, :class:`MinHashLSHIndex`,
+#: the cascade's LSH prefilter and the overlap searcher's signature hand-over —
+#: reads this one name.
+DEFAULT_MINHASH_SEED = 7
+
 
 def _hash_token(token: str) -> int:
     """Stable 32-bit hash of a token."""
@@ -48,7 +54,7 @@ class MinHashSignature:
 class MinHasher:
     """Generates MinHash signatures with a fixed family of hash functions."""
 
-    def __init__(self, num_hashes: int = 64, *, seed: int = 7) -> None:
+    def __init__(self, num_hashes: int = 64, *, seed: int = DEFAULT_MINHASH_SEED) -> None:
         if num_hashes <= 0:
             raise SearchError(f"num_hashes must be positive, got {num_hashes}")
         rng = np.random.default_rng(seed)
@@ -77,7 +83,9 @@ class MinHashLSHIndex:
     only — the caller re-scores them with exact or estimated Jaccard.
     """
 
-    def __init__(self, num_hashes: int = 64, num_bands: int = 16, *, seed: int = 7) -> None:
+    def __init__(
+        self, num_hashes: int = 64, num_bands: int = 16, *, seed: int = DEFAULT_MINHASH_SEED
+    ) -> None:
         if num_hashes % num_bands != 0:
             raise SearchError(
                 f"num_hashes ({num_hashes}) must be divisible by num_bands ({num_bands})"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +41,10 @@ class OracleSearcher(TableUnionSearcher):
         }
 
     def _build_index(self, lake: DataLake) -> None:
+        """The oracle has no materialised index — scores read the live lake —
+        so a build is just the ground-truth validation; the default
+        delta-by-rebuild re-runs it, so removing a table the ground truth
+        still references fails loudly instead of silently shortening results."""
         missing = {
             table_name
             for tables in self._ground_truth.values()
@@ -51,13 +55,6 @@ class OracleSearcher(TableUnionSearcher):
             raise SearchError(
                 f"ground truth references tables absent from the lake: {sorted(missing)[:5]}"
             )
-
-    def _apply_index_delta(self, added: list[Table], removed: list[str]) -> None:
-        """The oracle has no materialised index — scores read the live lake —
-        so a delta only needs the build-time validation re-run: removing a
-        table that the ground truth still references must fail loudly rather
-        than silently return shorter result lists."""
-        self._build_index(self.lake)
 
     # -------------------------------------------------------- sharded builds
     #: Restoring an oracle "index" re-validates the ground truth, which
@@ -116,28 +113,9 @@ class OracleSearcher(TableUnionSearcher):
         """Ground-truth unionable table names for ``query_name`` (empty if unknown)."""
         return list(self._ground_truth.get(query_name, []))
 
-    def score_candidates(
-        self, query_table: Table, names: Iterable[str]
-    ) -> dict[str, float]:
-        """Narrow exact scoring with the labelled-set shortcut: candidates
-        outside the query's ground truth score 0.0 by definition, so only the
-        labelled ones pay the token-set overlap arithmetic."""
-        lake = self.lake
-        labelled = set(self._ground_truth.get(query_table.name, []))
-        scores: dict[str, float] = {}
-        for name in dict.fromkeys(names):
-            if name == query_table.name:
-                continue
-            if name not in lake:
-                raise SearchError(
-                    f"candidate table {name!r} is not in the indexed lake"
-                )
-            scores[name] = (
-                float(self._score_table(query_table, lake.get(name)))
-                if name in labelled
-                else 0.0
-            )
-        return scores
+    def _compute_query_state(self, query_table: Table) -> list[set[str]]:
+        """The query columns' token sets."""
+        return [column_token_set(query_table, column) for column in query_table.columns]
 
     def _score_table(self, query_table: Table, lake_table: Table) -> float:
         labelled = set(self._ground_truth.get(query_table.name, []))
@@ -146,8 +124,7 @@ class OracleSearcher(TableUnionSearcher):
         # Within the labelled set, rank by simple value overlap with the query
         # so that "top-k" remains a deterministic, meaningful prefix.
         overlap = 0.0
-        for query_column in query_table.columns:
-            query_tokens = column_token_set(query_table, query_column)
+        for query_tokens in self._query_state(query_table):
             if not query_tokens:
                 continue
             best = 0.0

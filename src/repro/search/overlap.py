@@ -9,8 +9,7 @@ signal of the original TUS system, accelerated with MinHash/LSH.
 
 from __future__ import annotations
 
-import threading
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from repro.api.registry import register_searcher
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
 from repro.search.base import IndexState, TableUnionSearcher
-from repro.search.minhash import _MAX_HASH, MinHashLSHIndex, MinHashSignature
+from repro.search.minhash import _MAX_HASH, DEFAULT_MINHASH_SEED, MinHashLSHIndex, MinHashSignature
 from repro.utils.errors import SearchError
 from repro.utils.text import is_null, normalize_text
 
@@ -63,7 +62,6 @@ class ValueOverlapSearcher(TableUnionSearcher):
         #: plus each table's row positions in it, built by _finalize_matrix.
         self._signature_matrix: np.ndarray | None = None
         self._table_rows: dict[str, np.ndarray] = {}
-        self._query_memo = threading.local()
 
     def _finalize_matrix(self) -> None:
         """Stack every lake column signature into one matrix for fast scoring."""
@@ -77,28 +75,17 @@ class ValueOverlapSearcher(TableUnionSearcher):
             table: np.array([key_to_row[key] for key in columns], dtype=np.intp)
             for table, columns in self._columns_by_table.items()
         }
-        self._query_memo = threading.local()
 
-    def _query_matches(self, query_table: Table) -> list[np.ndarray | None]:
+    def _compute_query_state(self, query_table: Table) -> list[np.ndarray | None]:
         """Per query column: MinHash match counts against every lake column.
 
-        One-entry thread-local memo keyed by object identity plus the table's
-        (cached) content fingerprint, so in-place mutation via ``append_rows``
-        invalidates it: the base class scores the query against every lake
-        table, and these counts depend only on the query and the (fixed) lake
-        matrix.  Each entry is a ``(num_lake_columns,)`` int array — the
-        estimated Jaccard to lake column ``j`` is ``matches[j] / num_hashes``,
-        exactly the arithmetic of :meth:`MinHashSignature.jaccard`.  Empty
-        query columns map to ``None``.
+        These counts depend only on the query and the (fixed) lake matrix.
+        Each entry is a ``(num_lake_columns,)`` int array — the estimated
+        Jaccard to lake column ``j`` is ``matches[j] / num_hashes``, exactly
+        the arithmetic of :meth:`MinHashSignature.jaccard`.  Empty query
+        columns map to ``None``.
         """
         assert self._signature_matrix is not None
-        cached = getattr(self._query_memo, "entry", None)
-        if (
-            cached is not None
-            and cached[0] is query_table
-            and cached[1] == query_table.content_fingerprint()
-        ):
-            return cached[2]
         matches: list[np.ndarray | None] = []
         for column in query_table.columns:
             tokens = column_token_set(query_table, column)
@@ -109,11 +96,6 @@ class ValueOverlapSearcher(TableUnionSearcher):
                 self._index.hasher.signature(tokens).values, dtype=np.int64
             )
             matches.append((self._signature_matrix == signature).sum(axis=1))
-        self._query_memo.entry = (
-            query_table,
-            query_table.content_fingerprint(),
-            matches,
-        )
         return matches
 
     # ------------------------------------------------------------------ index
@@ -214,7 +196,7 @@ class ValueOverlapSearcher(TableUnionSearcher):
         if (
             self._signature_matrix is None
             or num_hashes != self.num_hashes
-            or seed != 7
+            or seed != DEFAULT_MINHASH_SEED
         ):
             return None
         signatures: dict[str, np.ndarray] = {}
@@ -225,13 +207,6 @@ class ValueOverlapSearcher(TableUnionSearcher):
                 signatures[name] = self._signature_matrix[rows].min(axis=0)
         return signatures
 
-    def score_candidates(
-        self, query_table: Table, names: Iterable[str]
-    ) -> dict[str, float]:
-        """Narrow exact scoring: the per-query match counts are memoised, so
-        each candidate costs one ``max`` reduce over its rows."""
-        return self._score_candidate_names(query_table, names)
-
     # ----------------------------------------------------------------- search
     def _score_table(self, query_table: Table, lake_table: Table) -> float:
         assert self._index is not None  # guaranteed by TableUnionSearcher.index
@@ -239,7 +214,7 @@ class ValueOverlapSearcher(TableUnionSearcher):
         if rows is None or rows.size == 0 or query_table.num_columns == 0:
             return 0.0
         total = 0.0
-        for matches in self._query_matches(query_table):
+        for matches in self._query_state(query_table):
             if matches is None:
                 continue
             # int matches / num_hashes is exactly MinHashSignature.jaccard.

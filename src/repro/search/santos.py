@@ -10,8 +10,7 @@ paired values.
 
 from __future__ import annotations
 
-import threading
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
 from repro.embeddings.word import FastTextLikeModel
 from repro.search.base import IndexState, TableUnionSearcher
-from repro.utils.errors import SearchError
 from repro.utils.text import is_null
 
 
@@ -49,41 +47,23 @@ class SantosSearcher(TableUnionSearcher):
         self.max_value_pairs = max_value_pairs
         self.max_relationship_columns = max_relationship_columns
         self._word_model = FastTextLikeModel()
+        self._vector_dimension = self._word_model.info.dimension
         self._column_vectors: dict[str, dict[str, np.ndarray]] = {}
         self._relationship_vectors: dict[str, dict[tuple[str, str], np.ndarray]] = {}
-        self._query_memo = threading.local()
 
-    def _query_vectors(
+    def _compute_query_state(
         self, query_table: Table
     ) -> tuple[dict[str, np.ndarray], dict[tuple[str, str], np.ndarray]]:
-        """Query column + relationship embeddings, computed once per query.
-
-        One-entry thread-local memo keyed by object identity plus the table's
-        (cached) content fingerprint (so ``append_rows`` invalidates it): the
-        base class calls :meth:`_score_table` once per lake table, and
-        without the memo the (quadratic-in-columns) relationship embeddings
-        of the query would be re-derived for every candidate.
-        """
-        cached = getattr(self._query_memo, "entry", None)
-        if (
-            cached is not None
-            and cached[0] is query_table
-            and cached[1] == query_table.content_fingerprint()
-        ):
-            return cached[2]
-        vectors = (
+        """Query column + relationship embeddings — without the memo the
+        (quadratic-in-columns) relationship embeddings of the query would be
+        re-derived for every candidate."""
+        return (
             {
                 column: self._column_vector(query_table, column)
                 for column in query_table.columns
             },
             self._table_relationships(query_table),
         )
-        self._query_memo.entry = (
-            query_table,
-            query_table.content_fingerprint(),
-            vectors,
-        )
-        return vectors
 
     # -------------------------------------------------------------- embeddings
     def _column_vector(self, table: Table, column: str) -> np.ndarray:
@@ -148,91 +128,46 @@ class SantosSearcher(TableUnionSearcher):
         }
 
     def _index_state(self) -> IndexState:
-        tables: list[dict] = []
-        column_vectors: list[np.ndarray] = []
-        relationship_vectors: list[np.ndarray] = []
-        for name, columns in self._column_vectors.items():
-            relationships = self._relationship_vectors.get(name, {})
-            tables.append(
-                {
-                    "name": name,
-                    "columns": list(columns),
-                    "relationships": [list(pair) for pair in relationships],
-                }
-            )
-            column_vectors.extend(columns.values())
-            relationship_vectors.extend(relationships.values())
-        dimension = self._word_model.info.dimension
-
-        def stack(vectors: list[np.ndarray]) -> np.ndarray:
-            if not vectors:
-                return np.zeros((0, dimension), dtype=np.float64)
-            return np.vstack(vectors)
-
+        tables = [
+            {
+                "name": name,
+                "columns": list(columns),
+                "relationships": [list(pair) for pair in self._relationship_vectors[name]],
+            }
+            for name, columns in self._column_vectors.items()
+        ]
         arrays = {
-            "column_vectors": stack(column_vectors),
-            "relationship_vectors": stack(relationship_vectors),
+            "column_vectors": self._stack_vectors(self._column_vectors.values()),
+            "relationship_vectors": self._stack_vectors(
+                self._relationship_vectors[name] for name in self._column_vectors
+            ),
         }
         return {"tables": tables}, arrays
 
     def _load_index_state(
         self, lake: DataLake, state: dict, arrays: Mapping[str, np.ndarray]
     ) -> None:
-        columns_matrix = np.asarray(arrays["column_vectors"], dtype=np.float64)
-        relationships_matrix = np.asarray(
-            arrays["relationship_vectors"], dtype=np.float64
+        columns = self._unstack_vectors(
+            arrays["column_vectors"],
+            {entry["name"]: entry["columns"] for entry in state["tables"]},
         )
-        expected_columns = sum(len(entry["columns"]) for entry in state["tables"])
-        expected_relationships = sum(
-            len(entry["relationships"]) for entry in state["tables"]
+        self._relationship_vectors = self._unstack_vectors(
+            arrays["relationship_vectors"],
+            {
+                entry["name"]: [tuple(pair) for pair in entry["relationships"]]
+                for entry in state["tables"]
+            },
         )
-        if (
-            expected_columns != columns_matrix.shape[0]
-            or expected_relationships != relationships_matrix.shape[0]
-        ):
-            raise SearchError(
-                "SANTOS index state row counts do not match its vector payloads"
-            )
-        self._column_vectors, self._relationship_vectors = {}, {}
-        column_row = relationship_row = 0
-        for entry in state["tables"]:
-            self._column_vectors[entry["name"]] = {
-                column: columns_matrix[column_row + offset]
-                for offset, column in enumerate(entry["columns"])
-            }
-            column_row += len(entry["columns"])
-            self._relationship_vectors[entry["name"]] = {
-                (first, second): relationships_matrix[relationship_row + offset]
-                for offset, (first, second) in enumerate(entry["relationships"])
-            }
-            relationship_row += len(entry["relationships"])
+        self._column_vectors = columns
 
     # ------------------------------------------------------- cascade prefilter
-    def _mean_embedding(self, vectors: list[np.ndarray]) -> np.ndarray:
-        if not vectors:
-            return np.zeros(self._word_model.info.dimension, dtype=np.float64)
-        return np.mean(np.vstack(vectors), axis=0)
+    def _indexed_column_vectors(self) -> dict[str, dict[str, np.ndarray]]:
+        """The column-content vectors: their per-table mean tracks the
+        column-semantics component of the score."""
+        return self._column_vectors
 
-    def prefilter_table_vectors(self) -> dict[str, np.ndarray] | None:
-        """Per-table mean of the indexed column-content vectors — a cheap
-        aggregate tracking the column-semantics component of the score."""
-        if not self._column_vectors:
-            return None
-        return {
-            name: self._mean_embedding(list(columns.values()))
-            for name, columns in self._column_vectors.items()
-        }
-
-    def prefilter_query_vector(self, query_table: Table) -> np.ndarray:
-        column_vectors, _ = self._query_vectors(query_table)
-        return self._mean_embedding(list(column_vectors.values()))
-
-    def score_candidates(
-        self, query_table: Table, names: Iterable[str]
-    ) -> dict[str, float]:
-        """Narrow exact scoring: the (quadratic-in-columns) query relationship
-        embeddings are memoised, so each candidate pays only its own matmuls."""
-        return self._score_candidate_names(query_table, names)
+    def _query_column_vectors(self, query_table: Table) -> dict[str, np.ndarray]:
+        return self._query_state(query_table)[0]
 
     # ----------------------------------------------------------------- scoring
     @staticmethod
@@ -243,16 +178,9 @@ class SantosSearcher(TableUnionSearcher):
         return float(np.max(matrix @ query_vector))
 
     def _score_table(self, query_table: Table, lake_table: Table) -> float:
-        lake_columns = self._column_vectors.get(lake_table.name)
-        lake_relationships = self._relationship_vectors.get(lake_table.name)
-        if lake_columns is None or lake_relationships is None:
-            lake_columns = {
-                column: self._column_vector(lake_table, column)
-                for column in lake_table.columns
-            }
-            lake_relationships = self._table_relationships(lake_table)
-
-        query_column_vectors, query_relationships = self._query_vectors(query_table)
+        lake_columns = self._column_vectors[lake_table.name]
+        lake_relationships = self._relationship_vectors[lake_table.name]
+        query_column_vectors, query_relationships = self._query_state(query_table)
 
         # Column-semantics component.
         column_scores = []

@@ -4,10 +4,10 @@
 :class:`~repro.search.base.TableUnionSearcher` that partitions a lake, keeps
 one independently-indexed searcher per shard — built **concurrently in
 forked worker processes** (probe-gated, so tiny lakes never pay fork
-startup) — and answers queries by **fanning out** over the shard indexes and
-merging their top-k lists by ``(-score, table name)`` — the exact ordering
-of the monolithic ``search()``, so served rankings are bit-identical to an
-unsharded backend.  Because it *is* a ``TableUnionSearcher``, everything
+startup) — and answers queries by **fanning out** ``score_candidates`` over
+the shard indexes and ranking the merged scores by ``(-score, table name)``
+— the kernel's own ``search()`` loop, so served rankings are bit-identical to
+an unsharded backend.  Because it *is* a ``TableUnionSearcher``, everything
 downstream (``QueryService`` caching and multi-query fan-out,
 ``DustPipeline``, the ``Discovery`` facade) composes with it unchanged.
 
@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.datalake.lake import DataLake
 from repro.datalake.partition import LakePartitioner, LakeShard, _stable_shard_hash
-from repro.search.base import SearchResult, TableUnionSearcher
+from repro.search.base import TableUnionSearcher
 from repro.utils.errors import SearchError
 from repro.utils.parallel import (
     default_worker_count,
@@ -633,29 +633,6 @@ class ShardedSearcher(TableUnionSearcher):
         }
 
     # ----------------------------------------------------------------- search
-    def search(self, query_table, k: int) -> list[SearchResult]:
-        """Fan out over the shard indexes and merge their top-k lists.
-
-        Each shard returns its local top-k under the monolithic ordering
-        ``(-score, table name)``; every member of the global top-k is by
-        definition in its own shard's local top-k, so re-sorting the union
-        and truncating reproduces the flat ``search()`` ranking — scores,
-        ties and all — exactly.
-        """
-        if k <= 0:
-            raise SearchError(f"k must be positive, got {k}")
-        self.lake  # raises before index()
-        self._materialize_all()  # full fan-out touches every shard
-        merged: list[SearchResult] = []
-        for searcher in self._shard_searchers:
-            if searcher is not None:
-                merged.extend(searcher.search(query_table, k))
-        merged.sort(key=lambda hit: (-hit.score, hit.table_name))
-        return [
-            SearchResult(table_name=hit.table_name, score=hit.score, rank=rank)
-            for rank, hit in enumerate(merged[:k], start=1)
-        ]
-
     def _score_table(self, query_table, lake_table) -> float:
         """Delegate to the shard index holding ``lake_table``."""
         shard_id = self._shard_of_table.get(lake_table.name)
@@ -668,13 +645,16 @@ class ShardedSearcher(TableUnionSearcher):
 
     # ------------------------------------------------------- cascade prefilter
     def score_candidates(self, query_table, names) -> dict[str, float]:
-        """Per-shard candidate pushdown: the cascade's global candidate budget
-        is split by ownership, so each shard exact-scores only its own members
-        through the backend's narrow path — no shard pays a full local search.
-        Per-table scores are shard-independent (``finalize_shard_group``
-        closes Starmie's corpus gap), so the union is bit-identical to the
-        flat backend's ``score_candidates``."""
-        self.lake  # raises before index()
+        """Fan out by ownership: each shard exact-scores only its own members
+        of ``names`` through the backend's ranking loop, so a cascade's
+        candidate budget never costs a shard a full local search — and the
+        inherited :meth:`search`, which scores every indexed name, is the
+        full fan-out.  Per-table scores are shard-independent
+        (``finalize_shard_group`` closes Starmie's corpus gap), so the union
+        is bit-identical to the flat backend's ``score_candidates``,
+        membership rule included: shard lakes are snapshots, so a table that
+        left the live lake since the last refresh is dropped here."""
+        lake = self.lake  # raises before index()
         unique = [name for name in dict.fromkeys(names) if name != query_table.name]
         by_shard: dict[int, list[str]] = {}
         for name in unique:
@@ -686,7 +666,8 @@ class ShardedSearcher(TableUnionSearcher):
                 raise SearchError(
                     f"candidate table {name!r} is not in the indexed lake"
                 )
-            by_shard.setdefault(shard_id, []).append(name)
+            if name in lake:
+                by_shard.setdefault(shard_id, []).append(name)
         scores: dict[str, float] = {}
         # Only owner shards materialize — on a warm deferred deployment this
         # is the O(touched shards) cold-start path the cascade queries ride.

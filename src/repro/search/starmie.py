@@ -9,7 +9,6 @@ every data lake *tuple* as a single-row table and return the top-k tuples.
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from typing import Iterable, Mapping
 
@@ -22,8 +21,8 @@ from repro.datalake.table import Table
 from repro.embeddings.column import CorpusContribution, StarmieColumnEncoder
 from repro.embeddings.contextual import RobertaLikeModel
 from repro.embeddings.serialization import AlignedTuple
-from repro.search.base import IndexState, SearchResult, TableUnionSearcher
-from repro.utils.errors import IndexDeltaUnsupported, SearchError
+from repro.search.base import IndexState, TableUnionSearcher
+from repro.utils.errors import SearchError
 
 
 @register_searcher("starmie")
@@ -43,11 +42,11 @@ class StarmieSearcher(TableUnionSearcher):
         super().__init__()
         self.column_encoder = column_encoder or StarmieColumnEncoder(RobertaLikeModel())
         self.min_similarity = min_similarity
+        self._vector_dimension = self.column_encoder.info.dimension
         self._column_embeddings: dict[str, dict[str, np.ndarray]] = {}
         #: Per-table TF-IDF corpus contributions; their sum *is* the fitted
         #: selector state, which is what makes corpus deltas exact.
         self._corpus: dict[str, CorpusContribution] = {}
-        self._query_memo = threading.local()
 
     # ------------------------------------------------------------------ index
     def _corpus_fit_state(self) -> dict:
@@ -76,9 +75,6 @@ class StarmieSearcher(TableUnionSearcher):
         self._column_embeddings = {
             table.name: self.column_encoder.encode_table_columns(table) for table in lake
         }
-        # Query embeddings depend on the fitted TF-IDF state: drop every
-        # thread's memo whenever the index (and thus that state) changes.
-        self._query_memo = threading.local()
 
     def _apply_index_delta(self, added: list[Table], removed: list[str]) -> None:
         """Maintain the corpus statistics exactly; re-encode only what moved.
@@ -89,8 +85,8 @@ class StarmieSearcher(TableUnionSearcher):
         consult that state when one of their column documents exceeds the
         token limit (``CorpusContribution.oversized``); if the corpus changed
         *and* a retained table is oversized, its persisted embedding would
-        diverge from a rebuild, so the delta is declared unsupported and the
-        base class rebuilds instead — the correctness fallback.
+        diverge from a rebuild, so the whole lake is rebuilt instead — the
+        correctness fallback.
         """
         before = self.column_encoder.fit_state()
         for name in removed:
@@ -104,13 +100,9 @@ class StarmieSearcher(TableUnionSearcher):
         after = self._corpus_fit_state()
         corpus_changed = after != before
         if corpus_changed and retained_oversized:
-            raise IndexDeltaUnsupported(
-                "corpus statistics changed and a retained table's embeddings "
-                "depend on them (oversized column documents); rebuilding"
-            )
+            return self._build_index(self.lake)
         if corpus_changed:
             self.column_encoder.load_fit_state(after)
-            self._query_memo = threading.local()
         for name in removed:
             self._column_embeddings.pop(name, None)
         for table in added:
@@ -142,33 +134,16 @@ class StarmieSearcher(TableUnionSearcher):
         fit = {"num_documents": num_documents, "document_frequency": dict(frequency)}
         for searcher in searchers:
             searcher.column_encoder.load_fit_state(fit)
-            searcher._query_memo = threading.local()
+            searcher._forget_query_state()  # query embeddings depend on the fit
             for name, contribution in searcher._corpus.items():
                 if contribution.oversized:
                     searcher._column_embeddings[name] = (
                         searcher.column_encoder.encode_table_columns(lake.get(name))
                     )
 
-    def _query_embeddings(self, query_table: Table) -> dict[str, np.ndarray]:
-        # The base class scores the query against every lake table through
-        # _score_table; memoise the query-side encoding (one entry, keyed by
-        # object identity plus the cached content fingerprint so in-place
-        # append_rows invalidates it, thread-local) so it is computed once
-        # per query instead of once per candidate table.
-        cached = getattr(self._query_memo, "entry", None)
-        if (
-            cached is not None
-            and cached[0] is query_table
-            and cached[1] == query_table.content_fingerprint()
-        ):
-            return cached[2]
-        embeddings = self.column_encoder.encode_table_columns(query_table)
-        self._query_memo.entry = (
-            query_table,
-            query_table.content_fingerprint(),
-            embeddings,
-        )
-        return embeddings
+    def _compute_query_state(self, query_table: Table) -> dict[str, np.ndarray]:
+        """The query's column embeddings (under the fitted TF-IDF state)."""
+        return self.column_encoder.encode_table_columns(query_table)
 
     # ----------------------------------------------------- index serialization
     def config_state(self) -> dict:
@@ -179,78 +154,41 @@ class StarmieSearcher(TableUnionSearcher):
         }
 
     def _index_state(self) -> IndexState:
-        tables: list[dict] = []
-        vectors: list[np.ndarray] = []
-        for name, columns in self._column_embeddings.items():
-            tables.append({"name": name, "columns": list(columns)})
-            vectors.extend(columns.values())
-        dimension = self.column_encoder.info.dimension
-        matrix = (
-            np.vstack(vectors)
-            if vectors
-            else np.zeros((0, dimension), dtype=np.float64)
-        )
         state = {
-            "tables": tables,
+            "tables": [
+                {"name": name, "columns": list(columns)}
+                for name, columns in self._column_embeddings.items()
+            ],
             "tfidf": self.column_encoder.fit_state(),
             "corpus": {
                 name: contribution.to_state()
                 for name, contribution in self._corpus.items()
             },
         }
+        matrix = self._stack_vectors(self._column_embeddings.values())
         return state, {"column_embeddings": matrix}
 
     def _load_index_state(
         self, lake: DataLake, state: dict, arrays: Mapping[str, np.ndarray]
     ) -> None:
-        self._query_memo = threading.local()
         self.column_encoder.load_fit_state(state["tfidf"])
         self._corpus = {
             name: CorpusContribution.from_state(contribution)
             for name, contribution in state["corpus"].items()
         }
-        matrix = np.asarray(arrays["column_embeddings"], dtype=np.float64)
-        expected = sum(len(entry["columns"]) for entry in state["tables"])
-        if expected != matrix.shape[0]:
-            raise SearchError(
-                f"Starmie index state lists {expected} columns but the "
-                f"embedding matrix has {matrix.shape[0]} rows"
-            )
-        embeddings: dict[str, dict[str, np.ndarray]] = {}
-        row = 0
-        for entry in state["tables"]:
-            embeddings[entry["name"]] = {
-                column: matrix[row + offset]
-                for offset, column in enumerate(entry["columns"])
-            }
-            row += len(entry["columns"])
-        self._column_embeddings = embeddings
+        self._column_embeddings = self._unstack_vectors(
+            arrays["column_embeddings"],
+            {entry["name"]: entry["columns"] for entry in state["tables"]},
+        )
 
     # ------------------------------------------------------- cascade prefilter
-    def _mean_embedding(self, embeddings: Mapping[str, np.ndarray]) -> np.ndarray:
-        if not embeddings:
-            return np.zeros(self.column_encoder.info.dimension, dtype=np.float64)
-        return np.mean(np.vstack(list(embeddings.values())), axis=0)
+    def _indexed_column_vectors(self) -> dict[str, dict[str, np.ndarray]]:
+        """The contextual column embeddings: the cosine neighbourhoods of
+        their per-table mean track the bipartite-matching score."""
+        return self._column_embeddings
 
-    def prefilter_table_vectors(self) -> dict[str, np.ndarray] | None:
-        """Per-table mean of the indexed column embeddings — a cheap aggregate
-        whose cosine neighbourhoods track the bipartite-matching score."""
-        if not self._column_embeddings:
-            return None
-        return {
-            name: self._mean_embedding(columns)
-            for name, columns in self._column_embeddings.items()
-        }
-
-    def prefilter_query_vector(self, query_table: Table) -> np.ndarray:
-        return self._mean_embedding(self._query_embeddings(query_table))
-
-    def score_candidates(
-        self, query_table: Table, names: Iterable[str]
-    ) -> dict[str, float]:
-        """Narrow exact scoring: the query encoding is memoised, so each
-        candidate costs one bipartite matching over its own columns."""
-        return self._score_candidate_names(query_table, names)
+    def _query_column_vectors(self, query_table: Table) -> dict[str, np.ndarray]:
+        return self._query_state(query_table)
 
     # ----------------------------------------------------------------- scoring
     def _bipartite_score(
@@ -276,11 +214,9 @@ class StarmieSearcher(TableUnionSearcher):
         return float(sum(matched)) / len(query_embeddings)
 
     def _score_table(self, query_table: Table, lake_table: Table) -> float:
-        query_embeddings = self._query_embeddings(query_table)
-        lake_embeddings = self._column_embeddings.get(lake_table.name)
-        if lake_embeddings is None:
-            lake_embeddings = self.column_encoder.encode_table_columns(lake_table)
-        return self._bipartite_score(query_embeddings, lake_embeddings)
+        return self._bipartite_score(
+            self._query_state(query_table), self._column_embeddings[lake_table.name]
+        )
 
     # ---------------------------------------------------- tuple-search variant
     def search_tuples(self, query_table: Table, k: int) -> list[AlignedTuple]:
@@ -293,16 +229,13 @@ class StarmieSearcher(TableUnionSearcher):
         """
         if k <= 0:
             raise SearchError(f"k must be positive, got {k}")
-        query_embeddings = self._query_embeddings(query_table)
         scored: list[tuple[float, str, int, AlignedTuple]] = []
-        for lake_table in self.lake:
-            if lake_table.name == query_table.name:
-                continue
+        table_scores = self.score_candidates(query_table, self._indexed_table_fps)
+        for name, table_score in table_scores.items():
+            lake_table = self.lake.get(name)
             mapping = self._column_mapping(query_table, lake_table)
             if not mapping:
                 continue
-            lake_embeddings = self._column_embeddings[lake_table.name]
-            table_score = self._bipartite_score(query_embeddings, lake_embeddings)
             for position, row in enumerate(lake_table.rows):
                 values = {
                     query_column: row[lake_table.column_index(lake_column)]
@@ -320,10 +253,8 @@ class StarmieSearcher(TableUnionSearcher):
 
     def _column_mapping(self, query_table: Table, lake_table: Table) -> dict[str, str]:
         """Best-match mapping ``lake column -> query column`` via bipartite matching."""
-        query_embeddings = self._query_embeddings(query_table)
-        lake_embeddings = self._column_embeddings.get(lake_table.name)
-        if lake_embeddings is None:
-            lake_embeddings = self.column_encoder.encode_table_columns(lake_table)
+        query_embeddings = self._query_state(query_table)
+        lake_embeddings = self._column_embeddings[lake_table.name]
         query_columns = list(query_embeddings)
         lake_columns = list(lake_embeddings)
         if not query_columns or not lake_columns:
@@ -345,6 +276,3 @@ class StarmieSearcher(TableUnionSearcher):
     def table_embedding(self, table: Table) -> np.ndarray:
         """Whole-table embedding (used by the Fig. 2 spread experiment)."""
         return self.column_encoder.encode_table(table)
-
-    def search(self, query_table: Table, k: int) -> list[SearchResult]:  # noqa: D102
-        return super().search(query_table, k)

@@ -40,17 +40,6 @@ class SearchError(ReproError):
     """A table union search index or query operation failed."""
 
 
-class IndexDeltaUnsupported(SearchError):
-    """A searcher cannot apply a lake delta incrementally.
-
-    Raised by :meth:`TableUnionSearcher._apply_index_delta` implementations
-    when the requested mutation would invalidate parts of the index beyond the
-    added/removed tables (or when a backend has no incremental path at all).
-    :meth:`TableUnionSearcher.update_index` catches it and falls back to a
-    full rebuild, so raising it is always safe — never wrong, only slower.
-    """
-
-
 class IngestError(ReproError):
     """A streaming-ingest event, batch, or rebalance operation failed."""
 

@@ -27,7 +27,6 @@ from repro.serving import IndexStore, QueryService
 from repro.utils.errors import (
     ConfigurationError,
     DataLakeError,
-    IndexDeltaUnsupported,
     SearchError,
     ServingError,
 )
@@ -268,7 +267,7 @@ class TestUpdateProtocol:
         assert searcher.builds == 1
         lake.add_table(make_table("b"))
         searcher.update_index(added=[lake.get("b")])
-        assert searcher.builds == 2  # IndexDeltaUnsupported -> full rebuild
+        assert searcher.builds == 2  # the default delta is a full rebuild
         assert {hit.table_name for hit in searcher.search(make_table("q"), 5)} == {"a", "b"}
 
     def test_update_validates_membership(self):
@@ -354,14 +353,18 @@ class TestStarmieCorpusDelta:
             rows=[(f"token{i}",) for i in range(700)],
         )
 
-    def test_oversized_retained_table_forces_rebuild(self, tus_bench):
+    def test_oversized_retained_table_forces_rebuild(self, tus_bench, monkeypatch):
         lake = fresh_lake(tus_bench)
         lake.add_table(self.oversized_table())
         searcher = StarmieSearcher().index(lake)
+        builds = []
+        build_index = searcher._build_index
+        monkeypatch.setattr(
+            searcher, "_build_index", lambda lake: (builds.append(lake), build_index(lake))
+        )
         lake.add_table(make_table("fresh"))  # changes the corpus statistics
-        with pytest.raises(IndexDeltaUnsupported):
-            searcher._apply_index_delta([lake.get("fresh")], [])
-        searcher.refresh()  # the public path rebuilds instead of raising
+        searcher.refresh()
+        assert builds == [lake]  # the delta path fell back to one full rebuild
         rebuilt = StarmieSearcher().index(lake)
         assert rankings(searcher, tus_bench.query_tables) == rankings(
             rebuilt, tus_bench.query_tables

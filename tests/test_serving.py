@@ -483,26 +483,6 @@ class TestEvaluationServing:
         assert service.cache_stats["hits"] >= len(small_benchmark.query_tables)
 
 
-class TestQueryMemoInvalidation:
-    @pytest.mark.parametrize("backend", ["overlap", "starmie", "d3l", "santos"])
-    def test_mutated_query_table_is_rescored(self, backend, small_benchmark):
-        """Regression: the query-side memo must not serve results computed
-        from the query table's pre-``append_rows`` contents."""
-        lake = small_benchmark.lake
-        searcher = BACKEND_FACTORIES[backend](small_benchmark).index(lake)
-        query = small_benchmark.query_tables[0].copy()
-        searcher.search(query, 5)  # populate the memo
-        # Graft rows overlapping a different topic so rankings should change.
-        donor = lake.tables()[-1]
-        grafted = [row[: query.num_columns] for row in donor.rows[:3]]
-        query.append_rows(
-            row + tuple(None for _ in range(query.num_columns - len(row)))
-            for row in grafted
-        )
-        fresh = BACKEND_FACTORIES[backend](small_benchmark).index(lake)
-        assert searcher.search(query, 5) == fresh.search(query, 5)
-
-
 class TestSearcherIndexGuards:
     def test_failed_build_leaves_searcher_unindexed(self, small_benchmark):
         class ExplodingSearcher(ValueOverlapSearcher):
