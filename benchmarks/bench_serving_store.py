@@ -1,8 +1,8 @@
-"""Warm index store + parallel serving vs the seed per-run search path.
+"""Warm index store vs the seed per-run search path.
 
-The seed code paid the full lake-indexing cost inside every process and
-answered multi-query workloads one query at a time.  ``repro.serving`` splits
-that into a build-once :class:`~repro.serving.IndexStore` and a parallel
+The seed code paid the full lake-indexing cost inside every process.
+``repro.serving`` splits that into a build-once
+:class:`~repro.serving.IndexStore` and a caching
 :class:`~repro.serving.QueryService`.  This benchmark times the *second* run
 of a multi-query workload — the steady state of repeated evaluation /
 ``run_many`` jobs — under both paths:
@@ -26,7 +26,6 @@ bench-smoke job, which must catch breakage, not timing noise).
 from __future__ import annotations
 
 import argparse
-import os
 import shutil
 import tempfile
 import time
@@ -38,8 +37,6 @@ from repro.serving import IndexStore, QueryService
 
 #: Top-k retrieved per query (the pipeline default).
 K = 10
-#: Workers for the served path (processes where the platform forks).
-MAX_WORKERS = max(1, min(8, os.cpu_count() or 1))
 
 BACKENDS = {
     "overlap": ValueOverlapSearcher,
@@ -56,7 +53,7 @@ def seed_run(factory, lake, queries):
 
 def served_run(factory, lake, queries, store):
     """One full run through the serving layer with fresh objects (new process)."""
-    service = QueryService(factory(), max_workers=MAX_WORKERS, chunk_size=2)
+    service = QueryService(factory())
     service.warm(lake, store)
     return service.search_many(queries, K)
 
@@ -97,7 +94,7 @@ def main(argv=None) -> None:
     lake, queries = benchmark.lake, benchmark.query_tables
     print(
         f"multi-query serving, lake={lake.num_tables} tables / {lake.num_rows} rows, "
-        f"{len(queries)} queries, k={K}, workers={MAX_WORKERS}"
+        f"{len(queries)} queries, k={K}"
     )
     header = (
         f"{'backend':>8} {'seed 2nd run (s)':>17} {'served 2nd run (s)':>19} "

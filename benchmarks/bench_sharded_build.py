@@ -4,15 +4,16 @@ Before the sharding subsystem, indexing a lake was a single-threaded loop
 over every table — the remaining scalability cliff for large lakes.  This
 benchmark builds a :class:`~repro.search.sharded.ShardedSearcher` — the lake
 partitioned into shards, the shard indexes built concurrently in forked
-worker processes and kept separate for fan-out/merge serving — and times
-that against the only option the seed had: ``searcher.index(lake)`` in one
-process.
+worker processes (one per core, up to the shard count — the searcher decides
+by measurement, there is no knob) and kept separate for fan-out/merge serving
+— and times that against the only option the seed had:
+``searcher.index(lake)`` in one process.
 
 Correctness comes first: for every backend the benchmark asserts that the
 fan-out/merge serving path returns rankings — table names *and* scores —
 bit-identical to the monolithic build, before any timing is reported.
 
-The default run gates on a ≥2x aggregate build speedup at 4 workers.  That
+The default run gates on a ≥2x aggregate build speedup.  That
 floor only makes sense where the hardware can deliver it, so the gate first
 *calibrates*: it measures the speedup forked workers achieve on a pure
 CPU-bound busy loop — the ceiling any process-parallel build can reach on
@@ -47,9 +48,8 @@ from repro.utils.parallel import forked_map
 
 #: Top-k retrieved per query when asserting ranking parity.
 K = 10
-#: Shard/worker plan of the acceptance scenario.
+#: Shard plan of the acceptance scenario.
 NUM_SHARDS = 8
-NUM_WORKERS = 4
 
 BACKENDS = {
     "overlap": lambda benchmark: ValueOverlapSearcher(),
@@ -121,8 +121,10 @@ def main(argv=None) -> None:
         default=sorted(BACKENDS),
     )
     parser.add_argument("--shards", type=int, default=NUM_SHARDS)
-    parser.add_argument("--workers", type=int, default=NUM_WORKERS)
     args = parser.parse_args(argv)
+    # The worker count ShardedSearcher itself settles on; the ceiling probe
+    # below calibrates against exactly that.
+    workers = min(os.cpu_count() or 1, args.shards)
 
     if args.smoke:
         benchmark = generate_tus_benchmark(
@@ -136,7 +138,7 @@ def main(argv=None) -> None:
     queries = benchmark.query_tables
     print(
         f"sharded build, lake={lake.num_tables} tables / {lake.num_rows} rows, "
-        f"shards={args.shards}, workers={args.workers}, "
+        f"shards={args.shards}, workers={workers}, "
         f"cores={os.cpu_count()}, {len(queries)} queries, k={K}"
     )
     header = f"{'backend':>8} {'monolithic (s)':>14} {'sharded (s)':>12} {'speedup':>8}"
@@ -155,7 +157,6 @@ def main(argv=None) -> None:
         fan_out = ShardedSearcher(
             lambda: factory(benchmark),
             num_shards=args.shards,
-            workers=args.workers,
         ).index(lake)
         sharded_time = time.perf_counter() - start
 
@@ -180,11 +181,11 @@ def main(argv=None) -> None:
     )
     print("sharded fan-out rankings bit-identical to the monolithic index")
     if not args.smoke:
-        ceiling = measured_parallel_ceiling(args.workers)
+        ceiling = measured_parallel_ceiling(workers)
         floor = speedup_floor(ceiling)
         if floor is None:
             print(
-                f"measured parallel ceiling {ceiling:.2f}x at {args.workers} workers: "
+                f"measured parallel ceiling {ceiling:.2f}x at {workers} workers: "
                 "this machine cannot express parallel speedup (CPU quota); "
                 "speedup gate skipped, parity enforced above"
             )

@@ -9,7 +9,7 @@ file, defaults otherwise)::
     dust diversify --benchmark ugen --methods dust gmc --k 10
     dust evaluate  --benchmark ugen --k 10
     dust warm      --store .cache/index-store --benchmark ugen --backends overlap d3l
-    dust warm      --store .cache/index-store --benchmark ugen --shards 4 --workers 4
+    dust warm      --store .cache/index-store --benchmark ugen --shards 4
     dust serve     --config cfg.json --benchmark ugen --port 0 --event-log events.jsonl
     dust ingest    --url http://127.0.0.1:8765 --events stream.jsonl
     dust scenarios --smoke
@@ -27,8 +27,9 @@ matrix of :mod:`repro.scenarios` (workload shapes × config grid → Pareto
 fronts, ``--smoke`` for the parity-gated CI slice).  ``search``,
 ``warm`` and ``serve`` share one config-override flag set
 (:func:`config_override_parent`): with ``--shards N`` the lake is
-partitioned and the shard indexes are built in parallel worker processes and
-persisted per shard — ``warm`` writes exactly the entries ``serve`` reads.
+partitioned and the shard indexes are built (in forked workers when the
+build is big enough to amortise them) and persisted per shard — ``warm``
+writes exactly the entries ``serve`` reads.
 """
 
 from __future__ import annotations
@@ -101,15 +102,8 @@ def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="override sharding.num_shards: partition the lake into N shards, "
-        "build the shard indexes in parallel and serve by fan-out/merge "
+        "build one index per shard and serve by fan-out/merge "
         "(default: config value or 1)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="override sharding.build_workers: worker processes for parallel "
-        "shard builds (default: config value or auto)",
     )
 
 
@@ -128,8 +122,8 @@ def config_override_parent() -> argparse.ArgumentParser:
     """The one shared config-override flag set of ``search``/``warm``/``serve``.
 
     Every subcommand that builds a deployment inherits this parent, so the
-    identical ``--config``/``--cascade-*``/``--shards``/``--workers``/
-    ``--store-backend`` flags mean the identical thing everywhere —
+    identical ``--config``/``--cascade-*``/``--shards``/``--store-backend``
+    flags mean the identical thing everywhere —
     :func:`_load_config` folds them into the :class:`DiscoveryConfig` in one
     place.
     """
@@ -156,8 +150,6 @@ def _sharding_overrides(args: argparse.Namespace) -> dict:
     overrides: dict = {}
     if getattr(args, "shards", None) is not None:
         overrides["num_shards"] = args.shards
-    if getattr(args, "workers", None) is not None:
-        overrides["build_workers"] = args.workers
     return overrides
 
 
@@ -582,7 +574,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_warm(args: argparse.Namespace) -> int:
-    # The shared override parent folds --shards/--workers/--cascade-* into
+    # The shared override parent folds --shards/--cascade-* into
     # the config, so warm honours a --config file exactly like search/serve
     # — and builds each backend through the same Discovery facade, so it
     # writes exactly the store entries a server on this config reads.
@@ -597,8 +589,7 @@ def _cmd_warm(args: argparse.Namespace) -> int:
         f"({lake.num_tables} tables, {lake.num_rows} rows), "
         f"store={args.store} [{(config.store or {}).get('backend', 'directory')}]"
         + (
-            f", shards={sharding['num_shards']}, "
-            f"workers={sharding.get('build_workers') or 'auto'}"
+            f", shards={sharding['num_shards']}"
             if sharding.get("num_shards", 1) > 1
             else ""
         )

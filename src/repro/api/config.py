@@ -11,7 +11,7 @@ its registry name plus parameters::
       "pipeline": {"num_search_tables": 10, "k": 30, "min_query_rows": 3},
       "dust": {"candidate_multiplier": 2, "prune_limit": 2500, ...},
       "serving": {"store_dir": ".cache/index-store"},
-      "sharding": {"num_shards": 8, "build_workers": 4}
+      "sharding": {"num_shards": 8, "strategy": "hash"}
     }
 
 The tree round-trips through ``from_dict``/``to_dict`` and JSON, is validated
@@ -58,17 +58,10 @@ _DUST_FIELDS = tuple(f.name for f in fields(DustConfig))
 _SERVING_DEFAULTS: dict[str, Any] = {
     "store_dir": None,
     "cache_size": 1024,
-    "max_workers": None,
-    "chunk_size": 8,
-    "parallelism": "auto",
-    "parallel_min_seconds": 1.0,
 }
 _SHARDING_DEFAULTS: dict[str, Any] = {
     "num_shards": 1,
     "strategy": "hash",
-    "build_workers": None,
-    "build_parallelism": "auto",
-    "parallel_min_seconds": 0.5,
 }
 _CASCADE_DEFAULTS: dict[str, Any] = {
     "mode": "approx",
@@ -103,7 +96,6 @@ _SERVER_DEFAULTS: dict[str, Any] = {
 _STORE_DEFAULTS: dict[str, Any] = {
     "backend": "directory",
     "path": None,
-    "pool_size": 4,
     "mmap": True,
     "lazy_shards": True,
 }
@@ -183,28 +175,10 @@ def _validate_serving(serving: Mapping[str, Any]) -> None:
         raise ConfigurationError(
             f"serving.cache_size must be non-negative, got {serving['cache_size']}"
         )
-    if serving["chunk_size"] <= 0:
-        raise ConfigurationError(
-            f"serving.chunk_size must be positive, got {serving['chunk_size']}"
-        )
-    if serving["max_workers"] is not None and serving["max_workers"] <= 0:
-        raise ConfigurationError(
-            f"serving.max_workers must be positive, got {serving['max_workers']}"
-        )
-    if serving["parallel_min_seconds"] < 0:
-        raise ConfigurationError(
-            "serving.parallel_min_seconds must be non-negative, "
-            f"got {serving['parallel_min_seconds']}"
-        )
-    if serving["parallelism"] not in ("auto", "process", "thread", "serial"):
-        raise ConfigurationError(
-            "serving.parallelism must be auto/process/thread/serial, "
-            f"got {serving['parallelism']!r}"
-        )
 
 
 def _validate_sharding(sharding: Mapping[str, Any]) -> None:
-    """Eagerly apply the LakePartitioner/sharded-build value constraints."""
+    """Eagerly apply the LakePartitioner value constraints."""
     num_shards = sharding["num_shards"]
     if not isinstance(num_shards, int) or num_shards < 1:
         raise ConfigurationError(
@@ -213,20 +187,6 @@ def _validate_sharding(sharding: Mapping[str, Any]) -> None:
     if sharding["strategy"] not in ("hash", "size"):
         raise ConfigurationError(
             f"sharding.strategy must be hash/size, got {sharding['strategy']!r}"
-        )
-    if sharding["build_workers"] is not None and sharding["build_workers"] <= 0:
-        raise ConfigurationError(
-            f"sharding.build_workers must be positive, got {sharding['build_workers']}"
-        )
-    if sharding["build_parallelism"] not in ("auto", "process", "serial"):
-        raise ConfigurationError(
-            "sharding.build_parallelism must be auto/process/serial, "
-            f"got {sharding['build_parallelism']!r}"
-        )
-    if sharding["parallel_min_seconds"] < 0:
-        raise ConfigurationError(
-            "sharding.parallel_min_seconds must be non-negative, "
-            f"got {sharding['parallel_min_seconds']}"
         )
 
 
@@ -348,11 +308,6 @@ def _validate_store(store: Mapping[str, Any]) -> None:
         raise ConfigurationError(
             f"store.path must be a path string or null, got {store['path']!r}"
         )
-    pool_size = store["pool_size"]
-    if not isinstance(pool_size, int) or pool_size < 1:
-        raise ConfigurationError(
-            f"store.pool_size must be a positive integer, got {pool_size!r}"
-        )
     for key in ("mmap", "lazy_shards"):
         if not isinstance(store[key], bool):
             raise ConfigurationError(
@@ -396,8 +351,8 @@ class DiscoveryConfig:
     pipeline: dict[str, Any] = field(default_factory=dict)
     dust: dict[str, Any] = field(default_factory=dict)
     serving: dict[str, Any] | None = None
-    #: Optional lake-sharding section: ``{"num_shards": 8, "strategy": "hash",
-    #: "build_workers": 4, ...}``.  With ``num_shards > 1`` every backend the
+    #: Optional lake-sharding section: ``{"num_shards": 8, "strategy":
+    #: "hash"}``.  With ``num_shards > 1`` every backend the
     #: facade builds becomes a :class:`~repro.search.sharded.ShardedSearcher`
     #: — partition-parallel builds, fan-out/merge serving, per-shard store
     #: entries — transparently, with rankings bit-identical to a flat index.
@@ -426,7 +381,7 @@ class DiscoveryConfig:
     #: land, never what an index built from the same content contains.
     ingest: dict[str, Any] | None = None
     #: Optional index-store backend section: ``{"backend": "sqlite",
-    #: "path": null, "pool_size": 4, "mmap": true, "lazy_shards": true}``
+    #: "path": null, "mmap": true, "lazy_shards": true}``
     #: selecting *how* ``serving.store_dir`` persists entries (the
     #: :data:`~repro.api.registry.STORE_BACKENDS` registry).  Like ``server``
     #: and ``ingest`` it is **fingerprint-neutral**: the physical storage of
@@ -590,7 +545,10 @@ class DiscoveryConfig:
 
         Two configs with the same fingerprint build component-for-component
         identical deployments — and therefore address the same entries of a
-        persistent index store.  The ``server`` section is excluded: a
+        persistent index store.  Every remaining key names *what* is built
+        or cached; how work is executed (worker counts, executor modes,
+        fan-out thresholds) is measured at run time and has no config key
+        left to leak in here.  The ``server`` section is excluded: a
         deployment's listen address and admission limits are operational
         knobs, not index content, so moving a server to another port must
         not orphan its persisted indexes or cached results.  ``ingest`` is

@@ -3,9 +3,9 @@
 ``Discovery.from_config(cfg).attach(lake)`` resolves every component named by
 a :class:`~repro.api.config.DiscoveryConfig` through the registries, wires the
 :class:`~repro.core.pipeline.DustPipeline` and one
-:class:`~repro.serving.service.QueryService` per backend (cached, parallel and
+:class:`~repro.serving.service.QueryService` per backend (cached and
 :class:`~repro.serving.store.IndexStore`-backed as the ``serving`` section
-says; cache-less, serial and in-process without one) exactly as the
+says; cache-less and in-process without one) exactly as the
 hand-written call sites used to, and serves fluent queries::
 
     discovery = Discovery.from_config({"searcher": {"name": "overlap"}})
@@ -490,17 +490,14 @@ class Discovery:
 
         sharding = self.config.sharding
         if sharding is not None and sharding["num_shards"] > 1:
-            # Transparently shard-aware: the composite builds shard indexes
-            # in parallel, serves by fan-out/merge and (warmed through a
+            # Transparently shard-aware: the composite builds one index per
+            # shard, serves by fan-out/merge and (warmed through a
             # store) persists per shard — rankings bit-identical to the
             # flat backend, so nothing downstream changes.
             searcher: TableUnionSearcher = ShardedSearcher(
                 factory,
                 num_shards=sharding["num_shards"],
                 strategy=sharding["strategy"],
-                workers=sharding["build_workers"],
-                parallelism=sharding["build_parallelism"],
-                parallel_min_seconds=sharding["parallel_min_seconds"],
             )
         else:
             searcher = factory()
@@ -532,19 +529,10 @@ class Discovery:
             return self._services[key]
         searcher = self._build_searcher(key)
         serving = self.config.serving
-        if serving is not None:
-            service = QueryService(
-                searcher,
-                max_workers=serving["max_workers"],
-                chunk_size=serving["chunk_size"],
-                cache_size=serving["cache_size"],
-                parallelism=serving["parallelism"],
-                parallel_min_seconds=serving["parallel_min_seconds"],
-            )
-        else:
-            # No serving section: the same code path, costing nothing — no
-            # result cache, no worker fan-out, no store.
-            service = QueryService(searcher, cache_size=0, parallelism="serial")
+        # No serving section: the same code path with no result cache.
+        service = QueryService(
+            searcher, cache_size=serving["cache_size"] if serving is not None else 0
+        )
         service.warm(self.lake, self._store)
         self._services[key] = service
         return service
@@ -591,7 +579,7 @@ class Discovery:
         *,
         backend: str | None = None,
     ) -> list[list[SearchResult]]:
-        """Batch step-1 rankings (parallel + cached when serving is enabled)."""
+        """Batch step-1 rankings (cached when serving is enabled)."""
         k = k if k is not None else self._pipeline_config.num_search_tables
         return self.service(backend).search_many(query_tables, k)
 

@@ -236,10 +236,9 @@ class DustPipeline:
         released after each run so retained results stay small.
 
         ``service`` accepts a prewarmed :class:`~repro.serving.QueryService`
-        instead of a raw indexed searcher: step-1 rankings for the whole
-        workload are retrieved up front in parallel (and possibly from the
-        service's cache), the pipeline adopts the service's searcher, and the
-        per-query pipeline stages run on the precomputed rankings.  Served
+        instead of a raw indexed searcher: the pipeline adopts the service's
+        searcher and each query's step-1 ranking comes from
+        ``service.search`` (possibly its cache), timed per query.  Served
         selections are identical to the direct path.
         """
         if service is not None:
@@ -249,8 +248,10 @@ class DustPipeline:
                     "warmed; call service.warm(lake) first"
                 )
             self.searcher = service.searcher
-            batched, batch_seconds = timed(
-                service.search_many, query_tables, self.config.num_search_tables
+            num_tables = self.config.num_search_tables
+            searched = (
+                (query_table, *timed(service.search, query_table, num_tables))
+                for query_table in query_tables
             )
             return [
                 self.run(
@@ -258,10 +259,9 @@ class DustPipeline:
                     k=k,
                     keep_distance_context=False,
                     search_results=search_results,
-                    # Step 1 ran as one batch: each query reports its share.
-                    search_seconds=batch_seconds / len(batched),
+                    search_seconds=search_seconds,
                 )
-                for query_table, search_results in zip(query_tables, batched)
+                for query_table, search_results, search_seconds in searched
             ]
         if not self.searcher.is_indexed:
             raise ConfigurationError(

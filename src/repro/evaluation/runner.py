@@ -120,7 +120,7 @@ def prepare_query_workload(
     search_service:
         A prewarmed :class:`~repro.serving.QueryService`.  When given, the
         unionable tables come from its top-``num_search_tables`` search
-        rankings (cached and servable in parallel) instead of the benchmark's
+        rankings (cached) instead of the benchmark's
         ground truth — the end-to-end setting of Sec. 6.5.
     discovery:
         An attached :class:`~repro.api.facade.Discovery` facade; its
@@ -187,22 +187,9 @@ def prepare_query_workloads(
     num_search_tables: int = 10,
     **workload_kwargs,
 ) -> dict[str, QueryWorkload]:
-    """Build the workloads of several query tables, name-keyed.
-
-    With a ``search_service`` (or a serving-enabled ``discovery`` facade),
-    the whole workload's top-k searches run first through
-    :meth:`~repro.serving.QueryService.search_many` (parallel, cached) so the
-    per-query preparation below is served from the result cache.
-    """
+    """Build the workloads of several query tables, name-keyed."""
     if search_service is not None and discovery is not None:
         raise BenchmarkError("pass either search_service or discovery, not both")
-    queries = list(query_tables)
-    if search_service is not None:
-        search_service.search_many(queries, num_search_tables)
-    elif discovery is not None and discovery.config.serving is not None:
-        # Without a serving section there is no result cache, so a batch
-        # pre-pass would just double the search work.
-        discovery.search_many(queries, num_search_tables)
     return {
         query.name: prepare_query_workload(
             benchmark,
@@ -213,5 +200,5 @@ def prepare_query_workloads(
             num_search_tables=num_search_tables,
             **workload_kwargs,
         )
-        for query in queries
+        for query in query_tables
     }

@@ -24,7 +24,7 @@ from repro.ingest.events import (
     events_from_jsonl,
 )
 from repro.ingest.queue import IngestQueue
-from repro.ingest.rebalance import find_sharded, shard_loads, shard_skew
+from repro.ingest.rebalance import find_sharded
 from repro.ingest.registry import DeltaRegistry
 
 __all__ = [
@@ -38,6 +38,4 @@ __all__ = [
     "event_from_payload",
     "events_from_jsonl",
     "find_sharded",
-    "shard_loads",
-    "shard_skew",
 ]

@@ -1,19 +1,19 @@
-"""Locating and measuring sharded backends for online rebalancing.
+"""Locating sharded backends for online rebalancing.
 
 The rebalancing machinery itself lives on
 :class:`~repro.search.sharded.ShardedSearcher` (it owns the shard state);
 this module supplies the glue the
 :class:`~repro.ingest.controller.IngestController` needs: unwrap a built
 backend down to its sharded composite (the facade may wrap it in a
-:class:`~repro.search.cascade.CascadeSearcher`), and read its load/skew so
-the controller only pays for a rebalance when drift crossed the configured
-threshold.
+:class:`~repro.search.cascade.CascadeSearcher`), whose ``shard_loads()`` the
+controller reads so it only pays for a rebalance when drift crossed the
+configured threshold.
 """
 
 from __future__ import annotations
 
 from repro.search.base import TableUnionSearcher
-from repro.search.sharded import ShardedSearcher, skew_of
+from repro.search.sharded import ShardedSearcher
 
 
 def find_sharded(searcher: TableUnionSearcher | None) -> ShardedSearcher | None:
@@ -31,18 +31,3 @@ def find_sharded(searcher: TableUnionSearcher | None) -> ShardedSearcher | None:
         seen += 1
     return None
 
-
-def shard_loads(searcher: TableUnionSearcher | None) -> list[int] | None:
-    """Per-shard cell-count loads of the sharded composite inside ``searcher``."""
-    sharded = find_sharded(searcher)
-    if sharded is None:
-        return None
-    return sharded.shard_loads()
-
-
-def shard_skew(searcher: TableUnionSearcher | None) -> float | None:
-    """Current load skew (``max/mean``) of the sharded composite, if any."""
-    loads = shard_loads(searcher)
-    if loads is None:
-        return None
-    return skew_of(loads)

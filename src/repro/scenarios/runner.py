@@ -60,11 +60,11 @@ CONFIG_GRID: dict[str, dict[str, Any]] = {
     },
     "sharded-4": {
         "searcher": {"name": "overlap"},
-        "sharding": {"num_shards": 4, "build_parallelism": "serial"},
+        "sharding": {"num_shards": 4},
     },
     "sharded-cascade": {
         "searcher": {"name": "overlap"},
-        "sharding": {"num_shards": 4, "build_parallelism": "serial"},
+        "sharding": {"num_shards": 4},
         "cascade": {"mode": "approx", "candidate_budget": 32},
     },
 }

@@ -8,8 +8,9 @@ startup) — and answers queries by **fanning out** ``score_candidates`` over
 the shard indexes and ranking the merged scores by ``(-score, table name)``
 — the kernel's own ``search()`` loop, so served rankings are bit-identical to
 an unsharded backend.  Because it *is* a ``TableUnionSearcher``, everything
-downstream (``QueryService`` caching and multi-query fan-out,
-``DustPipeline``, the ``Discovery`` facade) composes with it unchanged.
+downstream (``QueryService`` caching, ``DustPipeline``, the ``Discovery``
+facade) composes with it unchanged.  Whether a build forks is measured, never
+configured: there are no worker-count, executor-mode or threshold arguments.
 
 Per-shard persistence: warm :class:`ShardedSearcher` through an
 :class:`~repro.serving.store.IndexStore` and each shard is loaded from /
@@ -38,12 +39,7 @@ from repro.datalake.lake import DataLake
 from repro.datalake.partition import LakePartitioner, LakeShard, _stable_shard_hash
 from repro.search.base import TableUnionSearcher
 from repro.utils.errors import SearchError
-from repro.utils.parallel import (
-    default_worker_count,
-    forked_map,
-    probe_gate,
-    resolve_parallelism,
-)
+from repro.utils import parallel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> search)
     from repro.serving.store import IndexStore
@@ -163,9 +159,6 @@ class ShardedSearcher(TableUnionSearcher):
         The :class:`~repro.datalake.partition.LakePartitioner` configuration.
         ``"hash"`` keeps table->shard assignment mutation-stable, so a lake
         mutation touches exactly the shards whose tables changed.
-    workers, parallelism, parallel_min_seconds:
-        Parallel shard-build knobs (worker processes, executor mode, the
-        probe gate's fan-out threshold).
     store:
         Optional :class:`~repro.serving.store.IndexStore` (equivalently,
         pass it to :meth:`warm`).  Each shard then persists as its own entry
@@ -185,17 +178,11 @@ class ShardedSearcher(TableUnionSearcher):
         *,
         num_shards: int,
         strategy: str = "hash",
-        workers: int | None = None,
-        parallelism: str = "auto",
-        parallel_min_seconds: float = 0.5,
         store: "IndexStore | None" = None,
     ) -> None:
         super().__init__()
         self.factory = factory
         self.partitioner = LakePartitioner(num_shards, strategy=strategy)
-        self.workers = workers
-        self.parallelism = parallelism
-        self.parallel_min_seconds = parallel_min_seconds
         self.store = store
         _ensure_store_capacity(store, self.partitioner.num_shards)
         self._prototype = factory()
@@ -386,9 +373,11 @@ class ShardedSearcher(TableUnionSearcher):
     ) -> None:
         """Index every shard in ``jobs`` on its own searcher, forking when it pays.
 
-        The shared probe-gated fan-out heuristic (one build serves as the
-        probe; the rest fork only when the estimated remaining work amortises
-        worker startup).  Threads are never used: builds mutate searcher
+        The repo's one fan-out (:mod:`repro.utils.parallel`), decided by
+        measurement: where fork exists and there is a core to spare, one
+        build serves as the probe and the rest fork only when the estimated
+        remaining work amortises worker startup; otherwise everything builds
+        in-process.  Threads are never used: builds mutate searcher
         internals, and index building is GIL-bound anyway.  Shards built
         in-process are simply left live on their searcher; fork-built ones
         come back as serialized states (the only way index structures cross
@@ -402,22 +391,18 @@ class ShardedSearcher(TableUnionSearcher):
             build(shard_id)  # on the worker's fork-inherited copy
             return searchers[shard_id].index_state()
 
-        mode = resolve_parallelism(self.parallelism, threads_fallback=False)
-        worker_count = default_worker_count(len(jobs), max_workers=self.workers)
-        # Builds are CPU-bound: more workers than cores never helps and the
-        # oversubscription context-switching actively hurts, so the requested
-        # worker count is capped at the machine's physical parallelism.
-        worker_count = max(1, min(worker_count, os.cpu_count() or 1))
+        # Builds are CPU-bound: more workers than cores never helps.
+        workers = min(os.cpu_count() or 1, len(jobs))
         remaining, fan_out = list(jobs), False
-        if mode == "process" and worker_count > 1 and len(jobs) > 1:
-            remaining, fan_out = probe_gate(
-                jobs, build, min_seconds=self.parallel_min_seconds, max_probes=1
+        if workers > 1 and parallel.fork_available():
+            remaining, fan_out = parallel.probe_gate(
+                jobs, build, min_seconds=parallel.FORK_MIN_SECONDS, max_probes=1
             )
         if not fan_out:
             for shard_id in remaining:
                 build(shard_id)
             return
-        states = forked_map(build_forked, remaining, workers=worker_count)
+        states = parallel.forked_map(build_forked, remaining, workers=workers)
         for shard_id, state in zip(remaining, states):
             searchers[shard_id].load_partial(shard_lakes[shard_id], *state)
 

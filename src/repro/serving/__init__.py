@@ -1,4 +1,4 @@
-"""Index persistence and parallel multi-query search serving.
+"""Index persistence and cached search serving.
 
 ``repro.serving`` turns the per-process searchers of ``repro.search`` into a
 build-once/serve-many system:
@@ -8,9 +8,9 @@ build-once/serve-many system:
   by backend configuration and lake content fingerprints.  Delta-aware: when
   a mutated lake misses every entry, ``load_or_build`` updates the closest
   prior snapshot through ``update_index`` instead of rebuilding.
-* :class:`~repro.serving.service.QueryService` — executes multi-query
-  workloads in parallel with a bounded LRU result cache, returning rankings
-  bit-identical to direct in-process search; ``refresh()`` follows in-place
+* :class:`~repro.serving.service.QueryService` — serves queries through a
+  bounded LRU result cache, returning rankings bit-identical to direct
+  in-process search; ``refresh()`` follows in-place
   lake mutation (delta index update + cache invalidation).  Works unchanged
   over a :class:`~repro.search.sharded.ShardedSearcher`, which persists one
   store entry per lake shard and serves queries by fan-out/merge.

@@ -242,7 +242,3 @@ class StoreBackend(abc.ABC):
     @abc.abstractmethod
     def stats(self) -> dict:
         """Occupancy summary: entry/backend counts, payload bytes, location."""
-
-    @abc.abstractmethod
-    def entry_location(self, backend_key: str, entry_key: str) -> str:
-        """Human-readable physical address of one entry (for CLI/ops output)."""

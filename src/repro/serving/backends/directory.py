@@ -57,11 +57,10 @@ class DirectoryStoreBackend(StoreBackend):
         root: str | Path,
         *,
         path: str | Path | None = None,
-        pool_size: int | None = None,
         mmap: bool = True,
     ) -> None:
-        # ``path`` and ``pool_size`` are accepted for constructor uniformity
-        # across backends; the directory layout has no use for either.
+        # ``path`` is accepted for constructor uniformity across backends;
+        # the directory layout has no use for it.
         self.root = Path(root)
         self.mmap = bool(mmap)
 
@@ -212,6 +211,3 @@ class DirectoryStoreBackend(StoreBackend):
             "entries": entries,
             "payload_bytes": payload_bytes,
         }
-
-    def entry_location(self, backend_key: str, entry_key: str) -> str:
-        return str(self._entry_path(backend_key, entry_key))

@@ -25,7 +25,7 @@ Reliability mirrors ``load_or_build``'s self-healing philosophy:
   migrated forward on open (v1 → v2 adds the ``last_access`` column backing
   recency-ordered eviction), so old store files keep working.
 
-Connections are pooled per process (``pool_size``) and invalidated on
+Connections are pooled per process (``_POOL_SIZE``) and invalidated on
 ``fork``, since SQLite connections must never cross process boundaries.
 """
 
@@ -56,6 +56,9 @@ from repro.utils.errors import ServingError
 
 #: Current schema version; bump alongside a migration step in ``_migrate``.
 SCHEMA_VERSION = 2
+
+#: Idle connections kept per process.
+_POOL_SIZE = 4
 
 #: Version 1 never shipped a ``last_access`` column; kept as executable
 #: documentation and as the fixture for the forward-migration test.
@@ -88,7 +91,6 @@ class SQLiteStoreBackend(StoreBackend):
         root: str | Path,
         *,
         path: str | Path | None = None,
-        pool_size: int = 4,
         mmap: bool = True,
     ) -> None:
         # ``mmap`` is accepted for constructor uniformity: blob payloads are
@@ -96,7 +98,6 @@ class SQLiteStoreBackend(StoreBackend):
         # plays the role the OS page cache plays for directory entries).
         self.root = Path(root)
         self.path = Path(path) if path is not None else self.root / "index-store.sqlite3"
-        self.pool_size = max(1, int(pool_size))
         self._pool: list[sqlite3.Connection] = []
         self._pool_pid: int | None = None
         self._lock = threading.Lock()
@@ -206,7 +207,7 @@ class SQLiteStoreBackend(StoreBackend):
             raise
         else:
             with self._lock:
-                if self._pool_pid == os.getpid() and len(self._pool) < self.pool_size:
+                if self._pool_pid == os.getpid() and len(self._pool) < _POOL_SIZE:
                     self._pool.append(connection)
                     connection = None
             if connection is not None:
@@ -218,9 +219,6 @@ class SQLiteStoreBackend(StoreBackend):
             pool, self._pool = self._pool, []
         for connection in pool:
             connection.close()
-
-    def _location(self) -> str:
-        return str(self.path)
 
     # ------------------------------------------------------------------ write
     def write_entry(
@@ -435,11 +433,8 @@ class SQLiteStoreBackend(StoreBackend):
                 pass
         return {
             "backend": self.name,
-            "location": self._location(),
+            "location": str(self.path),
             "backends": int(backends),
             "entries": int(entries),
             "payload_bytes": int(payload_bytes),
         }
-
-    def entry_location(self, backend_key: str, entry_key: str) -> str:
-        return f"{self._location()}::{backend_key}/{entry_key}"

@@ -1,20 +1,12 @@
-"""Parallel multi-query search serving with a bounded LRU result cache.
+"""Cached search serving: a bounded LRU plus the warm / refresh / persist lifecycle.
 
 :class:`QueryService` wraps one indexed
-:class:`~repro.search.base.TableUnionSearcher` and serves multi-query
-workloads:
+:class:`~repro.search.base.TableUnionSearcher`.  It never fans queries out:
+step-1 search is a few milliseconds of a request whose cost lives in
+alignment, tuple embedding and Algorithm 2, so :meth:`search_many` is a plain
+loop over :meth:`search` and served rankings are trivially bit-identical to
+direct in-process search.
 
-* **Parallelism** — :meth:`search_many` partitions the queries into chunks
-  and scores the chunks concurrently.  The default (``parallelism="auto"``)
-  uses forked worker *processes* where the platform supports it: table
-  scoring is Python-loop-heavy, so threads would serialize on the GIL, while
-  forked children inherit the built index for free (no pickling, no rebuild)
-  and return only the small ranked-result lists.  Results always come back in
-  input order, and each query runs the exact same single-query code path as
-  :meth:`TableUnionSearcher.search`, so served rankings are bit-identical to
-  direct in-process search.  The executor selection, probe gating and forked
-  mapping live in :mod:`repro.utils.parallel`, shared with the sharded index
-  builder.
 * **Caching** — results are memoised in a bounded LRU keyed by
   ``(backend config fingerprint, lake fingerprint, query fingerprint, k)``.
   The key is pure content, so repeated queries — within a run or across
@@ -45,50 +37,21 @@ from repro.datalake.table import Table
 from repro.search.base import SearchResult, TableUnionSearcher
 from repro.serving.store import IndexStore
 from repro.utils.errors import ServingError
-from repro.utils.parallel import (
-    default_worker_count,
-    parallel_map,
-    probe_gate,
-    resolve_parallelism,
-)
 
 #: Cache key: (backend config fingerprint, lake fingerprint, query fingerprint, k).
 CacheKey = tuple[str, str, str, int]
 
 
 class QueryService:
-    """Serves top-k searches for one backend with caching and parallelism."""
+    """Serves top-k searches for one backend through a bounded LRU cache."""
 
     def __init__(
-        self,
-        searcher: TableUnionSearcher,
-        *,
-        max_workers: int | None = None,
-        chunk_size: int = 8,
-        cache_size: int = 1024,
-        parallelism: str = "auto",
-        parallel_min_seconds: float = 1.0,
+        self, searcher: TableUnionSearcher, *, cache_size: int = 1024
     ) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ServingError(f"max_workers must be positive, got {max_workers}")
-        if chunk_size <= 0:
-            raise ServingError(f"chunk_size must be positive, got {chunk_size}")
         if cache_size < 0:
             raise ServingError(f"cache_size must be non-negative, got {cache_size}")
-        if parallel_min_seconds < 0:
-            raise ServingError(
-                f"parallel_min_seconds must be non-negative, got {parallel_min_seconds}"
-            )
-        if parallelism not in ("auto", "process", "thread", "serial"):
-            raise ServingError(
-                f"parallelism must be auto/process/thread/serial, got {parallelism!r}"
-            )
         self.searcher = searcher
-        self.max_workers = max_workers
-        self.chunk_size = chunk_size
         self.cache_size = cache_size
-        self.parallel_min_seconds = parallel_min_seconds
-        self.parallelism = resolve_parallelism(parallelism)
         self._cache: OrderedDict[CacheKey, list[SearchResult]] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
@@ -182,123 +145,35 @@ class QueryService:
             int(k),
         )
 
-    def _cache_get(self, key: CacheKey | None) -> list[SearchResult] | None:
-        """Serve a hit from the LRU (``None`` on a miss).  Caller holds the lock."""
-        cached = self._cache.get(key) if key is not None else None
-        if cached is None:
-            return None
-        self._cache.move_to_end(key)
-        self._hits += 1
-        return list(cached)
-
-    def _cache_put(self, key: CacheKey | None, results: list[SearchResult]) -> None:
-        """Record a miss and insert into the bounded LRU.  Caller holds the lock."""
-        self._misses += 1
-        if key is not None:
-            self._cache[key] = list(results)
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-
     def search(self, query_table: Table, k: int) -> list[SearchResult]:
         """Top-k search for one query, served from the LRU cache when possible."""
         key = self._key(query_table, k)
         with self._lock:
-            cached = self._cache_get(key)
-        if cached is not None:
-            return cached
+            cached = self._cache.get(key) if key is not None else None
+            if cached is not None:
+                self._cache.move_to_end(key)
+                self._hits += 1
+                return list(cached)
         results = self.searcher.search(query_table, k)
         with self._lock:
-            self._cache_put(key, results)
+            self._misses += 1
+            if key is not None:
+                self._cache[key] = list(results)
+                self._cache.move_to_end(key)
+                while len(self._cache) > self.cache_size:
+                    self._cache.popitem(last=False)
         return list(results)
 
     def search_many(
         self, query_tables: Sequence[Table], k: int
     ) -> list[list[SearchResult]]:
-        """Top-k search for every query, in parallel, in input order.
+        """Top-k search for every query, in input order.
 
-        Queries are chunked (``chunk_size`` per task) so small workloads do
-        not pay one dispatch per query; results are reassembled in submission
-        order, so ``search_many(queries, k)[i]`` always equals
-        ``search(queries[i], k)``.  Cached queries are answered up front and
-        only the misses are dispatched to workers; every worker result is
-        written back to the cache.  One probe query is always served
-        in-process first — when the estimated remaining work is below
-        ``parallel_min_seconds`` the whole workload stays in-process, so tiny
-        workloads never pay worker startup.
+        A loop over :meth:`search`, so ``search_many(queries, k)[i]`` equals
+        ``search(queries[i], k)``: hits are served from the cache, misses are
+        scored in-process and written back.
         """
-        queries = list(query_tables)
-        if not queries:
-            return []
-        workers = default_worker_count(len(queries), max_workers=self.max_workers)
-
-        def finalize(
-            answers: list[list[SearchResult] | None],
-        ) -> list[list[SearchResult]]:
-            assert all(answer is not None for answer in answers)
-            return answers  # type: ignore[return-value]
-
-        # Serve cache hits immediately; collect the misses for the workers.
-        answers: list[list[SearchResult] | None] = [None] * len(queries)
-        pending: list[int] = []
-        with self._lock:
-            for position, query in enumerate(queries):
-                answers[position] = self._cache_get(self._key(query, k))
-                if answers[position] is None:
-                    pending.append(position)
-
-        if (
-            workers <= 1
-            or len(pending) <= 1
-            or self.parallelism == "serial"
-        ):
-            for position in pending:
-                answers[position] = self.search(queries[position], k)
-            return finalize(answers)
-
-        # Probe (shared heuristic: repro.utils.parallel.probe_gate): serve the
-        # first misses in-process to estimate the per-query cost, and skip
-        # the fan-out entirely when the remaining work would not amortise
-        # worker startup (fork + copy-on-write for processes, GIL contention
-        # for threads).
-        pending, fan_out = probe_gate(
-            pending,
-            lambda position: answers.__setitem__(
-                position, self.search(queries[position], k)
-            ),
-            min_seconds=self.parallel_min_seconds,
-        )
-        if not fan_out:
-            for position in pending:
-                answers[position] = self.search(queries[position], k)
-            return finalize(answers)
-
-        # Cap the chunk size so the pending work spreads over all workers
-        # even when the configured chunk size is coarse.
-        per_worker = -(-len(pending) // workers)  # ceil division
-        effective_chunk = max(1, min(self.chunk_size, per_worker))
-        chunks = [
-            pending[start : start + effective_chunk]
-            for start in range(0, len(pending), effective_chunk)
-        ]
-
-        def serve_chunk(chunk: list[int]) -> list[list[SearchResult]]:
-            # Forked workers inherit the built index through parallel_map's
-            # fork payload (no pickling, no rebuild); the thread fallback
-            # shares it directly.  Either way each query runs the exact
-            # single-query code path, so rankings stay bit-identical.
-            return [self.searcher.search(queries[position], k) for position in chunk]
-
-        chunk_results = parallel_map(
-            serve_chunk, chunks, mode=self.parallelism, workers=workers
-        )
-
-        with self._lock:
-            for chunk, results in zip(chunks, chunk_results):
-                for position, result in zip(chunk, results):
-                    answers[position] = list(result)
-                    self._cache_put(self._key(queries[position], k), result)
-        return finalize(answers)
+        return [self.search(query, k) for query in query_tables]
 
     def search_tables(self, query_table: Table, k: int) -> list[Table]:
         """Like :meth:`search` but returning the lake tables themselves."""
@@ -311,11 +186,9 @@ class QueryService:
     def close(self) -> None:
         """Release the result cache.
 
-        Worker pools are created per :meth:`search_many` call and already
-        torn down when it returns, so closing is cheap: the LRU is dropped
-        (its cached rankings can pin large result lists) and the service
-        refuses further queries by behaving as if it was never warmed.
-        Double-close is a no-op.
+        The LRU is dropped (its cached rankings can pin large result lists)
+        and the service refuses further queries by behaving as if it was
+        never warmed.  Double-close is a no-op.
         """
         with self._lock:
             self._cache.clear()

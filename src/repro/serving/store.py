@@ -75,8 +75,8 @@ class IndexStore:
 
     ``backend`` names the physical storage implementation from the
     :data:`~repro.api.registry.STORE_BACKENDS` registry (``"directory"`` or
-    ``"sqlite"``); ``path``, ``pool_size`` and ``mmap`` are forwarded to its
-    constructor.  ``lazy_shards`` is advisory state read by
+    ``"sqlite"``); ``path`` and ``mmap`` are forwarded to its constructor.
+    ``lazy_shards`` is advisory state read by
     :class:`~repro.search.sharded.ShardedSearcher`: when set (the default),
     a fully warm store lets sharded restoration defer per-shard loading
     until a shard is first touched.
@@ -100,7 +100,6 @@ class IndexStore:
         *,
         backend: str = "directory",
         path: str | Path | None = None,
-        pool_size: int = 4,
         mmap: bool = True,
         lazy_shards: bool = True,
         max_delta_fraction: float = 0.5,
@@ -125,7 +124,7 @@ class IndexStore:
         from repro.api.registry import STORE_BACKENDS
 
         self._backend = STORE_BACKENDS.create(
-            backend, root=self.root, path=path, pool_size=pool_size, mmap=mmap
+            backend, root=self.root, path=path, mmap=mmap
         )
 
     @classmethod
@@ -143,7 +142,6 @@ class IndexStore:
             root,
             backend=section.get("backend", "directory"),
             path=section.get("path"),
-            pool_size=section.get("pool_size", 4),
             mmap=section.get("mmap", True),
             lazy_shards=section.get("lazy_shards", True),
             **overrides,
@@ -172,12 +170,6 @@ class IndexStore:
     def entry_dir(self, searcher: TableUnionSearcher, lake: DataLake) -> Path:
         """Logical directory of the persisted index of ``searcher`` over ``lake``."""
         return self.backend_dir(searcher) / self._entry_key(lake)
-
-    def describe_entry(self, searcher: TableUnionSearcher, lake: DataLake) -> str:
-        """The entry's physical address, as the active backend renders it."""
-        return self._backend.entry_location(
-            self._backend_key(searcher), self._entry_key(lake)
-        )
 
     def contains(self, searcher: TableUnionSearcher, lake: DataLake) -> bool:
         """Whether a completed entry exists (no payload validation)."""

@@ -9,14 +9,7 @@ from repro.utils.errors import (
     DiversificationError,
     TrainingError,
 )
-from repro.utils.parallel import (
-    default_worker_count,
-    forked_map,
-    parallel_map,
-    probe_gate,
-    resolve_parallelism,
-    threaded_map,
-)
+from repro.utils.parallel import forked_map, probe_gate
 from repro.utils.rng import seeded_rng, derive_seed
 from repro.utils.timing import Timer, timed
 from repro.utils.validation import (
@@ -35,12 +28,8 @@ __all__ = [
     "EmbeddingError",
     "DiversificationError",
     "TrainingError",
-    "default_worker_count",
     "forked_map",
-    "parallel_map",
     "probe_gate",
-    "resolve_parallelism",
-    "threaded_map",
     "seeded_rng",
     "derive_seed",
     "Timer",

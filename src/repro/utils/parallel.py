@@ -1,42 +1,37 @@
-"""Shared parallel-execution machinery: executor selection, probe gating, maps.
+"""Forked fan-out for the sharded index build — the repo's one parallel path.
 
-Two subsystems fan work out over workers — :class:`~repro.serving.service.QueryService`
-(multi-query serving) and the sharded index builder
-(:class:`~repro.search.sharded.ShardedSearcher`).  Both face the same three
-problems, solved here once:
+Only :class:`~repro.search.sharded.ShardedSearcher` fans work out over
+workers (one index build per shard); queries never do.  Whether to fork is
+*measured*, not configured:
 
-* **Executor selection** — scoring and index building are Python-loop-heavy,
-  so threads serialize on the GIL; forked worker *processes* inherit the
-  parent's in-memory state for free (no pickling, no rebuild) and return only
-  small results.  :func:`resolve_parallelism` maps ``"auto"`` to forked
-  processes where the platform supports them.
 * **Probe gating** — worker startup (fork + copy-on-write) costs real time,
   so tiny workloads must never pay it.  :func:`probe_gate` serves the first
   item(s) in-process, measures the per-item cost and reports whether the
-  remaining work amortises a fan-out.
+  remaining work amortises a fan-out (:data:`FORK_MIN_SECONDS`).
 * **Inherited-state mapping** — :func:`forked_map` runs an arbitrary callable
   (closures and bound methods included) over picklable items in forked
-  workers.  The callable itself is handed to the children through a module
-  global set just before the fork — it is *inherited*, never pickled — and a
-  lock serializes concurrent fan-outs so two callers cannot race on that slot.
+  workers.  Index building is Python-loop-heavy, so
+  threads would serialize on the GIL; forked children inherit the parent's
+  in-memory state for free (no pickling, no rebuild).  The callable itself is
+  handed to the children through a module global set just before the fork —
+  it is *inherited*, never pickled — and a lock serializes concurrent
+  fan-outs so two callers cannot race on that slot.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
-
-from repro.utils.errors import ConfigurationError
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
 
-#: The parallelism modes understood by :func:`resolve_parallelism`.
-PARALLELISM_MODES = ("auto", "process", "thread", "serial")
+#: Estimated remaining work (seconds) below which a fan-out stays in-process.
+#: Not configurable; tests that must force a fork monkeypatch it to 0.
+FORK_MIN_SECONDS = 0.5
 
 #: Callable inherited by forked worker processes (set just before forking).
 _FORK_PAYLOAD: Callable | None = None
@@ -48,38 +43,6 @@ _FORK_LOCK = threading.Lock()
 def fork_available() -> bool:
     """Whether this platform supports forked worker processes."""
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def resolve_parallelism(mode: str, *, threads_fallback: bool = True) -> str:
-    """Resolve a requested parallelism mode to a concrete one.
-
-    ``"auto"`` becomes ``"process"`` where fork is available — CPU-bound
-    Python work gains nothing from threads — and otherwise ``"thread"``, or
-    ``"serial"`` when ``threads_fallback`` is false (index *builds* mutate
-    shared structures, so without fork they must stay in-process).  Explicit
-    modes pass through unchanged: asking for ``"process"`` on a fork-less
-    platform should fail loudly at fan-out, not silently degrade.
-    """
-    if mode not in PARALLELISM_MODES:
-        raise ConfigurationError(
-            f"parallelism must be one of {'/'.join(PARALLELISM_MODES)}, got {mode!r}"
-        )
-    if mode == "auto":
-        if fork_available():
-            return "process"
-        return "thread" if threads_fallback else "serial"
-    return mode
-
-
-def default_worker_count(
-    num_items: int, *, max_workers: int | None = None, cap: int = 8
-) -> int:
-    """Worker count for ``num_items`` tasks: explicit override or a bounded default."""
-    if max_workers is not None:
-        if max_workers <= 0:
-            raise ConfigurationError(f"max_workers must be positive, got {max_workers}")
-        return max_workers
-    return max(1, min(cap, os.cpu_count() or 1, num_items))
 
 
 def probe_gate(
@@ -143,33 +106,3 @@ def forked_map(
                 return list(pool.map(_run_inherited, items))
         finally:
             _FORK_PAYLOAD = None
-
-
-def threaded_map(
-    func: Callable[[Item], Result], items: Iterable[Item], *, workers: int
-) -> list[Result]:
-    """``[func(item) for item in items]`` on a thread pool (fork-less fallback)."""
-    items = list(items)
-    if not items:
-        return []
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(func, items))
-
-
-def parallel_map(
-    func: Callable[[Item], Result],
-    items: Iterable[Item],
-    *,
-    mode: str,
-    workers: int,
-) -> list[Result]:
-    """Dispatch a map over ``items`` to the resolved parallelism ``mode``."""
-    if mode == "process":
-        return forked_map(func, items, workers=workers)
-    if mode == "thread":
-        return threaded_map(func, items, workers=workers)
-    if mode != "serial":
-        raise ConfigurationError(
-            f"parallel_map mode must be process/thread/serial, got {mode!r}"
-        )
-    return [func(item) for item in items]

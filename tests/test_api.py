@@ -204,10 +204,72 @@ class TestDiscoveryConfig:
     def test_invalid_serving_values_fail_eagerly(self):
         with pytest.raises(ConfigurationError, match="cache_size"):
             DiscoveryConfig.from_dict({"serving": {"cache_size": -5}})
-        with pytest.raises(ConfigurationError, match="parallelism"):
-            DiscoveryConfig.from_dict({"serving": {"parallelism": "bogus"}})
-        with pytest.raises(ConfigurationError, match="chunk_size"):
-            DiscoveryConfig.from_dict({"serving": {"chunk_size": 0}})
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("serving", "max_workers"),
+            ("serving", "chunk_size"),
+            ("serving", "parallelism"),
+            ("serving", "parallel_min_seconds"),
+            ("sharding", "build_workers"),
+            ("sharding", "build_parallelism"),
+            ("sharding", "parallel_min_seconds"),
+            ("store", "pool_size"),
+        ],
+    )
+    def test_removed_execution_knobs_are_rejected(self, section, key):
+        """Execution strategy is measured, not configured: an old config file
+        naming a removed knob fails loudly, naming the section and the key."""
+        with pytest.raises(ConfigurationError) as raised:
+            DiscoveryConfig.from_dict({section: {key: 1}})
+        message = str(raised.value)
+        assert f"unknown keys in config section {section!r}" in message
+        assert key in message.split(";")[0]
+
+    def test_optional_section_key_surface(self):
+        """Snapshot of every key of the six optional sections (32 keys): a
+        new knob must show up here as a visible diff."""
+        surface = {
+            section: sorted(DiscoveryConfig.from_dict({section: {}}).to_dict()[section])
+            for section in ("serving", "sharding", "cascade", "ingest", "server", "store")
+        }
+        assert surface == {
+            "serving": ["cache_size", "store_dir"],
+            "sharding": ["num_shards", "strategy"],
+            "cascade": [
+                "candidate_budget",
+                "escalation_margin",
+                "mode",
+                "num_bands",
+                "num_hashes",
+                "prefilter",
+                "projection_dim",
+                "seed",
+            ],
+            "ingest": [
+                "checkpoint",
+                "exclusive_timeout_seconds",
+                "max_batch_bytes",
+                "max_batch_events",
+                "max_latency_seconds",
+                "rebalance_skew_threshold",
+            ],
+            "server": [
+                "event_log",
+                "host",
+                "maintenance",
+                "maintenance_idle_seconds",
+                "maintenance_interval_seconds",
+                "max_inflight",
+                "port",
+                "prewarm_queries",
+                "queue_timeout_seconds",
+                "retry_after_seconds",
+            ],
+            "store": ["backend", "lazy_shards", "mmap", "path"],
+        }
+        assert sum(len(keys) for keys in surface.values()) == 32
 
     def test_serving_section_is_normalised(self):
         config = DiscoveryConfig.from_dict(
@@ -215,7 +277,7 @@ class TestDiscoveryConfig:
         )
         assert config.serving["store_dir"] == "/tmp/store"
         assert config.serving["cache_size"] == 16
-        assert config.serving["parallelism"] == "auto"
+        assert set(config.serving) == {"store_dir", "cache_size"}
         with pytest.raises(ConfigurationError, match="unknown keys"):
             DiscoveryConfig.from_dict({"serving": {"store": "x"}})
 

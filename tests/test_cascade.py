@@ -437,7 +437,7 @@ class TestCascadeConfig:
         composed = Discovery.from_config(
             {
                 "searcher": {"name": "overlap"},
-                "sharding": {"num_shards": 3, "build_parallelism": "serial"},
+                "sharding": {"num_shards": 3},
                 "cascade": {"mode": "exact"},
             }
         ).attach(lake)

@@ -493,7 +493,7 @@ class TestServiceRefresh:
 
     def test_refresh_drops_stale_cache_and_matches_fresh(self, tus_bench):
         lake = fresh_lake(tus_bench)
-        service = QueryService(ValueOverlapSearcher(), parallelism="serial").warm(lake)
+        service = QueryService(ValueOverlapSearcher()).warm(lake)
         query = tus_bench.query_tables[0]
         stale = service.search(query, 8)
         assert service.cache_stats["size"] == 1
@@ -503,12 +503,12 @@ class TestServiceRefresh:
 
         service.refresh()
         assert service.cache_stats["size"] == 0
-        fresh = QueryService(ValueOverlapSearcher(), parallelism="serial").warm(lake)
+        fresh = QueryService(ValueOverlapSearcher()).warm(lake)
         assert service.search(query, 8) == fresh.search(query, 8)
 
     def test_refresh_noop_keeps_cache(self, tus_bench):
         lake = fresh_lake(tus_bench)
-        service = QueryService(ValueOverlapSearcher(), parallelism="serial").warm(lake)
+        service = QueryService(ValueOverlapSearcher()).warm(lake)
         service.search(tus_bench.query_tables[0], 8)
         service.refresh()
         assert service.cache_stats["size"] == 1
@@ -516,7 +516,7 @@ class TestServiceRefresh:
     def test_refresh_persists_updated_index(self, tus_bench, tmp_path):
         store = IndexStore(tmp_path)
         lake = fresh_lake(tus_bench)
-        service = QueryService(ValueOverlapSearcher(), parallelism="serial").warm(
+        service = QueryService(ValueOverlapSearcher()).warm(
             lake, store
         )
         mutate_tenth(lake, tus_bench)
@@ -571,7 +571,7 @@ class TestDiscoveryRefresh:
         discovery = Discovery.from_config(
             {
                 "searcher": {"name": "overlap"},
-                "serving": {"store_dir": str(tmp_path), "parallelism": "serial"},
+                "serving": {"store_dir": str(tmp_path)},
             }
         ).attach(lake)
         query = tus_bench.query_tables[0]

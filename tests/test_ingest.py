@@ -27,8 +27,8 @@ from repro.ingest import (
     event_from_payload,
     events_from_jsonl,
     find_sharded,
-    shard_skew,
 )
+from repro.search.sharded import skew_of
 from repro.serving.maintenance import ActivityGate, MaintenanceLoop
 from repro.serving.server import DiscoveryServer
 from repro.utils.errors import ConfigurationError, IngestError
@@ -410,8 +410,9 @@ class TestIngestController:
             controller.flush()
             (report,) = controller.maybe_rebalance(force=True)
             assert report["backend"]
-            assert find_sharded(d.searcher()) is not None
-            assert shard_skew(d.searcher()) >= 1.0
+            sharded = find_sharded(d.searcher())
+            assert sharded is not None
+            assert skew_of(sharded.shard_loads()) >= 1.0
 
     def test_gate_timeout_reports_yield(self, small_benchmark):
         config = {"sharding": {"num_shards": 2}}

@@ -25,7 +25,7 @@ def build(backend, layout, bench, lake):
 
     if layout == "flat":
         return factory().index(lake)
-    return ShardedSearcher(factory, num_shards=2, parallelism="serial").index(lake)
+    return ShardedSearcher(factory, num_shards=2).index(lake)
 
 
 def spy_on_query_state(searcher, monkeypatch):

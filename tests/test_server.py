@@ -11,7 +11,6 @@ import urllib.request
 import pytest
 
 from repro.api.cli import build_parser
-from repro.api.config import DiscoveryConfig
 from repro.api.facade import Discovery
 from repro.api.schema import (
     RESULT_SCHEMA_VERSION,
@@ -674,7 +673,7 @@ class TestCliSurface:
             "--cascade-budget",
             "--cascade-margin",
             "--shards",
-            "--workers",
+            "--store-backend",
         }
         flag_sets = {}
         for name in ("search", "warm", "serve"):

@@ -1,8 +1,8 @@
 """Tests for repro.serving: content fingerprints, the persistent index store,
-the parallel query service, and their wiring into the DUST pipeline."""
+the cached query service, and their wiring into the DUST pipeline."""
 
 import json
-import os
+import time
 
 import numpy as np
 import pytest
@@ -300,32 +300,38 @@ class _CountingSearcher(ValueOverlapSearcher):
 
 
 class TestQueryService:
-    @pytest.mark.parametrize("parallelism", ["process", "thread", "serial"])
-    def test_parallel_results_match_serial_bit_identically(
-        self, small_benchmark, parallelism
-    ):
-        if parallelism == "process" and not hasattr(os, "fork"):
-            pytest.skip("no fork on this platform")
+    def test_search_many_is_a_loop_that_never_forks(self, small_benchmark, monkeypatch):
+        """``search_many(qs, k)[i] == search(qs[i], k)`` with the cache
+        counters of a plain loop — and the query path never forks."""
+
+        def no_fork(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("the query path must never fork")
+
+        monkeypatch.setattr("repro.utils.parallel.forked_map", no_fork)
         lake = small_benchmark.lake
-        queries = small_benchmark.query_tables * 3  # repeat to exercise chunks
+        queries = small_benchmark.query_tables * 3  # repeats hit the cache
+        distinct = len(small_benchmark.query_tables)
         direct = ValueOverlapSearcher().index(lake)
-        # parallel_min_seconds=0 forces the fan-out even for this tiny lake.
-        service = QueryService(
-            ValueOverlapSearcher(),
-            max_workers=4,
-            chunk_size=2,
-            cache_size=0,
-            parallelism=parallelism,
-            parallel_min_seconds=0.0,
-        ).warm(lake)
+        searcher = _CountingSearcher()
+        service = QueryService(searcher).warm(lake)
         batched = service.search_many(queries, 6)
         assert len(batched) == len(queries)
         for query, results in zip(queries, batched):
             assert results == direct.search(query, 6)
+        assert searcher.search_calls == distinct
+        assert service.cache_stats == {
+            "hits": len(queries) - distinct,
+            "misses": distinct,
+            "size": distinct,
+        }
+        for query, results in zip(queries, batched):
+            assert service.search(query, 6) == results
+        assert searcher.search_calls == distinct
+        assert service.search_many([], 6) == []
 
     def test_cache_serves_repeats_without_recomputing(self, small_benchmark):
         searcher = _CountingSearcher()
-        service = QueryService(searcher, max_workers=1).warm(small_benchmark.lake)
+        service = QueryService(searcher).warm(small_benchmark.lake)
         query = small_benchmark.query_tables[0]
         first = service.search(query, 5)
         second = service.search(query, 5)
@@ -338,7 +344,7 @@ class TestQueryService:
 
     def test_cache_is_bounded_lru(self, small_benchmark):
         searcher = _CountingSearcher()
-        service = QueryService(searcher, max_workers=1, cache_size=1).warm(
+        service = QueryService(searcher, cache_size=1).warm(
             small_benchmark.lake
         )
         first, second = small_benchmark.query_tables[:2]
@@ -355,7 +361,7 @@ class TestQueryService:
         searcher = CascadeSearcher(
             ValueOverlapSearcher(), mode="approx", candidate_budget=4
         )
-        service = QueryService(searcher, max_workers=1).warm(small_benchmark.lake)
+        service = QueryService(searcher).warm(small_benchmark.lake)
         query = small_benchmark.query_tables[0]
 
         approx_key = service._key(query, 5)
@@ -397,15 +403,7 @@ class TestQueryService:
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ServingError):
-            QueryService(ValueOverlapSearcher(), max_workers=0)
-        with pytest.raises(ServingError):
-            QueryService(ValueOverlapSearcher(), chunk_size=0)
-        with pytest.raises(ServingError):
             QueryService(ValueOverlapSearcher(), cache_size=-1)
-        with pytest.raises(ServingError):
-            QueryService(ValueOverlapSearcher(), parallelism="fibers")
-        with pytest.raises(ServingError):
-            QueryService(ValueOverlapSearcher(), parallel_min_seconds=-1.0)
 
 
 def _pipeline(searcher):
@@ -424,9 +422,7 @@ class TestPipelineServing:
         direct = _pipeline(ValueOverlapSearcher()).index(lake)
         direct_results = direct.run_many(queries, k=5)
 
-        service = QueryService(
-            ValueOverlapSearcher(), max_workers=4, chunk_size=1
-        ).warm(lake)
+        service = QueryService(ValueOverlapSearcher()).warm(lake)
         served = _pipeline(ValueOverlapSearcher())  # un-indexed: adopted from service
         served_results = served.run_many(queries, k=5, service=service)
 
@@ -434,6 +430,25 @@ class TestPipelineServing:
             assert mine.search_results == theirs.search_results
             assert mine.selected_indices == theirs.selected_indices
             assert mine.selected_tuples == theirs.selected_tuples
+
+    def test_run_many_times_each_search_on_its_own(self, small_benchmark):
+        """A cache-hit query reports its own (smaller) step-1 time, not an
+        equal share of the batch."""
+
+        class SlowSearcher(ValueOverlapSearcher):
+            def search(self, query_table, k):
+                time.sleep(0.05)
+                return super().search(query_table, k)
+
+        query = small_benchmark.query_tables[0]
+        service = QueryService(SlowSearcher()).warm(small_benchmark.lake)
+        miss, hit = _pipeline(ValueOverlapSearcher()).run_many(
+            [query, query], k=5, service=service
+        )
+        assert service.cache_stats["hits"] == 1
+        assert miss.timings["search"] >= 0.05
+        assert hit.timings["search"] < miss.timings["search"]
+        assert hit.search_results == miss.search_results
 
     def test_run_many_rejects_cold_service(self, small_benchmark):
         service = QueryService(ValueOverlapSearcher())
@@ -445,9 +460,7 @@ class TestPipelineServing:
 class TestEvaluationServing:
     def test_prepare_query_workload_accepts_search_service(self, small_benchmark):
         model = FastTextLikeModel(dimension=64)
-        service = QueryService(ValueOverlapSearcher(), max_workers=2).warm(
-            small_benchmark.lake
-        )
+        service = QueryService(ValueOverlapSearcher()).warm(small_benchmark.lake)
         query = small_benchmark.query_tables[0]
         served = prepare_query_workload(
             small_benchmark,
@@ -465,20 +478,22 @@ class TestEvaluationServing:
     def test_prepare_query_workloads_batches_through_cache(self, small_benchmark):
         model = FastTextLikeModel(dimension=64)
         searcher = _CountingSearcher()
-        # Threaded mode keeps the invocation counter in-process (forked
-        # workers would increment a copy).
-        service = QueryService(searcher, max_workers=2, parallelism="thread").warm(
-            small_benchmark.lake
-        )
-        workloads = prepare_query_workloads(
-            small_benchmark,
-            small_benchmark.query_tables,
-            model,
-            search_service=service,
-            num_search_tables=4,
-        )
+        service = QueryService(searcher).warm(small_benchmark.lake)
+
+        def prepare():
+            return prepare_query_workloads(
+                small_benchmark,
+                small_benchmark.query_tables,
+                model,
+                search_service=service,
+                num_search_tables=4,
+            )
+
+        workloads = prepare()
         assert set(workloads) == {q.name for q in small_benchmark.query_tables}
-        # search_many warmed the cache; the per-query preparation hit it.
+        # One search per query; preparing again is served from the cache.
+        assert searcher.search_calls == len(small_benchmark.query_tables)
+        prepare()
         assert searcher.search_calls == len(small_benchmark.query_tables)
         assert service.cache_stats["hits"] >= len(small_benchmark.query_tables)
 

@@ -5,10 +5,12 @@ journaling fix, per-shard builds merged at query time (property-style parity
 against monolithic ``index()`` over random lakes and partitions, including
 shard-then-delta sequences), the :class:`ShardedSearcher` composite
 (fan-out/merge parity, shard-local refresh, per-shard store persistence), the
-shared :mod:`repro.utils.parallel` machinery and the API surface
+build-only :mod:`repro.utils.parallel` fan-out and the API surface
 (``DiscoveryConfig`` sharding section, transparent facade sharding, the warm
 CLI's ``--shards``).
 """
+
+import os
 
 import pytest
 from testkit import (
@@ -36,13 +38,8 @@ from repro.utils.errors import (
     DataLakeError,
     SearchError,
 )
-from repro.utils.parallel import (
-    default_worker_count,
-    forked_map,
-    parallel_map,
-    probe_gate,
-    resolve_parallelism,
-)
+from repro.utils import parallel
+from repro.utils.parallel import fork_available, forked_map, probe_gate
 from repro.utils.rng import seeded_rng
 
 
@@ -143,7 +140,9 @@ class TestSeedJournaling:
         assert lake.version == base
 
 
-# ---------------------------------------------------- partial merge (property)
+# ------------------------------------- sharded fan-out == monolithic (property)
+# (The test ids keep their pre-PR-13 "merge_of_partials" name: renaming 15
+# parametrised ids would spend the per-PR removed-test budget on a label.)
 class TestPartialMergeParity:
     @pytest.mark.parametrize("backend", sorted(BACKEND_FACTORIES))
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -164,7 +163,6 @@ class TestPartialMergeParity:
             lambda: factory(tus_bench),
             num_shards=num_shards,
             strategy=strategy,
-            parallelism="serial",
         ).index(lake)
         assert sum(s is not None for s in sharded.shard_searchers) >= 1
         assert rankings(sharded, queries) == rankings(monolithic, queries)
@@ -175,7 +173,7 @@ class TestPartialMergeParity:
         lake = fresh_lake(tus_bench)
         factory = BACKEND_FACTORIES[backend]
         sharded = ShardedSearcher(
-            lambda: factory(tus_bench), num_shards=3, parallelism="serial"
+            lambda: factory(tus_bench), num_shards=3
         ).index(lake)
 
         # Grow one table in place and add another: only their shards move.
@@ -196,19 +194,34 @@ class TestPartialMergeParity:
         searcher.build_partial(shard.to_lake())
         assert not searcher.is_indexed
 
-    def test_forked_build_sharded_matches_serial(self, tus_bench):
+    def test_forked_build_sharded_matches_serial(self, tus_bench, monkeypatch):
+        if not fork_available():
+            pytest.skip("platform has no fork")
+        # The fan-out is measured, not configured: zero the gate (and pretend
+        # to have two cores) so even this tiny lake forks its shard builds.
+        forked_batches = []
+
+        def recording_forked_map(func, items, *, workers):
+            forked_batches.append((list(items), workers))
+            return forked_map(func, items, workers=workers)
+
+        monkeypatch.setattr(parallel, "FORK_MIN_SECONDS", 0.0)
+        monkeypatch.setattr(parallel, "forked_map", recording_forked_map)
+        monkeypatch.setattr("repro.search.sharded.os.cpu_count", lambda: 2)
         lake = fresh_lake(tus_bench)
         monolithic = ValueOverlapSearcher().index(lake)
-        forked = ShardedSearcher(
-            ValueOverlapSearcher,
-            num_shards=4,
-            workers=2,
-            parallelism="process",
-            parallel_min_seconds=0.0,
-        ).index(lake)
+        forked = ShardedSearcher(ValueOverlapSearcher, num_shards=4).index(lake)
+        assert len(forked_batches) == 1 and forked_batches[0][1] == 2
         assert rankings(forked, tus_bench.query_tables) == rankings(
             monolithic, tus_bench.query_tables
         )
+
+    def test_small_builds_never_fork(self, tus_bench, monkeypatch):
+        def no_fork(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a millisecond build must stay in-process")
+
+        monkeypatch.setattr(parallel, "forked_map", no_fork)
+        ShardedSearcher(ValueOverlapSearcher, num_shards=4).index(fresh_lake(tus_bench))
 
     def test_build_sharded_single_shard_is_plain_index(self, tus_bench):
         lake = fresh_lake(tus_bench)
@@ -251,7 +264,7 @@ class TestShardedSearcher:
         factory = BACKEND_FACTORIES[backend]
         monolithic = factory(tus_bench).index(lake)
         sharded = ShardedSearcher(
-            lambda: factory(tus_bench), num_shards=4, parallelism="serial"
+            lambda: factory(tus_bench), num_shards=4
         ).index(lake)
         assert rankings(sharded, tus_bench.query_tables) == rankings(
             monolithic, tus_bench.query_tables
@@ -266,7 +279,7 @@ class TestShardedSearcher:
         )
         monolithic = StarmieSearcher().index(lake)
         sharded = ShardedSearcher(
-            StarmieSearcher, num_shards=4, parallelism="serial"
+            StarmieSearcher, num_shards=4
         ).index(lake)
         assert rankings(sharded, tus_bench.query_tables) == rankings(
             monolithic, tus_bench.query_tables
@@ -280,7 +293,7 @@ class TestShardedSearcher:
             Table(name="huge", columns=["words"], rows=[(f"token{i}",) for i in range(700)])
         )
         sharded = ShardedSearcher(
-            StarmieSearcher, num_shards=4, parallelism="serial"
+            StarmieSearcher, num_shards=4
         ).index(lake)
         lake.add_table(make_table("zz_corpus_shift"))
         sharded.refresh()
@@ -292,7 +305,7 @@ class TestShardedSearcher:
     def test_refresh_touches_only_changed_shards(self, tus_bench):
         lake = fresh_lake(tus_bench)
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=4, parallelism="serial"
+            ValueOverlapSearcher, num_shards=4
         ).index(lake)
         before = list(sharded.shard_searchers)
         mutated = lake.table_names()[0]
@@ -315,7 +328,7 @@ class TestShardedSearcher:
         for backend, factory in BACKEND_FACTORIES.items():
             lake = fresh_lake(tus_bench)
             sharded = ShardedSearcher(
-                lambda: factory(tus_bench), num_shards=3, parallelism="serial"
+                lambda: factory(tus_bench), num_shards=3
             ).index(lake)
             lake.add_table(make_table("zz_refresh"))
             sharded.refresh()
@@ -329,7 +342,6 @@ class TestShardedSearcher:
         sharded = ShardedSearcher(
             lambda: OracleSearcher(tus_bench.ground_truth),
             num_shards=3,
-            parallelism="serial",
         ).index(lake)
         labelled = next(iter(tus_bench.ground_truth.values()))[0]
         lake.remove_table(labelled)
@@ -341,7 +353,7 @@ class TestShardedSearcher:
             ShardedSearcher(lambda: object(), num_shards=2)  # not a searcher
         lake = fresh_lake(tus_bench)
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=2, parallelism="serial"
+            ValueOverlapSearcher, num_shards=2
         ).index(lake)
         with pytest.raises(SearchError):
             sharded.search(tus_bench.query_tables[0], 0)
@@ -356,7 +368,7 @@ class TestShardedSearcher:
     def test_score_table_delegates_to_owning_shard(self, tus_bench):
         lake = fresh_lake(tus_bench)
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial"
+            ValueOverlapSearcher, num_shards=3
         ).index(lake)
         flat = ValueOverlapSearcher().index(lake)
         query = tus_bench.query_tables[0]
@@ -369,7 +381,7 @@ class TestShardedSearcher:
     def test_more_shards_than_tables(self, tus_bench):
         lake = DataLake([make_table("a"), make_table("b", seed="y")])
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=8, parallelism="serial"
+            ValueOverlapSearcher, num_shards=8
         ).index(lake)
         hits = sharded.search(make_table("q", seed="y"), 5)
         assert [hit.table_name for hit in hits] == [
@@ -383,7 +395,7 @@ class TestShardStorePersistence:
         store = IndexStore(tmp_path, max_entries_per_backend=None)
         lake = fresh_lake(tus_bench)
         first = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial", store=store
+            ValueOverlapSearcher, num_shards=3, store=store
         ).index(lake)
         occupied = sum(1 for s in first.shard_searchers if s is not None)
         entries = list(store.backend_dir(ValueOverlapSearcher()).glob("*/manifest.json"))
@@ -400,7 +412,7 @@ class TestShardStorePersistence:
         ValueOverlapSearcher._build_index = counting_build
         try:
             second = ShardedSearcher(
-                ValueOverlapSearcher, num_shards=3, parallelism="serial", store=store
+                ValueOverlapSearcher, num_shards=3, store=store
             ).index(lake)
         finally:
             ValueOverlapSearcher._build_index = original
@@ -413,7 +425,7 @@ class TestShardStorePersistence:
         store = IndexStore(tmp_path, max_entries_per_backend=None)
         lake = fresh_lake(tus_bench)
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial", store=store
+            ValueOverlapSearcher, num_shards=3, store=store
         ).index(lake)
         backend_dir = store.backend_dir(ValueOverlapSearcher())
         before = {p.parent.name for p in backend_dir.glob("*/manifest.json")}
@@ -433,7 +445,7 @@ class TestShardStorePersistence:
         store = IndexStore(tmp_path)
         lake = fresh_lake(tus_bench)
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=12, parallelism="serial", store=store
+            ValueOverlapSearcher, num_shards=12, store=store
         ).index(lake)
         occupied = sum(1 for s in sharded.shard_searchers if s is not None)
         assert occupied > 8
@@ -448,7 +460,7 @@ class TestShardStorePersistence:
 
         def deployment():
             return ShardedSearcher(
-                ValueOverlapSearcher, num_shards=4, parallelism="serial"
+                ValueOverlapSearcher, num_shards=4
             )
 
         first = deployment().warm(lake, store)
@@ -469,14 +481,14 @@ class TestShardStorePersistence:
         store = IndexStore(tmp_path, max_entries_per_backend=None)
         lake = fresh_lake(tus_bench)
         searcher = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial"
+            ValueOverlapSearcher, num_shards=3
         )
-        service = QueryService(searcher, parallelism="serial").warm(lake, store)
+        service = QueryService(searcher).warm(lake, store)
         assert searcher.store is store  # the composite persists per shard
         assert not list(tmp_path.glob("ShardedSearcher-*"))  # no composite entry
         lake.add_table(make_table("zz_served"))
         service.refresh()
-        fresh = QueryService(ValueOverlapSearcher(), parallelism="serial").warm(lake)
+        fresh = QueryService(ValueOverlapSearcher()).warm(lake)
         query = tus_bench.query_tables[0]
         assert service.search(query, 8) == fresh.search(query, 8)
 
@@ -501,7 +513,7 @@ class TestRebalance:
     def test_flat_partition_is_a_noop(self, tus_bench):
         lake = fresh_lake(tus_bench)
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial"
+            ValueOverlapSearcher, num_shards=3
         ).index(lake)
         report = sharded.rebalance(skew_threshold=1e9)
         assert report == {
@@ -516,7 +528,7 @@ class TestRebalance:
     def test_rebalance_reduces_skew_and_preserves_rankings(self, tus_bench):
         lake = skewed_lake(tus_bench)
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial"
+            ValueOverlapSearcher, num_shards=3
         ).index(lake)
         before = rankings(sharded, tus_bench.query_tables)
         report = sharded.rebalance(skew_threshold=1.1)
@@ -534,7 +546,7 @@ class TestRebalance:
     def test_pinned_assignment_survives_refresh(self, tus_bench):
         lake = skewed_lake(tus_bench)
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial"
+            ValueOverlapSearcher, num_shards=3
         ).index(lake)
         report = sharded.rebalance(skew_threshold=1.1)
         assert report["rebalanced"]
@@ -558,7 +570,7 @@ class TestRebalance:
     def test_split_and_merge_change_shard_count(self, tus_bench):
         lake = skewed_lake(tus_bench)
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=2, parallelism="serial"
+            ValueOverlapSearcher, num_shards=2
         ).index(lake)
         expected = rankings(sharded, tus_bench.query_tables)
         split = sharded.rebalance(skew_threshold=1.5, num_shards=5)
@@ -574,7 +586,7 @@ class TestRebalance:
         store = IndexStore(tmp_path, max_entries_per_backend=None)
         lake = skewed_lake(tus_bench)
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, parallelism="serial", store=store
+            ValueOverlapSearcher, num_shards=3, store=store
         ).index(lake)
         backend_dir = store.backend_dir(ValueOverlapSearcher())
         before = {p.parent.name for p in backend_dir.glob("*/manifest.json")}
@@ -589,7 +601,7 @@ class TestRebalance:
     def test_validation(self, tus_bench):
         lake = fresh_lake(tus_bench)
         sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=2, parallelism="serial"
+            ValueOverlapSearcher, num_shards=2
         ).index(lake)
         with pytest.raises(SearchError):
             sharded.rebalance(skew_threshold=0.5)
@@ -616,23 +628,6 @@ class TestRebalance:
 
 # ------------------------------------------------------------- utils.parallel
 class TestParallelUtils:
-    def test_resolve_modes(self):
-        assert resolve_parallelism("serial") == "serial"
-        assert resolve_parallelism("auto") in ("process", "thread")
-        assert resolve_parallelism("auto", threads_fallback=False) in (
-            "process",
-            "serial",
-        )
-        with pytest.raises(ConfigurationError):
-            resolve_parallelism("fibers")
-
-    def test_default_worker_count(self):
-        assert default_worker_count(100, max_workers=3) == 3
-        assert 1 <= default_worker_count(100) <= 8
-        assert default_worker_count(1) == 1
-        with pytest.raises(ConfigurationError):
-            default_worker_count(4, max_workers=0)
-
     def test_probe_gate_skips_fan_out_below_threshold(self):
         served = []
         remaining, fan_out = probe_gate(
@@ -652,21 +647,8 @@ class TestParallelUtils:
         remaining, fan_out = probe_gate([1], served.append, min_seconds=10.0)
         assert served == [1] and remaining == [] and not fan_out
 
-    def test_parallel_map_serial_and_thread(self):
-        items = list(range(7))
-        assert parallel_map(lambda x: x * x, items, mode="serial", workers=2) == [
-            x * x for x in items
-        ]
-        assert parallel_map(lambda x: x + 1, items, mode="thread", workers=3) == [
-            x + 1 for x in items
-        ]
-        with pytest.raises(ConfigurationError):
-            parallel_map(lambda x: x, items, mode="fibers", workers=1)
-
     def test_forked_map_inherits_closures(self):
-        import os
-
-        if "fork" not in __import__("multiprocessing").get_all_start_methods():
+        if not fork_available():
             pytest.skip("platform has no fork")
         payload = {"base": 10}  # captured, unpicklable-by-reference state
         parent = os.getpid()
@@ -684,7 +666,7 @@ class TestParallelUtils:
 class TestShardingConfig:
     def test_sharding_section_round_trips(self):
         config = DiscoveryConfig.from_dict(
-            {"searcher": "overlap", "sharding": {"num_shards": 4, "build_workers": 2}}
+            {"searcher": "overlap", "sharding": {"num_shards": 4}}
         )
         assert config.sharding["num_shards"] == 4
         assert config.sharding["strategy"] == "hash"
@@ -698,15 +680,13 @@ class TestShardingConfig:
             DiscoveryConfig.from_dict({"sharding": {"strategy": "roundrobin"}})
         with pytest.raises(ConfigurationError):
             DiscoveryConfig.from_dict({"sharding": {"shards": 4}})  # unknown key
-        with pytest.raises(ConfigurationError):
-            DiscoveryConfig.from_dict({"sharding": {"build_parallelism": "thread"}})
 
     def test_facade_transparent_sharding_parity(self, tus_bench):
         lake = fresh_lake(tus_bench)
         sharded = Discovery.from_config(
             {
                 "searcher": {"name": "overlap"},
-                "sharding": {"num_shards": 3, "build_parallelism": "serial"},
+                "sharding": {"num_shards": 3},
             }
         ).attach(lake)
         flat = Discovery.from_config({"searcher": {"name": "overlap"}}).attach(lake)
@@ -720,8 +700,8 @@ class TestShardingConfig:
         discovery = Discovery.from_config(
             {
                 "searcher": {"name": "overlap"},
-                "serving": {"store_dir": str(tmp_path), "parallelism": "serial"},
-                "sharding": {"num_shards": 3, "build_parallelism": "serial"},
+                "serving": {"store_dir": str(tmp_path)},
+                "sharding": {"num_shards": 3},
             }
         ).attach(lake)
         query = tus_bench.query_tables[0]
