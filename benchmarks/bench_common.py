@@ -1,8 +1,8 @@
 """Shared fixtures and scale settings for the benchmark harness.
 
-Every module in ``benchmarks/`` regenerates one table or figure of the paper
-or measures an engineering subsystem against its seed implementation — the
-full experiment index lives in ``docs/benchmarks.md``.  The synthetic
+Every ``bench_*.py`` module in ``benchmarks/`` regenerates one table or figure
+of the paper — the full experiment index lives in ``docs/benchmarks.md``
+(engineering claims are measured by ``benchmarks/dustbench/``).  The synthetic
 benchmarks are generated at reduced scale so the full harness runs on a
 laptop in minutes; the scale constants below are the single place to raise if
 you want paper-sized runs.

@@ -96,8 +96,6 @@ _SERVER_DEFAULTS: dict[str, Any] = {
 _STORE_DEFAULTS: dict[str, Any] = {
     "backend": "directory",
     "path": None,
-    "mmap": True,
-    "lazy_shards": True,
 }
 
 
@@ -308,11 +306,6 @@ def _validate_store(store: Mapping[str, Any]) -> None:
         raise ConfigurationError(
             f"store.path must be a path string or null, got {store['path']!r}"
         )
-    for key in ("mmap", "lazy_shards"):
-        if not isinstance(store[key], bool):
-            raise ConfigurationError(
-                f"store.{key} must be a boolean, got {store[key]!r}"
-            )
 
 
 def _checked_section(
@@ -381,12 +374,11 @@ class DiscoveryConfig:
     #: land, never what an index built from the same content contains.
     ingest: dict[str, Any] | None = None
     #: Optional index-store backend section: ``{"backend": "sqlite",
-    #: "path": null, "mmap": true, "lazy_shards": true}``
-    #: selecting *how* ``serving.store_dir`` persists entries (the
-    #: :data:`~repro.api.registry.STORE_BACKENDS` registry).  Like ``server``
-    #: and ``ingest`` it is **fingerprint-neutral**: the physical storage of
-    #: an index never changes its content, so the same entries stay
-    #: addressable when a deployment migrates between backends.
+    #: "path": null}`` selecting *how* ``serving.store_dir`` persists
+    #: entries (the :data:`~repro.api.registry.STORE_BACKENDS` registry).
+    #: Like ``server`` and ``ingest`` it is **fingerprint-neutral**: the
+    #: physical storage of an index never changes its content, so the same
+    #: entries stay addressable when a deployment migrates between backends.
     store: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:

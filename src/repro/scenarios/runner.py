@@ -19,8 +19,7 @@ The grid deliberately contains the shipped presets
 records per preset whether any other measured config dominates it on its
 target scenario — presets are evidence, not opinion.
 
-Run via ``python -m repro scenarios`` or
-``python benchmarks/bench_scenario_matrix.py``.
+Run via ``python -m repro scenarios``.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ Two prefilters cover the five backends:
 ``score_candidates`` to exactly the shards holding each candidate).  In
 ``exact`` mode every query delegates to the base searcher, so rankings are
 bit-identical by construction; ``approx`` mode is the opt-in fast path with
-the measured recall trade-off (``benchmarks/bench_cascade.py``).
+the measured recall trade-off (dustbench ``search-large``, ``recall_at_10``).
 """
 
 from __future__ import annotations

@@ -288,16 +288,15 @@ class ShardedSearcher(TableUnionSearcher):
         """Whether restoration can defer per-shard loads until first touch.
 
         All-or-nothing, and only when deferral is provably equivalent to the
-        eager path: a store with ``lazy_shards`` enabled, a shard-local
-        backend whose ``finalize_shard_group`` is the no-op default (Starmie
-        aligns a lake-global TF-IDF fit across live shard searchers at adopt
-        time, the oracle re-validates — both need every searcher live), and
-        a warm store entry for **every** non-empty shard, so no deferred
-        touch can silently turn into a full shard build.
+        eager path: a store, a shard-local backend whose
+        ``finalize_shard_group`` is the no-op default (Starmie aligns a
+        lake-global TF-IDF fit across live shard searchers at adopt time, the
+        oracle re-validates — both need every searcher live), more than one
+        job, and a warm store entry for **every** non-empty shard, so no
+        deferred touch can silently turn into a full shard build.
         """
         if (
             self.store is None
-            or not getattr(self.store, "lazy_shards", False)
             or not self._prototype.SHARD_LOCAL_INDEX
             or type(self._prototype).finalize_shard_group
             is not TableUnionSearcher.finalize_shard_group

@@ -8,9 +8,9 @@ has written since it existed::
 Payloads are written first and the manifest last via an atomic rename, so a
 crashed save never leaves a loadable entry; checksums and content keys are
 unchanged, so entries written by older versions load bit-identically.  The
-one read-path difference is *how* arrays come back: with ``mmap=True`` (the
-default) ``arrays.npz`` is served as a :class:`MappedArrayPayload` of lazy
-``np.memmap`` views instead of an eager ``np.load`` copy of every member.
+one read-path difference is *how* arrays come back: ``arrays.npz`` is served
+as a :class:`MappedArrayPayload` of lazy ``np.memmap`` views instead of an
+eager ``np.load`` copy of every member.
 """
 
 from __future__ import annotations
@@ -57,12 +57,10 @@ class DirectoryStoreBackend(StoreBackend):
         root: str | Path,
         *,
         path: str | Path | None = None,
-        mmap: bool = True,
     ) -> None:
         # ``path`` is accepted for constructor uniformity across backends;
         # the directory layout has no use for it.
         self.root = Path(root)
-        self.mmap = bool(mmap)
 
     def _entry_path(self, backend_key: str, entry_key: str) -> Path:
         return self.root / backend_key / entry_key
@@ -121,7 +119,7 @@ class DirectoryStoreBackend(StoreBackend):
                 )
         try:
             state = json.loads((entry / STATE_PAYLOAD).read_text())
-            arrays = self._read_arrays(entry / ARRAYS_PAYLOAD)
+            arrays = MappedArrayPayload(entry / ARRAYS_PAYLOAD)
         except (OSError, json.JSONDecodeError, ValueError, zipfile.BadZipFile) as exc:
             # The entry can vanish between checksum validation and these
             # reads — a concurrent evict_cold/_evict_superseded rmtree.
@@ -131,12 +129,6 @@ class DirectoryStoreBackend(StoreBackend):
                 f"(concurrent eviction?): {exc}"
             ) from exc
         return state, arrays
-
-    def _read_arrays(self, path: Path) -> Mapping:
-        if self.mmap:
-            return MappedArrayPayload(path)
-        with np.load(path) as payload:
-            return {key: payload[key] for key in payload.files}
 
     def has_entry(self, backend_key: str, entry_key: str) -> bool:
         return (self._entry_path(backend_key, entry_key) / _MANIFEST).is_file()

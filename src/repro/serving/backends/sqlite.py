@@ -10,8 +10,8 @@ manifest-written-last rule).
 Payload bytes are identical to the directory backend — the same
 ``state.json`` text and the same uncompressed ``arrays.npz`` serialization,
 checksummed with the same sha256 — so a lake warmed through either backend
-produces entries with identical manifests and the parity gates in
-``benchmarks/bench_cold_start.py`` can compare them bit for bit.
+produces entries with identical manifests and ``tests/test_store_backends.py``
+compares them bit for bit.
 
 Reliability mirrors ``load_or_build``'s self-healing philosophy:
 
@@ -59,6 +59,9 @@ SCHEMA_VERSION = 2
 
 #: Idle connections kept per process.
 _POOL_SIZE = 4
+#: numpy parses npy headers with ``ast.literal_eval``, which CPython 3.11 does
+#: not make thread-safe: concurrent readers decode their blobs one at a time.
+_DECODE_LOCK = threading.Lock()
 
 #: Version 1 never shipped a ``last_access`` column; kept as executable
 #: documentation and as the fixture for the forward-migration test.
@@ -91,11 +94,7 @@ class SQLiteStoreBackend(StoreBackend):
         root: str | Path,
         *,
         path: str | Path | None = None,
-        mmap: bool = True,
     ) -> None:
-        # ``mmap`` is accepted for constructor uniformity: blob payloads are
-        # decoded through a lazy NpzFile either way (SQLite's own page cache
-        # plays the role the OS page cache plays for directory entries).
         self.root = Path(root)
         self.path = Path(path) if path is not None else self.root / "index-store.sqlite3"
         self._pool: list[sqlite3.Connection] = []
@@ -316,8 +315,8 @@ class SQLiteStoreBackend(StoreBackend):
                 )
         try:
             state = json.loads(payloads[STATE_PAYLOAD].decode("utf-8"))
-            # NpzFile over the blob decodes members lazily on first access.
-            arrays = np.load(io.BytesIO(payloads[ARRAYS_PAYLOAD]))
+            with _DECODE_LOCK, np.load(io.BytesIO(payloads[ARRAYS_PAYLOAD])) as npz:
+                arrays = dict(npz.items())
         except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
             raise ServingError(
                 f"persisted index entry {location} became unreadable mid-load "

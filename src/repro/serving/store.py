@@ -75,11 +75,7 @@ class IndexStore:
 
     ``backend`` names the physical storage implementation from the
     :data:`~repro.api.registry.STORE_BACKENDS` registry (``"directory"`` or
-    ``"sqlite"``); ``path`` and ``mmap`` are forwarded to its constructor.
-    ``lazy_shards`` is advisory state read by
-    :class:`~repro.search.sharded.ShardedSearcher`: when set (the default),
-    a fully warm store lets sharded restoration defer per-shard loading
-    until a shard is first touched.
+    ``"sqlite"``); ``path`` is forwarded to its constructor.
 
     ``max_delta_fraction`` bounds when :meth:`load_or_build` prefers updating
     a prior snapshot over rebuilding: a delta is applied only when it touches
@@ -100,8 +96,6 @@ class IndexStore:
         *,
         backend: str = "directory",
         path: str | Path | None = None,
-        mmap: bool = True,
-        lazy_shards: bool = True,
         max_delta_fraction: float = 0.5,
         max_entries_per_backend: int | None = 8,
     ) -> None:
@@ -117,15 +111,12 @@ class IndexStore:
         self.root = Path(root)
         self.max_delta_fraction = max_delta_fraction
         self.max_entries_per_backend = max_entries_per_backend
-        self.lazy_shards = bool(lazy_shards)
         # Imported lazily: repro.api's package __init__ pulls in modules that
         # import this one, so a module-level registry import could observe a
         # partially initialized repro.serving.store.
         from repro.api.registry import STORE_BACKENDS
 
-        self._backend = STORE_BACKENDS.create(
-            backend, root=self.root, path=path, mmap=mmap
-        )
+        self._backend = STORE_BACKENDS.create(backend, root=self.root, path=path)
 
     @classmethod
     def from_config(
@@ -142,8 +133,6 @@ class IndexStore:
             root,
             backend=section.get("backend", "directory"),
             path=section.get("path"),
-            mmap=section.get("mmap", True),
-            lazy_shards=section.get("lazy_shards", True),
             **overrides,
         )
 

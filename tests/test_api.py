@@ -216,11 +216,14 @@ class TestDiscoveryConfig:
             ("sharding", "build_parallelism"),
             ("sharding", "parallel_min_seconds"),
             ("store", "pool_size"),
+            ("store", "mmap"),
+            ("store", "lazy_shards"),
         ],
     )
     def test_removed_execution_knobs_are_rejected(self, section, key):
-        """Execution strategy is measured, not configured: an old config file
-        naming a removed knob fails loudly, naming the section and the key."""
+        """Execution strategy is measured, not configured (and a store knob
+        with one value in use is a constant): an old config file naming a
+        removed knob fails loudly, naming the section and the key."""
         with pytest.raises(ConfigurationError) as raised:
             DiscoveryConfig.from_dict({section: {key: 1}})
         message = str(raised.value)
@@ -228,7 +231,7 @@ class TestDiscoveryConfig:
         assert key in message.split(";")[0]
 
     def test_optional_section_key_surface(self):
-        """Snapshot of every key of the six optional sections (32 keys): a
+        """Snapshot of every key of the six optional sections (30 keys): a
         new knob must show up here as a visible diff."""
         surface = {
             section: sorted(DiscoveryConfig.from_dict({section: {}}).to_dict()[section])
@@ -267,9 +270,9 @@ class TestDiscoveryConfig:
                 "queue_timeout_seconds",
                 "retry_after_seconds",
             ],
-            "store": ["backend", "lazy_shards", "mmap", "path"],
+            "store": ["backend", "path"],
         }
-        assert sum(len(keys) for keys in surface.values()) == 32
+        assert sum(len(keys) for keys in surface.values()) == 30
 
     def test_serving_section_is_normalised(self):
         config = DiscoveryConfig.from_dict(

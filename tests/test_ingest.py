@@ -6,12 +6,13 @@ handle + config section, the POST /v1/ingest endpoint and the
 
 import io
 import json
+import random
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
-from testkit import make_lake, make_table
+from testkit import make_lake, make_table, rankings
 
 import repro.datalake.lake as lake_module
 from repro.api.cli import main as cli_main
@@ -44,6 +45,37 @@ def replace_event(name: str, seed: str = "y") -> TableEvent:
 
 def remove_event(name: str) -> TableEvent:
     return TableEvent(op="remove", name=name)
+
+
+def churn_events(lake: DataLake, total: int, seed: int) -> list[TableEvent]:
+    """A seeded add / replace / remove stream over the lake.
+
+    Stream tables are row samples of the lake's own tables, and replaces and
+    removes hit original tables as well as streamed ones, so the churn moves
+    the rankings instead of idling in a namespace no query ever retrieves.
+    """
+    rng = random.Random(seed)
+    sources = list(lake)
+    live = [table.name for table in sources]
+    events = []
+    for index in range(total):
+        roll = rng.random()
+        if len(live) > 4 and roll < 0.2:
+            events.append(remove_event(live.pop(rng.randrange(len(live)))))
+            continue
+        if roll < 0.6:
+            op, name = "replace", rng.choice(live)
+        else:
+            op, name = "add", f"stream_{index:03d}"
+            live.append(name)
+        source = rng.choice(sources)
+        table = Table(
+            name=name,
+            columns=list(source.columns),
+            rows=rng.sample(source.rows, max(1, len(source.rows) - 2)),
+        )
+        events.append(TableEvent(op=op, name=name, table=table))
+    return events
 
 
 # -------------------------------------------------------------------- events
@@ -679,15 +711,51 @@ class TestCompactionEndToEnd:
         ).attach(fresh_lake(small_benchmark)) as d:
             controller = d.ingest()
             anchor = d.lake.checkpoint()
+            served_behind_floor = 0
             for wave in range(10):
                 for i in range(8):
                     controller.submit(add_event(f"wave{wave}_t{i}"))
                 (report,) = controller.flush()
-                # The previous anchor predates the trimmed journal after a
-                # few waves, but checkpoints keep serving a real delta.
+                # A slow consumer re-anchors only every third batch (24
+                # events against a 16-entry window), so its anchor predates
+                # the trimmed journal — the batch checkpoints keep serving
+                # it a real delta, never the full-rebuild ``None``.
                 delta = d.lake.changes_since(anchor)
                 assert delta is not None
                 assert f"wave{wave}_t0" in delta.added
-                anchor = report["checkpoint_version"]
+                if wave % 3 == 2:
+                    served_behind_floor += anchor < d.lake.journal_floor
+                    anchor = report["checkpoint_version"]
+            assert served_behind_floor == 3
             assert d.lake.journal_dropped > 0  # the window really trimmed
             assert len(d.lake.checkpoint_versions) <= lake_module.MAX_CHECKPOINTS
+
+    @pytest.mark.parametrize("num_shards", [1, 2], ids=["flat", "2-shard"])
+    @pytest.mark.parametrize("backend", ["overlap", "d3l", "santos", "starmie"])
+    def test_stream_past_the_window_converges_to_a_fresh_rebuild(
+        self, small_benchmark, monkeypatch, backend, num_shards
+    ):
+        """After >= 5x the journal window of add / replace / remove events
+        applied in bounded batches, the maintained index ranks (names and
+        scores) exactly as a fresh deployment attached to the final lake."""
+        monkeypatch.setattr(lake_module, "MAX_JOURNAL_ENTRIES", 16)
+        config = {
+            "sharding": {"num_shards": num_shards},
+            "ingest": {"max_batch_events": 8, "max_latency_seconds": 3600.0},
+        }
+        queries = small_benchmark.query_tables
+        lake = fresh_lake(small_benchmark)
+        events = churn_events(lake, 5 * lake_module.MAX_JOURNAL_ENTRIES, seed=11)
+        with Discovery.from_config(config).attach(lake) as d:
+            d.searcher(backend)  # built before the stream; re-synced per batch
+            controller = d.ingest()
+            for event in events:
+                controller.submit(event)
+                controller.flush_if_due()
+            controller.flush()
+            assert controller.stats["batches_applied"] >= 5
+            assert lake.journal_dropped > 0  # the window really trimmed
+            maintained = rankings(d.searcher(backend), queries, k=10)
+            final = DataLake((table.copy() for table in lake), name=lake.name)
+            with Discovery.from_config(config).attach(final) as fresh:
+                assert maintained == rankings(fresh.searcher(backend), queries, k=10)

@@ -371,13 +371,6 @@ class TestLazyShardRestore:
         warm = self._deployment(make_store(tmp_path, backend)).index(lake)
         assert warm.deferred_shards == [0, 1, 2, 3]
 
-    def test_lazy_shards_flag_disables_deferral(self, backend, tmp_path):
-        lake = make_lake(*[f"t{i}" for i in range(12)])
-        self._deployment(make_store(tmp_path, backend)).index(lake)
-        eager_store = make_store(tmp_path, backend, lazy_shards=False)
-        warm = self._deployment(eager_store).index(lake)
-        assert warm.deferred_shards == []
-
     def test_first_query_materializes_owner_shards_only(self, backend, tmp_path):
         lake = make_lake(*[f"t{i}" for i in range(12)])
         store = make_store(tmp_path, backend)
