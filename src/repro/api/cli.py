@@ -12,7 +12,6 @@ file, defaults otherwise)::
     dust warm      --store .cache/index-store --benchmark ugen --shards 4
     dust serve     --config cfg.json --benchmark ugen --port 0 --event-log events.jsonl
     dust ingest    --url http://127.0.0.1:8765 --events stream.jsonl
-    dust scenarios --smoke
 
 ``search`` prints one :class:`~repro.api.facade.ResultSet` as the versioned
 result payload of :mod:`repro.api.schema` (``--json`` guarantees nothing else
@@ -22,10 +21,8 @@ indexes (the CI bench-smoke job runs it twice to prove the store's load
 path); ``serve`` runs the resident discovery server
 (:class:`~repro.serving.server.DiscoveryServer`) until SIGTERM; ``ingest``
 streams JSONL table mutation events into a running server's
-``POST /v1/ingest`` in bounded chunks; ``scenarios`` runs the scenario
-matrix of :mod:`repro.scenarios` (workload shapes × config grid → Pareto
-fronts, ``--smoke`` for the parity-gated CI slice).  ``search``,
-``warm`` and ``serve`` share one config-override flag set
+``POST /v1/ingest`` in bounded chunks.  ``search``, ``warm`` and ``serve``
+share one config-override flag set
 (:func:`config_override_parent`): with ``--shards N`` the lake is
 partitioned and the shard indexes are built (in forked workers when the
 build is big enough to amortise them) and persisted per shard — ``warm``
@@ -221,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--profile",
         action="store_true",
-        help="print a per-stage timing breakdown (prefilter / exact scoring / "
-        "diversification / merge) to stderr",
+        help="print a per-stage timing breakdown (search / embedding / "
+        "alignment / diversification) to stderr",
     )
 
     diversify = subparsers.add_parser(
@@ -299,41 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="disable the background maintenance thread (re-sync/pre-warm/"
         "evict still available on demand via POST /v1/refresh)",
-    )
-
-    scenarios = subparsers.add_parser(
-        "scenarios",
-        help="run the scenario matrix: registered workload shapes x config "
-        "grid through the Discovery facade, reduced to per-scenario Pareto "
-        "fronts (exact configs are parity-gated against the flat reference)",
-    )
-    scenarios.add_argument(
-        "--smoke",
-        action="store_true",
-        help="CI slice: 2 scenarios x 3 configs, parity-gated not timing-gated",
-    )
-    scenarios.add_argument(
-        "--scenarios",
-        nargs="+",
-        metavar="NAME",
-        default=None,
-        help="workload generators to run (default: every registered generator)",
-    )
-    scenarios.add_argument(
-        "--configs",
-        nargs="+",
-        metavar="NAME",
-        default=None,
-        help="config-grid cells to run (default: the whole grid); the "
-        "flat-exact reference is always included",
-    )
-    scenarios.add_argument("--seed", type=int, default=7)
-    scenarios.add_argument("--k", type=int, default=10)
-    scenarios.add_argument(
-        "--output",
-        metavar="FILE",
-        default="BENCH_scenarios.json",
-        help="write the full matrix report here (default: %(default)s)",
     )
 
     ingest = subparsers.add_parser(
@@ -446,51 +408,24 @@ def _cmd_search(args: argparse.Namespace) -> int:
         else:
             print(text)
         if args.profile:
-            _print_search_profile(discovery, args.backend, result)
+            _print_search_profile(result)
     return 0
 
 
-def _print_search_profile(discovery: Discovery, backend: str | None, result) -> None:
+def _print_search_profile(result) -> None:
     """Per-stage timing breakdown of one ``search`` run (to stderr).
 
     The pipeline records search/embedding/alignment/diversification wall
-    times (search is the real step-1 time through the query service, cache
-    hit or miss); when the backend is a :class:`CascadeSearcher` its
-    ``last_profile`` splits the search stage further into prefilter / narrow
-    exact scoring / merge and reports whether the query escalated to the
-    full exact path.
+    times; search is the real step-1 time through the query service, cache
+    hit or miss.
     """
-    from repro.search.cascade import CascadeSearcher
-
-    timings = dict(result.timings)
-    stages: list[tuple[str, float | str]] = []
-    searcher = discovery.searcher(backend)
-    if isinstance(searcher, CascadeSearcher) and searcher.last_profile:
-        profile = searcher.last_profile
-        stages.append(("prefilter", profile.get("prefilter_seconds", 0.0)))
-        stages.append(("exact scoring", profile.get("exact_scoring_seconds", 0.0)))
-        stages.append(("merge", profile.get("merge_seconds", 0.0)))
-        margin = profile.get("margin")
-        stages.append(
-            (
-                "cascade",
-                f"mode={profile.get('mode')} "
-                f"candidates={profile.get('num_candidates')} "
-                f"margin={'n/a' if margin is None else f'{margin:.4f}'} "
-                f"escalated={profile.get('escalated')}",
-            )
-        )
-    else:
-        stages.append(("exact scoring", timings.get("search", 0.0)))
-    for stage in ("embedding", "alignment", "diversification", "total"):
-        if stage in timings:
-            stages.append((stage, timings[stage]))
     print("per-stage timing breakdown:", file=sys.stderr)
-    for name, value in stages:
-        if isinstance(value, str):
-            print(f"  {name:<16} {value}", file=sys.stderr)
-        else:
-            print(f"  {name:<16} {value * 1000.0:>10.2f} ms", file=sys.stderr)
+    for stage in ("search", "embedding", "alignment", "diversification", "total"):
+        if stage in result.timings:
+            print(
+                f"  {stage:<16} {result.timings[stage] * 1000.0:>10.2f} ms",
+                file=sys.stderr,
+            )
 
 
 def _prepared_workloads(args: argparse.Namespace, discovery: Discovery, *, single_query: bool):
@@ -657,14 +592,6 @@ def _post_ingest(url: str, payload: dict, timeout: float) -> dict:
         raise ReproError(f"cannot reach {url}: {exc.reason}") from exc
 
 
-def _cmd_scenarios(args: argparse.Namespace) -> int:
-    # Lazy import: the scenario matrix pulls in the whole serving/ingest
-    # stack, which no other subcommand should pay for.
-    from repro.scenarios.runner import execute
-
-    return execute(args)
-
-
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.ingest.events import events_from_jsonl
 
@@ -715,7 +642,6 @@ _COMMANDS = {
     "warm": _cmd_warm,
     "serve": _cmd_serve,
     "ingest": _cmd_ingest,
-    "scenarios": _cmd_scenarios,
 }
 
 

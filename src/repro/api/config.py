@@ -434,15 +434,12 @@ class DiscoveryConfig:
     # ----------------------------------------------------------------- presets
     @classmethod
     def preset(cls, name: str) -> "DiscoveryConfig":
-        """A shipped, evidence-backed named configuration.
+        """A shipped named starting-point configuration.
 
         Presets (``"exact"``, ``"balanced"``, ``"low-latency"``) are the
-        config payloads of :mod:`repro.scenarios.presets`, chosen from the
-        measured Pareto fronts of the scenario matrix
-        (``python -m repro scenarios`` → ``BENCH_scenarios.json``); each is
-        a grid cell of that matrix, so its trade-offs are re-measured every
-        run.  Presets round-trip: ``preset(n).to_dict()`` rebuilds an equal
-        config with a stable :meth:`fingerprint`.
+        config payloads of :mod:`repro.scenarios.presets`.  Presets
+        round-trip: ``preset(n).to_dict()`` rebuilds an equal config with a
+        stable :meth:`fingerprint`.
         """
         from repro.scenarios.presets import preset_payload
 

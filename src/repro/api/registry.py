@@ -122,10 +122,8 @@ TUPLE_ENCODERS = Registry("tuple encoder", modules=("repro.embeddings",))
 COLUMN_ENCODERS = Registry("column encoder", modules=("repro.embeddings",))
 #: Synthetic benchmark generators (TUS / SANTOS / UGEN-V1 / IMDB).
 BENCHMARKS = Registry("benchmark generator", modules=("repro.benchgen",))
-#: Scenario workload generators (the scenario-matrix harness).
+#: Scenario workload generators (seeded lake + query-stream shapes).
 WORKLOADS = Registry("workload generator", modules=("repro.scenarios",))
-#: Scenario metrics scored over each (scenario, config) matrix cell.
-SCENARIO_METRICS = Registry("scenario metric", modules=("repro.scenarios",))
 #: Physical index-store backends (directory tree / SQLite database).
 STORE_BACKENDS = Registry("store backend", modules=("repro.serving.backends",))
 
@@ -158,11 +156,6 @@ def register_benchmark(name: str) -> Callable[[T], T]:
 def register_workload(name: str) -> Callable[[T], T]:
     """Register a scenario workload generator (``repro.scenarios``)."""
     return WORKLOADS.register(name)
-
-
-def register_scenario_metric(name: str) -> Callable[[T], T]:
-    """Register a scenario metric function (``repro.scenarios.metrics``)."""
-    return SCENARIO_METRICS.register(name)
 
 
 def register_store_backend(name: str) -> Callable[[T], T]:
@@ -200,11 +193,6 @@ def available_workloads() -> list[str]:
     return WORKLOADS.names()
 
 
-def available_scenario_metrics() -> list[str]:
-    """Names of every registered scenario metric."""
-    return SCENARIO_METRICS.names()
-
-
 def available_store_backends() -> list[str]:
     """Names of every registered index-store backend."""
     return STORE_BACKENDS.names()
@@ -224,6 +212,5 @@ def registry_catalog() -> dict[str, list[str]]:
         "column_encoders": available_column_encoders(),
         "benchmarks": available_benchmarks(),
         "workloads": available_workloads(),
-        "scenario_metrics": available_scenario_metrics(),
         "store_backends": available_store_backends(),
     }

@@ -20,9 +20,9 @@ pending operation exceeding the max-latency deadline.  Applying a batch:
    re-anchoring ``changes_since`` consumers at the batch-boundary version
    even after the bounded journal trims past them.
 
-An optional background timer thread (:meth:`MicroBatcher.start`) flushes on
-the latency deadline when no maintenance loop is driving
-:meth:`flush_if_due`.
+The batcher owns no thread: the server's maintenance loop and ``/v1/ingest``
+drive :meth:`MicroBatcher.flush_if_due`, embedded callers call
+:meth:`MicroBatcher.flush`.
 """
 
 from __future__ import annotations
@@ -30,12 +30,15 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.datalake.lake import DataLake
 from repro.ingest.events import TableEvent
 from repro.ingest.queue import IngestQueue
-from repro.utils.errors import IngestError, ReproError
+from repro.utils.errors import IngestError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> ingest)
+    from repro.serving.maintenance import ActivityGate
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ class MicroBatcher:
         lake: DataLake,
         *,
         refresh: Callable[[], object] | None = None,
-        gate: "ActivityGateLike | None" = None,
+        gate: "ActivityGate | None" = None,
         max_events: int = 256,
         max_bytes: int = 1_048_576,
         max_latency_seconds: float = 0.5,
@@ -125,8 +128,6 @@ class MicroBatcher:
         self.checkpoint = checkpoint
         self.exclusive_timeout = exclusive_timeout
         self._flush_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
         self.stats: dict[str, int] = {
             "batches_applied": 0,
             "events_applied": 0,
@@ -239,46 +240,3 @@ class MicroBatcher:
             return "replaced"
         self.lake.add_table(event.table)
         return "added"
-
-    # ----------------------------------------------------- background flushing
-    def start(self) -> "MicroBatcher":
-        """Start a daemon timer thread that flushes on the latency deadline.
-
-        Unnecessary when a :class:`~repro.serving.maintenance.MaintenanceLoop`
-        drives :meth:`flush_if_due`; useful for embedded use.
-        """
-        if self._thread is not None:
-            return self
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-ingest-flush", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def _run(self) -> None:
-        interval = max(self.max_latency_seconds / 4, 0.01)
-        while not self._stop.wait(interval):
-            try:
-                self.flush_if_due()
-            except ReproError:
-                # Gate drain timeout: events remain queued; retry next tick.
-                continue
-
-    def stop(self) -> None:
-        """Stop the timer thread (if running); pending events stay queued."""
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-
-
-class ActivityGateLike:
-    """Structural protocol for the gate (documentation only)."""
-
-    def acquire_exclusive(self, timeout: float) -> bool:  # pragma: no cover
-        raise NotImplementedError
-
-    def release_exclusive(self) -> None:  # pragma: no cover
-        raise NotImplementedError

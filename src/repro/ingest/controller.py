@@ -10,7 +10,7 @@ after each batch so re-anchoring consumers never hit the full-rebuild floor,
 and triggers online shard rebalancing when size skew drifts past the
 configured threshold.  The server's maintenance loop drives
 :meth:`flush_if_due`/:meth:`maybe_rebalance` between request bursts; embedded
-callers can flush explicitly or run the batcher's own timer thread.
+callers flush explicitly.
 """
 
 from __future__ import annotations
@@ -177,5 +177,4 @@ class IngestController:
         return merged
 
     def close(self) -> None:
-        """Stop the batcher's timer thread, if one was started."""
-        self.batcher.stop()
+        """Release the controller; pending events stay queued, unapplied."""

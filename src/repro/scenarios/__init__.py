@@ -1,44 +1,19 @@
-"""Scenario matrix: registered workload generators, metrics, Pareto tuning.
+"""Seeded workload shapes and named starting-point configs.
 
-The harness that turns "it works on one benchmark shape" into measured
-evidence: :mod:`~repro.scenarios.generators` registers seeded workload
-shapes (skewed/hot query streams, wide vs. tall tables, near-duplicate and
-adversarial shared-vocabulary lakes, write bursts),
-:mod:`~repro.scenarios.metrics` registers the per-cell metric set (latency
-percentiles, recall vs. an exact reference, peak RSS, build time, write
-throughput), :mod:`~repro.scenarios.pareto` reduces scored configs to a
-per-scenario Pareto front, and :mod:`~repro.scenarios.presets` names the
-configs the measured fronts justify shipping
-(``DiscoveryConfig.preset("balanced")``).  Run the matrix via
-``python -m repro scenarios`` (the CI smoke slice: ``--smoke``).
+:mod:`~repro.scenarios.generators` registers seeded workload shapes
+(skewed/hot query streams, wide vs. tall tables, near-duplicate and
+adversarial shared-vocabulary lakes, write bursts) that the tier-1 parity
+sweep crosses with deployment configs; :mod:`~repro.scenarios.presets` names
+three configs (``DiscoveryConfig.preset("balanced")``).  Nothing here
+measures: performance numbers come from ``benchmarks/dustbench`` only.
 """
 
 from repro.scenarios.generators import Scenario, random_token_lake
-from repro.scenarios.metrics import (
-    MetricCollector,
-    MetricContext,
-    recall_against,
-    scenario_metric,
-)
-from repro.scenarios.pareto import dominates, pareto_front, prune
-from repro.scenarios.presets import PRESET_TARGETS, available_presets, preset_payload
-from repro.scenarios.runner import CONFIG_GRID, run_cell, run_matrix, run_scenario
+from repro.scenarios.presets import available_presets, preset_payload
 
 __all__ = [
-    "CONFIG_GRID",
-    "MetricCollector",
-    "MetricContext",
-    "PRESET_TARGETS",
     "Scenario",
     "available_presets",
-    "dominates",
-    "pareto_front",
     "preset_payload",
-    "prune",
     "random_token_lake",
-    "recall_against",
-    "run_cell",
-    "run_matrix",
-    "run_scenario",
-    "scenario_metric",
 ]

@@ -4,9 +4,8 @@ Every subsystem before this one was validated on a single benchmark lake
 shape with uniform query traffic.  A :class:`Scenario` packages one
 *realistic workload shape* — a seeded lake, a query stream (possibly with
 repeats, so caching behaviour is measurable), and an optional table-mutation
-stream that drives the streaming-ingest write path — so the scenario-matrix
-runner (:mod:`repro.scenarios.runner`) can cross shapes with deployment
-configs and score the trade-offs.
+stream that drives the streaming-ingest write path — so the tier-1 parity
+sweep (``tests/test_scenarios.py``) can cross shapes with deployment configs.
 
 Generators self-register with
 :func:`~repro.api.registry.register_workload`::

@@ -1,32 +1,18 @@
-"""Evidence-backed named deployment presets.
+"""Named starting-point configurations.
 
 Each preset is a full :class:`~repro.api.config.DiscoveryConfig` payload
-that appears verbatim as a cell of the scenario matrix's config grid
-(:mod:`repro.scenarios.runner`), so its trade-offs are *measured*, not
-asserted: ``BENCH_scenarios.json`` records, per preset, whether any other
-grid config dominates it on its target scenario's Pareto objectives.
-``DiscoveryConfig.preset(name)`` resolves these by name.
+resolved by ``DiscoveryConfig.preset(name)``; all three use the ``overlap``
+backend with a 256-entry result cache.
 
-* ``exact`` — flat exact search plus a result cache: recall 1.0 by
-  construction.  Target: ``near-duplicates``, where tiny score margins
-  make approximate prefilters pay in recall.
-* ``balanced`` — approximate cascade at a generous candidate budget plus a
-  result cache: the middle of the latency/recall trade, with the
-  exact-scoring set bounded.  Target: ``wide-tables``, where per-table
-  exact scoring is most expensive and the lake is large enough that the
-  budget actually prunes.
-* ``low-latency`` — approximate cascade at a tight candidate budget plus a
-  result cache: recall traded away knowingly for a hard-bounded scoring
-  set.  Target: ``wide-tables`` too — the tight-budget point on the same
-  front, fastest of the grid at the lowest declared recall.
+* ``exact`` — flat exact search: recall 1.0 by construction.
+* ``balanced`` — approximate cascade, ``candidate_budget`` 32.
+* ``low-latency`` — approximate cascade, ``candidate_budget`` 12.
 
-The targets are themselves measured, not aspirational: the initial
-targeting (``balanced`` -> ``uniform``, ``low-latency`` -> ``hot-queries``)
-was *refuted* by the matrix — with the result cache on, plain exact
-absorbs hot repeats better than any cascade, and on small cheap-to-score
-lakes the prefilter costs more than the scoring it saves — so the targets
-moved to the scenario whose measured front actually carries the cascade
-presets: the large wide-table lake where per-table scoring is expensive.
+``candidate_budget`` is the dial: it bounds the exact-scoring set, trading
+recall for latency.  What that trade costs is measured in one place — the
+dustbench ``search-large`` workload's ``recall_at_10`` and latency records
+(``benchmarks/dustbench/README.md``) — so start from a preset and move the
+budget against that record rather than hand-tuning the other cascade keys.
 """
 
 from __future__ import annotations
@@ -55,14 +41,6 @@ PRESETS: dict[str, dict[str, Any]] = {
         "serving": dict(_CACHE),
         "cascade": {"mode": "approx", "candidate_budget": 12},
     },
-}
-
-#: The scenario each preset is tuned for; the matrix gate checks the preset
-#: is non-dominated there.
-PRESET_TARGETS: dict[str, str] = {
-    "exact": "near-duplicates",
-    "balanced": "wide-tables",
-    "low-latency": "wide-tables",
 }
 
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
-import time
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -486,9 +485,6 @@ class CascadeSearcher(TableUnionSearcher):
         self.num_bands = num_bands
         self.seed = seed
         self._prefilter: CandidatePrefilter | None = None
-        #: Per-stage breakdown of the most recent :meth:`search` call —
-        #: inspectable via ``python -m repro search --profile``.
-        self.last_profile: dict = {}
 
     # -------------------------------------------------------------- prefilter
     def _make_prefilter(self, name: str) -> CandidatePrefilter:
@@ -600,59 +596,17 @@ class CascadeSearcher(TableUnionSearcher):
     ) -> dict[str, float]:
         return self.base.score_candidates(query_table, names)
 
-    def _exact_search(
-        self, query_table: Table, k: int, *, escalated: bool, started: float
-    ) -> list[SearchResult]:
-        results = self.base.search(query_table, k)
-        self.last_profile.update(
-            {
-                "escalated": escalated,
-                "exact_scoring_seconds": time.perf_counter() - started,
-            }
-        )
-        return results
-
     def search(self, query_table: Table, k: int) -> list[SearchResult]:
         """Cascade search: prefilter, narrow exact scoring, escalate when
         ambiguous.  ``exact`` mode delegates wholesale — bit-identical."""
         if k <= 0:
             raise SearchError(f"k must be positive, got {k}")
         self.lake  # raises before index()
-        self.last_profile = {
-            "mode": self.mode,
-            "escalated": False,
-            "prefilter_seconds": 0.0,
-            "exact_scoring_seconds": 0.0,
-            "merge_seconds": 0.0,
-            "num_candidates": None,
-            "margin": None,
-        }
         if self.mode == "exact":
-            return self._exact_search(
-                query_table, k, escalated=False, started=time.perf_counter()
-            )
-        budget = max(self.candidate_budget, k)
-        started = time.perf_counter()
-        names, margin = self.prefilter.candidates(query_table, budget)
-        self.last_profile.update(
-            {
-                "prefilter_seconds": time.perf_counter() - started,
-                "num_candidates": len(names),
-                "margin": margin,
-            }
+            return self.base.search(query_table, k)
+        names, margin = self.prefilter.candidates(
+            query_table, max(self.candidate_budget, k)
         )
         if margin < self.escalation_margin:
-            return self._exact_search(
-                query_table, k, escalated=True, started=time.perf_counter()
-            )
-        started = time.perf_counter()
-        scores = self.base.score_candidates(query_table, names)
-        scored = time.perf_counter()
-        results = rank_scores(scores, k)
-        self.last_profile.update(
-            {
-                "exact_scoring_seconds": scored - started,
-                "merge_seconds": time.perf_counter() - scored,
-            }
-        )
-        return results
+            return self.base.search(query_table, k)
+        return rank_scores(self.base.score_candidates(query_table, names), k)

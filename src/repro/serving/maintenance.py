@@ -347,13 +347,13 @@ class MaintenanceLoop:
         ):
             return 0
         replayed = 0
-        seen: set[tuple[str, str | None, int | None]] = set()
+        seen: set[tuple[str, str | None]] = set()
         for event in reversed(self.event_log.tail()):
             if replayed >= self.prewarm_queries or self.gate.busy:
                 break
             if event.get("status") != "ok" or event.get("kind") != "search":
                 continue
-            key = (str(event.get("query")), event.get("backend"), event.get("k"))
+            key = (str(event.get("query")), event.get("backend"))
             if key in seen:
                 continue
             seen.add(key)
@@ -361,8 +361,9 @@ class MaintenanceLoop:
             if table is None:
                 continue
             try:
-                k = int(event["k"]) if event.get("k") is not None else None
-                self.discovery.search(table, k, backend=event.get("backend"))
+                # The event's ``k`` is the request's diverse-tuple count;
+                # requests read step 1 at the pipeline's own search depth.
+                self.discovery.search(table, backend=key[1])
                 replayed += 1
             except ReproError:
                 self._bump("errors")

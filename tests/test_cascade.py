@@ -3,8 +3,8 @@
 Covers the :class:`LSHPrefilter`/:class:`ProjectionPrefilter` candidate
 generators and their persistence, the :class:`CascadeSearcher` wrapper
 (exact-mode bit-parity against every flat backend — property-style over
-random lakes — full-budget recall floor, margin-band escalation, the
-``last_profile`` breakdown), composition with :class:`ShardedSearcher`,
+random lakes — full-budget recall floor, margin-band escalation),
+composition with :class:`ShardedSearcher`,
 index-state round-trips through the :class:`IndexStore`, and the API surface
 (``DiscoveryConfig`` cascade section, facade wrapping, the ``--cascade-*``
 and ``--profile`` CLI flags).
@@ -29,6 +29,7 @@ from repro.search import (
     StarmieSearcher,
     ValueOverlapSearcher,
 )
+from repro.search.base import rank_scores
 from repro.search.cascade import CascadePrefilterEntry
 from repro.serving import IndexStore
 from repro.utils.errors import ConfigurationError, SearchError
@@ -174,15 +175,17 @@ class TestApproxMode:
             assert len(exact_top & approx_top) / k == 1.0
 
     def test_escalation_fires_inside_margin_band(self, tus_bench):
+        """A cut that excluded something, inside the band: exactly the base's
+        full-lake ranking, not the narrow one."""
         lake = fresh_lake(tus_bench)
         flat = ValueOverlapSearcher().index(lake)
         cascade = CascadeSearcher(
             flat, mode="approx", candidate_budget=4, escalation_margin=math.inf
         ).index(lake)
         query = tus_bench.query_tables[0]
-        assert rankings(cascade, [query]) == rankings(flat, [query])
-        assert cascade.last_profile["escalated"] is True
-        assert cascade.last_profile["margin"] < math.inf
+        _, margin = cascade.prefilter.candidates(query, 4)
+        assert margin < math.inf
+        assert rankings(cascade, [query], k=4) == rankings(flat, [query], k=4)
 
     def test_no_escalation_when_nothing_excluded(self, tus_bench):
         """Budget >= lake size yields an infinite margin: never escalate."""
@@ -193,21 +196,26 @@ class TestApproxMode:
             candidate_budget=lake.num_tables,
             escalation_margin=math.inf,
         ).index(lake)
-        cascade.search(tus_bench.query_tables[0], 4)
-        assert cascade.last_profile["escalated"] is False
-        assert cascade.last_profile["margin"] == math.inf
+        query = tus_bench.query_tables[0]
+        names, margin = cascade.prefilter.candidates(query, lake.num_tables)
+        assert margin == math.inf
+        assert cascade.search(query, 4) == rank_scores(
+            cascade.base.score_candidates(query, names), 4
+        )
 
     def test_default_margin_never_escalates(self, tus_bench):
+        """Margin 0: the ranking is the narrow scoring of the prefilter's
+        candidates."""
         lake = fresh_lake(tus_bench)
         cascade = CascadeSearcher(
             ValueOverlapSearcher(), mode="approx", candidate_budget=4
         ).index(lake)
-        cascade.search(tus_bench.query_tables[0], 4)
-        profile = cascade.last_profile
-        assert profile["escalated"] is False
-        assert profile["num_candidates"] <= 4
-        assert profile["prefilter_seconds"] >= 0.0
-        assert profile["exact_scoring_seconds"] >= 0.0
+        query = tus_bench.query_tables[0]
+        names, _ = cascade.prefilter.candidates(query, 4)
+        assert len(names) <= 4
+        assert cascade.search(query, 4) == rank_scores(
+            cascade.base.score_candidates(query, names), 4
+        )
 
     def test_budget_never_below_k(self, tus_bench):
         """Asking for more results than the budget widens the candidate set."""
@@ -467,9 +475,8 @@ class TestCascadeCLI:
         )
         assert exit_code == 0
         captured = capsys.readouterr()
-        assert "prefilter" in captured.err
-        assert "exact scoring" in captured.err
-        assert "diversification" in captured.err
+        for stage in ("search", "alignment", "diversification", "total"):
+            assert f"  {stage} " in captured.err
 
     def test_search_cli_exact_cascade_matches_plain(self, capsys, tmp_path):
         plain_out = tmp_path / "plain.json"

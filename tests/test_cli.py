@@ -5,15 +5,17 @@ counted); a small smoke class runs the real interpreter via ``subprocess`` to
 prove the module entry point and console-script wiring work end to end.
 """
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.api.cli import main
+from repro.api.cli import build_parser, main
 from repro.api.config import DiscoveryConfig
 
 #: Small, fast config used across the CLI tests.
@@ -215,6 +217,31 @@ class TestWarm:
         ]
         assert main(argv) == 0
         assert "oracle" in capsys.readouterr().out
+
+
+class TestDocsDrift:
+    def test_documented_verbs_exist_and_root_holds_no_bench_record(self):
+        """Every ``python -m repro <verb>`` the docs name parses, and
+        dustbench stays the only place a performance record comes from."""
+        root = _SRC.parent
+        docs = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+        if not docs[0].exists():
+            pytest.skip("docs are not shipped with an installed package")
+        (subcommands,) = (
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert sorted(subcommands.choices) == [
+            "diversify", "evaluate", "info", "ingest", "search", "serve", "warm",
+        ]
+        named = {
+            verb
+            for doc in docs
+            for verb in re.findall(r"python -m repro ([a-z][a-z-]*)", doc.read_text())
+        }
+        assert named and named <= set(subcommands.choices)
+        assert not list(root.glob("BENCH_*.json"))
 
 
 class TestSubprocessSmoke:

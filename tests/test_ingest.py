@@ -334,24 +334,6 @@ class TestMicroBatcher:
         refresh.blocked.join(timeout=2.0)
         assert observed == ["applying", 1]  # query saw the post-batch lake
 
-    def test_timer_thread_flushes_on_latency(self):
-        queue = IngestQueue()
-        lake = make_lake()
-        batcher = MicroBatcher(
-            queue, lake, max_events=1000, max_latency_seconds=0.02
-        ).start()
-        try:
-            queue.submit(add_event("t"))
-            deadline = 5.0
-            import time as _time
-
-            start = _time.monotonic()
-            while "t" not in lake and _time.monotonic() - start < deadline:
-                _time.sleep(0.01)
-            assert "t" in lake
-        finally:
-            batcher.stop()
-
 
 # ---------------------------------------------------------------- controller
 @pytest.fixture(scope="module")

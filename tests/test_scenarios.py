@@ -1,40 +1,25 @@
-"""Tests for the scenario matrix (repro.scenarios): seeded determinism of
-every registered workload generator, the property-style parity sweep
-(sharded-vs-flat bit-parity and the cascade-approx recall floor per scenario
-shape), Pareto dominance/front/prune reduction, the registered metric set and
-collector, evidence-backed presets (``DiscoveryConfig.preset`` round-trip),
-the runner, and the ``python -m repro scenarios`` / ``info`` surfaces."""
+"""Tests for the workload shapes and presets (repro.scenarios): seeded
+determinism of every registered workload generator, the property-style parity
+sweep (sharded-vs-flat and facade-level exact-config bit-parity, the
+cascade-approx recall floor, per scenario shape), the named presets
+(``DiscoveryConfig.preset`` round-trip and pinned fingerprints) and the
+``info`` surfaces."""
 
 import json
 
 import pytest
-from testkit import rankings
+from testkit import rankings, recall_against
 
 from repro.api.cli import main as cli_main
 from repro.api.config import DiscoveryConfig
 from repro.api.facade import Discovery
-from repro.api.registry import (
-    WORKLOADS,
-    available_scenario_metrics,
-    available_workloads,
-    registry_catalog,
-)
+from repro.api.registry import WORKLOADS, available_workloads, registry_catalog
 from repro.scenarios import (
-    CONFIG_GRID,
-    MetricCollector,
-    MetricContext,
     Scenario,
     available_presets,
-    dominates,
-    pareto_front,
     preset_payload,
-    prune,
     random_token_lake,
-    recall_against,
-    run_cell,
-    run_matrix,
 )
-from repro.scenarios.runner import EXACT_CONFIGS, REFERENCE_CONFIG
 from repro.search import CascadeSearcher, ShardedSearcher, ValueOverlapSearcher
 from repro.utils.errors import ConfigurationError
 
@@ -100,6 +85,29 @@ class TestGeneratorDeterminism:
 
 
 # ------------------------------------------------------------- property sweeps
+#: The flat exact reference and the deployment configs that must reproduce it
+#: bit for bit (no cascade: a result cache and sharding never change rankings).
+FLAT_CONFIG = {"searcher": {"name": "overlap"}}
+EXACT_CONFIGS = {
+    "exact-preset": preset_payload("exact"),
+    "sharded-4": {"searcher": {"name": "overlap"}, "sharding": {"num_shards": 4}},
+}
+
+
+def facade_rankings(payload: dict, scenario: Scenario):
+    """Rankings of the whole request stream (repeats included) via the facade."""
+    with Discovery.from_config(payload).attach(scenario.fresh_lake()) as discovery:
+        return rankings(discovery, scenario.query_stream, k=10)
+
+
+@pytest.fixture(scope="module", params=GENERATORS)
+def flat_reference(request):
+    """One shape at a time, built once per module: the scenario and its flat
+    rankings."""
+    scenario = build(request.param, seed=5)
+    return scenario, facade_rankings(FLAT_CONFIG, scenario)
+
+
 class TestParitySweep:
     """The property suite: every scenario shape, not one blessed benchmark."""
 
@@ -112,6 +120,18 @@ class TestParitySweep:
             scenario.fresh_lake()
         )
         assert rankings(sharded, queries, k=10) == rankings(flat, queries, k=10)
+
+    @pytest.mark.parametrize("config", sorted(EXACT_CONFIGS))
+    def test_exact_configs_match_flat_through_the_facade(self, flat_reference, config):
+        """Names *and scores*, every request of the stream, repeats included."""
+        scenario, reference = flat_reference
+        assert facade_rankings(EXACT_CONFIGS[config], scenario) == reference
+
+    def test_recall_against_is_set_based(self):
+        reference = [[("a", 1.0), ("b", 0.9)], [("c", 1.0), ("d", 0.9)]]
+        observed = [[("b", 1.0), ("a", 0.9)], [("c", 1.0), ("x", 0.9)]]
+        assert recall_against(reference, observed, 2) == pytest.approx(0.75)
+        assert recall_against([], [], 2) == 0.0
 
     @pytest.mark.parametrize("name", GENERATORS)
     def test_cascade_approx_recall_floor(self, name):
@@ -134,114 +154,6 @@ class TestParitySweep:
         )
 
 
-# ---------------------------------------------------------------------- pareto
-class TestPareto:
-    OBJECTIVES = {"latency": "min", "recall": "max"}
-
-    def test_dominates_requires_strict_improvement(self):
-        fast = {"latency": 1.0, "recall": 0.9}
-        slow = {"latency": 2.0, "recall": 0.9}
-        assert dominates(fast, slow, self.OBJECTIVES)
-        assert not dominates(slow, fast, self.OBJECTIVES)
-        assert not dominates(fast, dict(fast), self.OBJECTIVES)  # equal: neither
-
-    def test_front_keeps_trade_offs_drops_dominated(self):
-        records = [
-            {"config": "a", "latency": 1.0, "recall": 0.8},
-            {"config": "b", "latency": 2.0, "recall": 1.0},
-            {"config": "c", "latency": 3.0, "recall": 0.9},  # dominated by b
-            {"config": "d", "latency": 1.0, "recall": 0.8},  # tie with a: kept
-        ]
-        front = pareto_front(records, self.OBJECTIVES)
-        assert [record["config"] for record in front] == ["a", "b", "d"]
-
-    def test_front_rejects_empty_objectives(self):
-        with pytest.raises(ConfigurationError):
-            pareto_front([{"latency": 1.0}], {})
-
-    def test_prune_applies_constraint_bounds(self):
-        records = [
-            {"config": "a", "latency": 1.0, "recall": 0.7},
-            {"config": "b", "latency": 4.0, "recall": 1.0},
-        ]
-        kept = prune(records, {"latency_max": 2.0})
-        assert [record["config"] for record in kept] == ["a"]
-        kept = prune(records, {"recall_min": 0.9})
-        assert [record["config"] for record in kept] == ["b"]
-        with pytest.raises(ConfigurationError):
-            prune(records, {"latency": 2.0})
-
-    def test_prune_then_front_answers_budget_questions(self):
-        """Snippet-style: best recall among configs under a latency bound."""
-        records = [
-            {"config": "exact", "latency": 5.0, "recall": 1.0},
-            {"config": "approx", "latency": 1.0, "recall": 0.9},
-            {"config": "loose", "latency": 1.5, "recall": 0.8},
-        ]
-        eligible = prune(records, {"latency_max": 2.0})
-        front = pareto_front(eligible, self.OBJECTIVES)
-        assert [record["config"] for record in front] == ["approx"]
-
-
-# --------------------------------------------------------------------- metrics
-def _context(**overrides) -> MetricContext:
-    reference = [[("t1", 1.0), ("t2", 0.5)]]
-    defaults = dict(
-        scenario=build("uniform"),
-        config_name="test",
-        k=2,
-        build_seconds=0.25,
-        latencies=[0.010, 0.020, 0.100],
-        reference=reference,
-        observed=[[("t1", 1.0), ("t3", 0.4)]],
-    )
-    defaults.update(overrides)
-    return MetricContext(**defaults)
-
-
-class TestMetrics:
-    def test_registered_set_and_objectives(self):
-        names = available_scenario_metrics()
-        for expected in (
-            "latency_p50_ms",
-            "latency_p95_ms",
-            "recall_at_k",
-            "build_seconds",
-            "peak_rss_mb",
-            "mutations_per_second",
-        ):
-            assert expected in names
-        objectives = MetricCollector().objectives()
-        assert objectives["latency_p50_ms"] == "min"
-        assert objectives["recall_at_k"] == "max"
-        assert "peak_rss_mb" not in objectives  # report-only: RSS is monotone
-
-    def test_collect_scores_one_cell(self):
-        collector = MetricCollector()
-        row = collector.collect(_context())
-        assert row["latency_p50_ms"] == pytest.approx(20.0)
-        assert row["latency_p95_ms"] == pytest.approx(100.0)
-        assert row["recall_at_k"] == pytest.approx(0.5)
-        assert row["build_seconds"] == pytest.approx(0.25)
-        assert row["peak_rss_mb"] > 0.0
-        assert "mutations_per_second" not in row  # read-only cell: skipped
-        assert collector.observations["latency_p50_ms"] == [row["latency_p50_ms"]]
-        collector.reset()
-        assert collector.observations["latency_p50_ms"] == []
-
-    def test_write_path_metric(self):
-        row = MetricCollector().collect(
-            _context(mutation_count=30, mutation_seconds=0.5)
-        )
-        assert row["mutations_per_second"] == pytest.approx(60.0)
-
-    def test_recall_against_is_set_based(self):
-        reference = [[("a", 1.0), ("b", 0.9)], [("c", 1.0), ("d", 0.9)]]
-        observed = [[("b", 1.0), ("a", 0.9)], [("c", 1.0), ("x", 0.9)]]
-        assert recall_against(reference, observed, 2) == pytest.approx(0.75)
-        assert recall_against([], [], 2) == 0.0
-
-
 # --------------------------------------------------------------------- presets
 class TestPresets:
     def test_preset_round_trip_fingerprint_stable(self):
@@ -259,65 +171,33 @@ class TestPresets:
         preset_payload("balanced")["searcher"]["name"] = "mutated"
         assert preset_payload("balanced")["searcher"]["name"] == "overlap"
 
-    def test_presets_appear_verbatim_in_grid(self):
-        for name in available_presets():
-            assert CONFIG_GRID[name] == preset_payload(name)
-
-
-# ---------------------------------------------------------------------- runner
-class TestRunner:
-    def test_run_cell_reference_parity(self):
-        scenario = build("uniform", seed=3)
-        row, observed, extras = run_cell(
-            scenario, REFERENCE_CONFIG, CONFIG_GRID[REFERENCE_CONFIG], k=10
-        )
-        assert row["recall_at_k"] == pytest.approx(1.0)  # scored against itself
-        assert len(observed) == len(scenario.query_stream)
-        assert "cache" in extras
-
-    def test_run_matrix_smoke_report_shape(self, tmp_path):
-        report = run_matrix(
-            scenario_names=["burst-writes"],
-            config_names=["sharded-4"],
-            seed=3,
-            smoke=True,
-        )
-        (row,) = report["scenarios"]
-        assert row["parity_failures"] == []
-        assert REFERENCE_CONFIG in row["cells"]  # reference always forced in
-        assert set(row["cells"]) == {REFERENCE_CONFIG, "sharded-4"}
-        for cell in row["cells"].values():
-            for metric in (
-                "latency_p50_ms",
-                "latency_p95_ms",
-                "recall_at_k",
-                "build_seconds",
-                "peak_rss_mb",
-                "mutations_per_second",
-            ):
-                assert metric in cell
-        assert "mutations_per_second" in row["objectives"]  # write scenario
-        assert set(row["pareto_front"]) <= set(row["cells"])
-        assert report["configs"][REFERENCE_CONFIG]["exact"] is True
-
-    def test_unknown_names_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown scenarios"):
-            run_matrix(scenario_names=["nope"], config_names=[REFERENCE_CONFIG])
-        with pytest.raises(ConfigurationError, match="unknown configs"):
-            run_matrix(scenario_names=["uniform"], config_names=["nope"])
-
-    def test_exact_configs_classification(self):
-        assert REFERENCE_CONFIG in EXACT_CONFIGS
-        assert "sharded-4" in EXACT_CONFIGS
-        assert "low-latency" not in EXACT_CONFIGS
+    def test_fingerprints_are_pinned(self):
+        """Store keys and wire provenance fold these in: a payload edit that
+        moves one invalidates every deployment built from the preset."""
+        assert {
+            name: DiscoveryConfig.preset(name).fingerprint()
+            for name in available_presets()
+        } == {
+            "exact": "0083d59f64065c34594a5859765aaac19f97721dc059c8d378cd0564bf1599c8",
+            "balanced": "08354db32788641c4e6307336808022e3e6cd56fad664296403cf5cf399f2fdf",
+            "low-latency": "9ac6f36530596ab689619ae144b4ddd0b51c3978ffdb5248cb5b24c3f966fd04",
+        }
 
 
 # ------------------------------------------------------------------ discovery
 class TestDiscoverability:
     def test_catalog_lists_scenario_registries(self):
         catalog = registry_catalog()
-        assert set(GENERATORS) <= set(catalog["workloads"])
-        assert "recall_at_k" in catalog["scenario_metrics"]
+        assert sorted(catalog) == [
+            "benchmarks",
+            "column_encoders",
+            "diversifiers",
+            "searchers",
+            "store_backends",
+            "tuple_encoders",
+            "workloads",
+        ]
+        assert catalog["workloads"] == GENERATORS
 
     def test_facade_info_carries_registries(self):
         scenario = build("uniform")
@@ -325,36 +205,9 @@ class TestDiscoverability:
             {"searcher": {"name": "overlap"}}
         ).attach(scenario.fresh_lake()) as discovery:
             registries = discovery.info()["registries"]
-        assert registries["workloads"] == available_workloads()
-        assert registries["scenario_metrics"] == available_scenario_metrics()
+        assert registries == registry_catalog()
 
     def test_info_cli_lists_workloads(self, capsys):
         assert cli_main(["info", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["workloads"] == available_workloads()
-        assert payload["scenario_metrics"] == available_scenario_metrics()
-
-    def test_scenarios_cli_writes_report(self, capsys, tmp_path, monkeypatch):
-        output = tmp_path / "BENCH_scenarios.json"
-        assert (
-            cli_main(
-                [
-                    "scenarios",
-                    "--smoke",
-                    "--scenarios",
-                    "uniform",
-                    "--configs",
-                    "sharded-4",
-                    "--seed",
-                    "3",
-                    "--output",
-                    str(output),
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "parity: every exact config" in out
-        report = json.loads(output.read_text())
-        assert report["smoke"] is True
-        assert [row["name"] for row in report["scenarios"]] == ["uniform"]

@@ -637,6 +637,34 @@ class TestServerConcurrency:
                 hit["table"] for hit in payload["search_results"]
             ]
 
+    def test_prewarm_after_resync_hits_for_a_request_that_names_k(self):
+        """A request's ``k`` is its diverse-tuple count; pre-warm must fill the
+        step-1 cache key requests read, whatever ``k`` they carried."""
+        lake = generate_ugen_benchmark(
+            num_queries=1,
+            unionable_per_query=3,
+            non_unionable_per_query=3,
+            rows_per_table=5,
+            seed=37,
+        ).lake
+        query = lake.get(lake.table_names()[0])
+        with DiscoveryServer.from_config(
+            {"serving": {}}, lake, queries=[query], port=0, maintenance=False
+        ) as running:
+            request = {"query_index": 0, "k": 5}
+            assert _post(running.url + "/v1/search", request)[0] == 200
+            lake.add_table(table_from_rows("fresh", [{"a": 1}, {"a": 2}]))
+            status, refreshed, _ = _post(running.url + "/v1/refresh", {})
+            assert status == 200
+            assert json.loads(refreshed)["refresh"]["prewarmed"] == 1
+            (before,) = running.discovery.service_stats().values()
+            assert _post(running.url + "/v1/search", request)[0] == 200
+            (after,) = running.discovery.service_stats().values()
+            assert (after["hits"], after["misses"]) == (
+                before["hits"] + 1,
+                before["misses"],
+            )
+
 
 class TestServerLifecycle:
     def test_double_start_and_stop(self, small_benchmark):

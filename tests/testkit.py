@@ -43,6 +43,18 @@ def rankings(searcher, queries, k=8):
     ]
 
 
+def recall_against(reference, observed, k: int) -> float:
+    """Mean over requests of ``|top-k(reference) ∩ top-k(observed)| / k``."""
+    if not reference:
+        return 0.0
+    recalls = []
+    for wanted, got in zip(reference, observed):
+        wanted_names = {name for name, _ in wanted[:k]}
+        got_names = {name for name, _ in got[:k]}
+        recalls.append(len(wanted_names & got_names) / max(len(wanted_names), 1))
+    return sum(recalls) / len(recalls)
+
+
 def random_lake(seed: int, num_tables: int = 14) -> DataLake:
     """A random lake of small tables with varied shapes and shared vocabulary."""
     return random_token_lake(seed, num_tables=num_tables)
