@@ -97,14 +97,13 @@ def dust_tuple_model():
 
 
 @lru_cache(maxsize=8)
-def search_service(backend: str, benchmark_name: str):
-    """A prewarmed :class:`~repro.serving.QueryService` for one backend/lake.
+def search_discovery(backend: str, benchmark_name: str):
+    """An attached :class:`~repro.api.Discovery` serving one backend/lake.
 
-    Built through the :class:`~repro.api.Discovery` facade: the backend is
-    resolved by registry name and indexes are persisted under
+    The backend is resolved by registry name and indexes are persisted under
     ``.cache/index-store`` keyed by backend configuration and lake content,
-    so each lake is indexed at most once across *all* harness runs; queries
-    are LRU-cached and (for large workloads) served in parallel.
+    so each lake is indexed at most once across *all* harness runs; repeated
+    searches are LRU-cached.
     """
     from repro.api import Discovery
 
@@ -115,13 +114,12 @@ def search_service(backend: str, benchmark_name: str):
         "tus-sampled": tus_sampled_benchmark,
         "tus": tus_benchmark,
     }
-    discovery = Discovery.from_config(
+    return Discovery.from_config(
         {
             "searcher": {"name": backend},
             "serving": {"store_dir": str(INDEX_STORE_ROOT)},
         }
     ).attach(benchmarks[benchmark_name]().lake)
-    return discovery.service()
 
 
 @lru_cache(maxsize=4)

@@ -13,7 +13,7 @@ from repro.core import DustDiversifier
 from repro.diversify import DiversificationRequest
 from repro.evaluation.case_study import case_study_series, tuples_from_table_union
 
-from bench_common import diversification_workloads, imdb_benchmark, search_service
+from bench_common import diversification_workloads, imdb_benchmark, search_discovery
 
 K_VALUES = (20, 40, 60)
 COLUMNS = ("title", "languages", "filming_locations")
@@ -24,12 +24,12 @@ def _run_case_study():
     query = bench.query_tables[0]
     workload = diversification_workloads("imdb")[query.name]
 
-    # Prewarmed services: both lake indexes come from the shared store and
+    # Attached deployments: both lake indexes come from the shared store and
     # the (query, k) searches are LRU-cached across the harness run.
-    d3l_tables = search_service("d3l", "imdb").search_tables(
+    d3l_tables = search_discovery("d3l", "imdb").search_tables(
         query, bench.lake.num_tables
     )
-    starmie_tables = search_service("starmie", "imdb").search_tables(
+    starmie_tables = search_discovery("starmie", "imdb").search_tables(
         query, bench.lake.num_tables
     )
 

@@ -29,7 +29,7 @@ from bench_common import (
     diversification_workloads,
     dust_tuple_model,
     santos_benchmark,
-    search_service,
+    search_discovery,
     ugen_benchmark,
 )
 
@@ -61,9 +61,9 @@ def _nearest_candidate_indices(workload, tuples):
 
 
 def _starmie_method(benchmark_obj):
-    # Prewarmed service: the Starmie lake index is restored from the shared
+    # Attached deployment: the Starmie lake index is restored from the shared
     # store instead of being rebuilt on every harness run.
-    searcher = search_service("starmie", benchmark_obj.name).searcher
+    searcher = search_discovery("starmie", benchmark_obj.name).searcher()
 
     def method(workload, k):
         tuples = searcher.search_tuples(workload.query_table, k)
@@ -73,10 +73,10 @@ def _starmie_method(benchmark_obj):
 
 
 def _d3l_method(benchmark_obj):
-    service = search_service("d3l", benchmark_obj.name)
+    discovery = search_discovery("d3l", benchmark_obj.name)
 
     def method(workload, k):
-        tables = service.search_tables(workload.query_table, 5)
+        tables = discovery.search_tables(workload.query_table, 5)
         tuples = tuples_from_table_union(tables, workload.query_table.columns, k)
         indices = _nearest_candidate_indices(workload, tuples)[:k]
         return indices if len(indices) == k else (indices + [i for i in range(len(workload.candidates)) if i not in indices])[:k]

@@ -19,8 +19,8 @@ The public API is organised by subsystem:
 * :mod:`repro.datalake` — tables, data lakes and CSV I/O.
 * :mod:`repro.search` — table union search techniques (overlap, Starmie-like,
   D3L-like, SANTOS-like, ground-truth oracle).
-* :mod:`repro.serving` — the persistent index store and the parallel,
-  LRU-cached multi-query search service built on top of ``repro.search``.
+* :mod:`repro.serving` — the persistent index store and the resident HTTP
+  server built on top of ``repro.search``.
 * :mod:`repro.alignment` — holistic and bipartite column alignment plus outer
   union.
 * :mod:`repro.embeddings` — word/contextual encoders, column embedders and
@@ -44,7 +44,7 @@ from repro.core import (
     min_diversity,
 )
 from repro.datalake import DataLake, Table
-from repro.serving import IndexStore, QueryService
+from repro.serving import IndexStore
 from repro.vectorops import DistanceContext, EmbeddingMatrix
 
 __version__ = "1.1.0"
@@ -89,6 +89,5 @@ __all__ = [
     "DataLake",
     "Table",
     "IndexStore",
-    "QueryService",
     "__version__",
 ]

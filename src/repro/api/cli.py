@@ -416,8 +416,8 @@ def _print_search_profile(result) -> None:
     """Per-stage timing breakdown of one ``search`` run (to stderr).
 
     The pipeline records search/embedding/alignment/diversification wall
-    times; search is the real step-1 time through the query service, cache
-    hit or miss.
+    times; search is the real step-1 time through the result cache, hit or
+    miss.
     """
     print("per-stage timing breakdown:", file=sys.stderr)
     for stage in ("search", "embedding", "alignment", "diversification", "total"):

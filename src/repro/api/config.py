@@ -168,7 +168,7 @@ def _validate_component_params(section: str, registry: Registry, spec: Component
 
 
 def _validate_serving(serving: Mapping[str, Any]) -> None:
-    """Eagerly apply the QueryService/IndexStore value constraints."""
+    """Eagerly apply the result-cache value constraints."""
     if serving["cache_size"] < 0:
         raise ConfigurationError(
             f"serving.cache_size must be non-negative, got {serving['cache_size']}"

@@ -2,11 +2,10 @@
 
 ``Discovery.from_config(cfg).attach(lake)`` resolves every component named by
 a :class:`~repro.api.config.DiscoveryConfig` through the registries, wires the
-:class:`~repro.core.pipeline.DustPipeline` and one
-:class:`~repro.serving.service.QueryService` per backend (cached and
-:class:`~repro.serving.store.IndexStore`-backed as the ``serving`` section
-says; cache-less and in-process without one) exactly as the
-hand-written call sites used to, and serves fluent queries::
+:class:`~repro.core.pipeline.DustPipeline` and one searcher plus one result
+cache per backend (sized and :class:`~repro.serving.store.IndexStore`-backed
+as the ``serving`` section says; cache-less and in-process without one)
+exactly as the hand-written call sites used to, and serves fluent queries::
 
     discovery = Discovery.from_config({"searcher": {"name": "overlap"}})
     discovery.attach(benchmark.lake)
@@ -22,6 +21,8 @@ from __future__ import annotations
 
 import inspect
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -42,7 +43,6 @@ from repro.datalake.table import Table
 from repro.search.base import SearchResult, TableUnionSearcher
 from repro.search.cascade import CascadeSearcher
 from repro.search.sharded import ShardedSearcher
-from repro.serving.service import QueryService
 from repro.serving.store import IndexStore
 from repro.utils.errors import ConfigurationError
 from repro.utils.timing import timed
@@ -201,17 +201,74 @@ class DiscoveryQuery:
         return self._discovery.run_many(tables, k=self._k, backend=self._backend)
 
 
+class _ResultCache:
+    """One backend's bounded LRU of step-1 rankings, with hit/miss counters.
+
+    Keyed by ``(searcher config fingerprint, indexed-lake digest, query
+    fingerprint, k)``, all read live: wrappers such as
+    :class:`~repro.search.cascade.CascadeSearcher` fold their mode/budget
+    into the config fingerprint, and the digest moves with every refresh.
+    ``size`` 0 (no ``serving`` section) caches nothing and counts misses.
+    """
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self._entries: OrderedDict[tuple, list[SearchResult]] = OrderedDict()
+        self._lock = threading.Lock()
+        self._hits = self._misses = 0
+
+    def search(
+        self, searcher: TableUnionSearcher, query_table: Table, k: int
+    ) -> list[SearchResult]:
+        key = None
+        if self.size:
+            key = (
+                searcher.config_fingerprint(),
+                searcher.indexed_fingerprint,
+                query_table.content_fingerprint(),
+                int(k),
+            )
+            lake = searcher.lake
+            with self._lock:
+                cached = self._entries.get(key)
+                # Ranked iff indexed *and* still in the lake: a hit naming a
+                # table removed since the last refresh is served as a miss.
+                if cached is not None and all(hit.table_name in lake for hit in cached):
+                    self._entries.move_to_end(key)
+                    self._hits += 1
+                    return list(cached)
+        results = searcher.search(query_table, k)
+        # Only rankings of the lake exactly as indexed are kept, so a kept
+        # one can go stale only through a removed ranked table (checked above).
+        keep = key is not None and not searcher.drifted
+        with self._lock:
+            self._misses += 1
+            if keep:
+                self._entries[key] = list(results)
+                self._entries.move_to_end(key)
+                while len(self._entries) > self.size:
+                    self._entries.popitem(last=False)
+        return list(results)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def stats(self) -> dict[str, int]:
+        with self._lock:
+            return {"hits": self._hits, "misses": self._misses, "size": len(self._entries)}
+
+
 class Discovery:
     """Builds and serves a configured discovery deployment.
 
     Components (encoders, diversifier, pipeline config) are resolved once at
     construction; search backends are built and indexed lazily per backend
-    name when :meth:`attach`-ed to a lake, each behind its own query service
-    — through the persistent index store when the ``serving`` section names
-    one.  When the
-    attached lake mutates, :meth:`refresh` marks every built backend stale
-    and each re-synchronises (delta index update + result-cache drop) lazily
-    on its next query.
+    name when :meth:`attach`-ed to a lake, each with its own result cache —
+    warmed through the persistent index store when the ``serving`` section
+    names one.  When the attached lake mutates, :meth:`refresh` marks every
+    built backend stale and each re-synchronises (delta index update +
+    result-cache drop) lazily on its next query.
     """
 
     def __init__(self, config: DiscoveryConfig | None = None) -> None:
@@ -228,10 +285,12 @@ class Discovery:
             if serving is not None and serving.get("store_dir")
             else None
         )
+        # No serving section: the same code path with no result cache.
+        self._cache_size = serving["cache_size"] if serving is not None else 0
         self._lake: DataLake | None = None
-        #: One query service per built backend; every query, refresh and
-        #: persist of that backend's searcher routes through it.
-        self._services: dict[str, QueryService] = {}
+        #: The warmed searcher and the result cache of every built backend.
+        self._searchers: dict[str, TableUnionSearcher] = {}
+        self._caches: dict[str, _ResultCache] = {}
         self._pipelines: dict[str, DustPipeline] = {}
         #: Backends whose index predates a :meth:`refresh` call; each one
         #: re-synchronises lazily the next time it serves a query.
@@ -311,9 +370,9 @@ class Discovery:
     def close(self) -> None:
         """Release every resource this deployment holds.
 
-        Query-service worker state and result caches are dropped, built
-        searchers/pipelines are released, and the index-store handle is
-        detached.  Serving a query (or attaching a lake) afterwards raises
+        Result caches and built searchers/pipelines are released, and the
+        index-store handle is detached.  Serving a query (or attaching a
+        lake) afterwards raises
         :class:`~repro.utils.errors.ConfigurationError`; calling ``close``
         again is a no-op.  The facade is a context manager, so long-lived
         callers — the resident server, multi-query ``run_many`` drivers —
@@ -325,9 +384,8 @@ class Discovery:
         if self._ingest is not None:
             self._ingest.close()
             self._ingest = None
-        for service in self._services.values():
-            service.close()
-        self._services.clear()
+        self._searchers.clear()
+        self._caches.clear()
         self._pipelines.clear()
         self._stale_backends.clear()
         self._store = None
@@ -345,7 +403,8 @@ class Discovery:
         """Bind a data lake and index the configured default backend."""
         self._check_open()
         self._lake = lake
-        self._services.clear()
+        self._searchers.clear()
+        self._caches.clear()
         self._pipelines.clear()
         self._stale_backends.clear()
         if self._ingest is not None:
@@ -353,7 +412,7 @@ class Discovery:
             # ingest() call rebuilds against the new attachment.
             self._ingest.close()
             self._ingest = None
-        self._ensure_backend(None)  # the configured default
+        self.searcher()  # the configured default
         return self
 
     def refresh(self) -> "Discovery":
@@ -369,7 +428,7 @@ class Discovery:
         lake on first use, as always.
         """
         self.lake  # raises when not attached
-        self._stale_backends.update(self._services)
+        self._stale_backends.update(self._searchers)
         return self
 
     def resync(self) -> list[str]:
@@ -378,16 +437,16 @@ class Discovery:
         The eager complement of :meth:`refresh`'s lazy re-sync, for callers
         that *want* to pay the delta updates now rather than on the next
         query — the server's background maintenance loop runs this between
-        request bursts so queries never stall on an index update.  Detects
-        drift directly from content fingerprints (no prior :meth:`refresh`
-        call required) and returns the backend names whose indexes actually
-        moved.
+        request bursts so queries never stall on an index update.  Reads each
+        searcher's :attr:`~repro.search.base.TableUnionSearcher.drifted` (no
+        prior :meth:`refresh` call required) and returns the backend names
+        it re-synced.
         """
         self._check_open()
         self.lake  # raises when not attached
         moved: list[str] = []
-        for key, service in self._services.items():
-            if service.drifted or key in self._stale_backends:
+        for key, searcher in self._searchers.items():
+            if searcher.drifted or key in self._stale_backends:
                 self._sync_backend(key)
                 moved.append(key)
         return moved
@@ -395,7 +454,7 @@ class Discovery:
     @property
     def built_backends(self) -> list[str]:
         """Names of the backends already built for this deployment, sorted."""
-        return sorted(self._services)
+        return sorted(self._searchers)
 
     def ingest(self, *, gate: Any = None) -> "IngestController":
         """The deployment's streaming write path (built lazily, one per lake).
@@ -446,14 +505,17 @@ class Discovery:
         }
 
     def service_stats(self) -> dict[str, dict[str, int]]:
-        """Result-cache hit/miss counters per built query service."""
-        return {
-            key: service.cache_stats for key, service in sorted(self._services.items())
-        }
+        """Result-cache ``{hits, misses, size}`` per built backend."""
+        return {key: cache.stats() for key, cache in sorted(self._caches.items())}
 
     def _sync_backend(self, key: str) -> None:
-        """Apply a pending lake delta to one built backend."""
-        self._services[key].refresh()
+        """The one place a backend re-syncs: refresh, drop its result cache,
+        persist — cache first, so a failed save cannot serve mixed-era rankings."""
+        searcher = self._searchers[key]
+        if searcher.drifted:
+            searcher.refresh()
+            self._caches[key].clear()
+            searcher.persist()
         self._stale_backends.discard(key)
 
     @property
@@ -519,39 +581,27 @@ class Discovery:
             )
         return searcher
 
-    def _ensure_backend(self, backend: str | None) -> QueryService:
-        """The (lazily built, lazily re-synced) service serving ``backend``."""
+    def searcher(self, backend: str | None = None) -> TableUnionSearcher:
+        """The lazily built, indexed and re-synced searcher serving ``backend``."""
         self._check_open()
         key = self._backend_key(backend)
-        if key in self._services:
-            if key in self._stale_backends:
-                self._sync_backend(key)
-            return self._services[key]
-        searcher = self._build_searcher(key)
-        serving = self.config.serving
-        # No serving section: the same code path with no result cache.
-        service = QueryService(
-            searcher, cache_size=serving["cache_size"] if serving is not None else 0
-        )
-        service.warm(self.lake, self._store)
-        self._services[key] = service
-        return service
-
-    def searcher(self, backend: str | None = None) -> TableUnionSearcher:
-        """The (lazily indexed) searcher serving ``backend``."""
-        return self._ensure_backend(backend).searcher
-
-    def service(self, backend: str | None = None) -> QueryService:
-        """The :class:`QueryService` every query to ``backend`` routes through."""
-        return self._ensure_backend(backend)
+        searcher = self._searchers.get(key)
+        if searcher is None:
+            searcher = self._build_searcher(key)
+            searcher.warm(self.lake, self._store)
+            self._caches[key] = _ResultCache(self._cache_size)
+            self._searchers[key] = searcher
+        elif key in self._stale_backends:
+            self._sync_backend(key)
+        return searcher
 
     def pipeline(self, backend: str | None = None) -> DustPipeline:
         """The wired :class:`DustPipeline` serving ``backend``."""
         key = self._backend_key(backend)
-        # Always route through _ensure_backend: a cached pipeline holds the
+        # Always route through searcher(): a cached pipeline holds the
         # searcher by reference, and the backend may have a pending refresh()
         # delta to apply before serving another query.
-        searcher = self._ensure_backend(key).searcher
+        searcher = self.searcher(key)
         pipeline = self._pipelines.get(key)
         if pipeline is None:
             pipeline = DustPipeline(
@@ -568,20 +618,11 @@ class Discovery:
     def search(
         self, query_table: Table, k: int | None = None, *, backend: str | None = None
     ) -> list[SearchResult]:
-        """Step-1 only: ranked unionable tables (service-cached when serving)."""
+        """Step-1 only: ranked unionable tables (LRU-cached when serving)."""
+        key = self._backend_key(backend)
+        searcher = self.searcher(key)
         k = k if k is not None else self._pipeline_config.num_search_tables
-        return self.service(backend).search(query_table, k)
-
-    def search_many(
-        self,
-        query_tables: Sequence[Table],
-        k: int | None = None,
-        *,
-        backend: str | None = None,
-    ) -> list[list[SearchResult]]:
-        """Batch step-1 rankings (cached when serving is enabled)."""
-        k = k if k is not None else self._pipeline_config.num_search_tables
-        return self.service(backend).search_many(query_tables, k)
+        return self._caches[key].search(searcher, query_table, k)
 
     def search_tables(
         self, query_table: Table, k: int | None = None, *, backend: str | None = None
@@ -602,7 +643,7 @@ class Discovery:
             "backend": backend,
             "k": k if k is not None else self._pipeline_config.k,
             "config_fingerprint": self.config.fingerprint(),
-            "searcher_fingerprint": self._services[backend].searcher.config_fingerprint(),
+            "searcher_fingerprint": self.searcher(backend).config_fingerprint(),
             "lake": self.lake.name,
             "lake_fingerprint": self.lake.fingerprint(),
         }
@@ -612,19 +653,7 @@ class Discovery:
     ) -> ResultSet:
         """Run Algorithm 1 end to end for one query table."""
         key = self._backend_key(backend)
-        pipeline = self.pipeline(key)
-        # Step 1 runs here, through the service; the pipeline reports its time.
-        search_results, search_seconds = timed(
-            self._services[key].search,
-            query_table,
-            self._pipeline_config.num_search_tables,
-        )
-        result = pipeline.run(
-            query_table,
-            k=k,
-            search_results=search_results,
-            search_seconds=search_seconds,
-        )
+        result = self._run(key, query_table, k, keep_distance_context=True)
         return ResultSet(result=result, provenance=self._provenance(key, k))
 
     def run_many(
@@ -634,15 +663,36 @@ class Discovery:
         k: int | None = None,
         backend: str | None = None,
     ) -> list[ResultSet]:
-        """Run Algorithm 1 for several queries against one built index."""
+        """Run Algorithm 1 for several queries against one built index.
+
+        A loop over the single-query path: each query's step 1 is timed on
+        its own, and its distance context is released so retained results
+        stay small.
+        """
         key = self._backend_key(backend)
-        pipeline = self.pipeline(key)
-        results = pipeline.run_many(query_tables, k=k, service=self._services[key])
+        results = [
+            self._run(key, query_table, k, keep_distance_context=False)
+            for query_table in query_tables
+        ]
         provenance = self._provenance(key, k)
         return [
             ResultSet(result=result, provenance=dict(provenance))
             for result in results
         ]
+
+    def _run(
+        self, key: str, query_table: Table, k: int | None, *, keep_distance_context: bool
+    ) -> DustResult:
+        pipeline = self.pipeline(key)
+        # Step 1 runs here, through the result cache; the pipeline reports its time.
+        search_results, search_seconds = timed(self.search, query_table, backend=key)
+        return pipeline.run(
+            query_table,
+            k=k,
+            keep_distance_context=keep_distance_context,
+            search_results=search_results,
+            search_seconds=search_seconds,
+        )
 
     # ------------------------------------------------------------------- info
     def info(self) -> dict[str, Any]:
@@ -654,8 +704,8 @@ class Discovery:
             "config": self.config.to_dict(),
             "config_fingerprint": self.config.fingerprint(),
             # Every component registry in one place — searchers and
-            # diversifiers alongside the scenario-matrix workload generators
-            # and metrics — so ``info``/``/v1/info`` stay the single
+            # diversifiers alongside the workload generators and store
+            # backends — so ``info``/``/v1/info`` stay the single
             # discoverability surface as registries are added.
             "registries": registry_catalog(),
             "lake": (

@@ -16,7 +16,7 @@ Given a query table, a data lake and a budget ``k``:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,11 +33,8 @@ from repro.embeddings.base import ColumnEncoder, TupleEncoder
 from repro.embeddings.serialization import AlignedTuple, serialize_aligned_tuple
 from repro.search.base import SearchResult, TableUnionSearcher
 from repro.utils.errors import ConfigurationError, DataLakeError
-from repro.utils.timing import Timer, timed
+from repro.utils.timing import Timer
 from repro.vectorops import DistanceContext
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.serving.service import QueryService
 
 
 @dataclass
@@ -126,9 +123,10 @@ class DustPipeline:
         don't accumulate one square matrix per retained result
         (``DustResult.diversity()`` works either way).
 
-        ``search_results`` supplies precomputed step-1 rankings (e.g. from a
-        :class:`~repro.serving.QueryService`); when given, the searcher is
-        only used to resolve table names against the indexed lake, and
+        ``search_results`` supplies precomputed step-1 rankings (e.g. the
+        :class:`~repro.api.facade.Discovery` facade's cached search); when
+        given, the searcher is only used to resolve table names against the
+        indexed lake, and
         ``search_seconds`` is the wall time the caller spent obtaining them —
         it is what ``timings["search"]`` (and so ``timings["total"]``)
         reports for step 1, cache hit or miss.
@@ -224,7 +222,6 @@ class DustPipeline:
         query_tables: Sequence[Table],
         *,
         k: int | None = None,
-        service: "QueryService | None" = None,
     ) -> list[DustResult]:
         """Run Algorithm 1 for several query tables against one indexed lake.
 
@@ -234,35 +231,7 @@ class DustPipeline:
         creates it, so multi-query workloads pay the lake indexing cost once
         and the per-query distance cost once.  The per-query contexts are
         released after each run so retained results stay small.
-
-        ``service`` accepts a prewarmed :class:`~repro.serving.QueryService`
-        instead of a raw indexed searcher: the pipeline adopts the service's
-        searcher and each query's step-1 ranking comes from
-        ``service.search`` (possibly its cache), timed per query.  Served
-        selections are identical to the direct path.
         """
-        if service is not None:
-            if not service.is_warm:
-                raise ConfigurationError(
-                    "run_many() received a QueryService that has not been "
-                    "warmed; call service.warm(lake) first"
-                )
-            self.searcher = service.searcher
-            num_tables = self.config.num_search_tables
-            searched = (
-                (query_table, *timed(service.search, query_table, num_tables))
-                for query_table in query_tables
-            )
-            return [
-                self.run(
-                    query_table,
-                    k=k,
-                    keep_distance_context=False,
-                    search_results=search_results,
-                    search_seconds=search_seconds,
-                )
-                for query_table, search_results, search_seconds in searched
-            ]
         if not self.searcher.is_indexed:
             raise ConfigurationError(
                 "run_many() called before index(); call pipeline.index(lake) first"

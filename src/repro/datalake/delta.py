@@ -7,8 +7,8 @@ journal-backed answer to "what changed since version v?" for callers that
 track versions (monitoring, change feeds, invalidation decisions).
 
 The index-maintenance paths themselves — ``searcher.refresh()``, the
-delta-aware :class:`~repro.serving.store.IndexStore` and
-``QueryService.refresh()`` — deliberately do *not* read the journal: they
+delta-aware :class:`~repro.serving.store.IndexStore` and the ``Discovery``
+facade's re-sync — deliberately do *not* read the journal: they
 diff per-table content fingerprints (:func:`diff_table_fingerprints`), which
 works across processes against persisted snapshots and also catches in-place
 ``Table.append_rows`` mutations the journal cannot see, then feed the
@@ -18,7 +18,9 @@ resulting added/removed lists to
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -72,3 +74,16 @@ def diff_table_fingerprints(
     added = [name for name, fingerprint in current.items() if base.get(name) != fingerprint]
     removed = [name for name, fingerprint in base.items() if current.get(name) != fingerprint]
     return added, removed
+
+
+def fingerprint_digest(fingerprints: Iterable[str]) -> str:
+    """One digest over per-table content fingerprints, in order.
+
+    :meth:`~repro.datalake.lake.DataLake.fingerprint` is this over the live
+    tables; a searcher's indexed-lake digest is this over its snapshot.
+    """
+    hasher = hashlib.sha256()
+    for fingerprint in fingerprints:
+        hasher.update(fingerprint.encode())
+        hasher.update(b"\n")
+    return hasher.hexdigest()

@@ -31,10 +31,9 @@ regardless of how many events have streamed past it.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, Iterable, Iterator
 
-from repro.datalake.delta import LakeDelta, diff_table_fingerprints
+from repro.datalake.delta import LakeDelta, diff_table_fingerprints, fingerprint_digest
 from repro.datalake.table import Table
 from repro.utils.errors import DataLakeError
 
@@ -329,11 +328,7 @@ class DataLake:
         cached), so it reflects in-place ``append_rows`` mutations that the
         version counter cannot see.
         """
-        hasher = hashlib.sha256()
-        for table in self:
-            hasher.update(table.content_fingerprint().encode())
-            hasher.update(b"\n")
-        return hasher.hexdigest()
+        return fingerprint_digest(table.content_fingerprint() for table in self)
 
     def table_fingerprints(self) -> dict[str, str]:
         """``table name -> content fingerprint`` for every table, in order.

@@ -201,7 +201,7 @@ class Table:
         This is the one in-place mutation the value model supports, and it
         invalidates the cached :meth:`content_fingerprint`, so every
         content-keyed consumer — searcher query memos, the
-        :class:`~repro.serving.service.QueryService` result cache, persisted
+        :class:`~repro.api.facade.Discovery` result cache, persisted
         :class:`~repro.serving.store.IndexStore` entries — sees the table as
         new content on its next fingerprint read.  If the table is a member
         of a :class:`~repro.datalake.lake.DataLake`, the lake's *version*

@@ -27,7 +27,6 @@ from repro.vectorops import DistanceContext
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.api.facade import Discovery
-    from repro.serving.service import QueryService
 
 
 @dataclass
@@ -100,7 +99,6 @@ def prepare_query_workload(
     use_provenance_alignment: bool = True,
     max_candidate_tuples: int | None = None,
     max_unionable_tables: int | None = None,
-    search_service: "QueryService | None" = None,
     discovery: "Discovery | None" = None,
     num_search_tables: int = 10,
 ) -> QueryWorkload:
@@ -117,25 +115,15 @@ def prepare_query_workload(
         Optional cap on the number of unionable tuples (the ``s`` of the
         paper's experiments, at most 2 500 in Sec. 6.4.3); tuples are kept in
         table order.
-    search_service:
-        A prewarmed :class:`~repro.serving.QueryService`.  When given, the
-        unionable tables come from its top-``num_search_tables`` search
-        rankings (cached) instead of the benchmark's
-        ground truth — the end-to-end setting of Sec. 6.5.
     discovery:
-        An attached :class:`~repro.api.facade.Discovery` facade; its
-        configured backend (service-cached when the config enables serving)
-        supplies the unionable tables.  Mutually exclusive with
-        ``search_service``.
+        An attached :class:`~repro.api.facade.Discovery` facade.  When given,
+        the unionable tables come from its configured backend's
+        top-``num_search_tables`` rankings (cached when the config enables
+        serving) instead of the benchmark's ground truth — the end-to-end
+        setting of Sec. 6.5.
     """
-    if search_service is not None and discovery is not None:
-        raise BenchmarkError(
-            "pass either search_service or discovery, not both"
-        )
     if discovery is not None:
         lake_tables = discovery.search_tables(query_table, num_search_tables)
-    elif search_service is not None:
-        lake_tables = search_service.search_tables(query_table, num_search_tables)
     else:
         lake_tables = benchmark.unionable_tables(query_table.name)
     if max_unionable_tables is not None:
@@ -182,20 +170,16 @@ def prepare_query_workloads(
     query_tables: Sequence[Table],
     tuple_encoder: TupleEncoder,
     *,
-    search_service: "QueryService | None" = None,
     discovery: "Discovery | None" = None,
     num_search_tables: int = 10,
     **workload_kwargs,
 ) -> dict[str, QueryWorkload]:
     """Build the workloads of several query tables, name-keyed."""
-    if search_service is not None and discovery is not None:
-        raise BenchmarkError("pass either search_service or discovery, not both")
     return {
         query.name: prepare_query_workload(
             benchmark,
             query,
             tuple_encoder,
-            search_service=search_service,
             discovery=discovery,
             num_search_tables=num_search_tables,
             **workload_kwargs,

@@ -135,7 +135,7 @@ class IngestController:
         """
         reports: list[dict] = []
         for key in self.discovery.built_backends:
-            sharded = find_sharded(self.discovery._services[key].searcher)
+            sharded = find_sharded(self.discovery.searcher(key))
             if sharded is None:
                 continue
             skew = skew_of(sharded.shard_loads())

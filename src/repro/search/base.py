@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.datalake.delta import diff_table_fingerprints
+from repro.datalake.delta import diff_table_fingerprints, fingerprint_digest
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
 from repro.utils.errors import SearchError
@@ -76,6 +76,8 @@ class TableUnionSearcher(abc.ABC):
         #: ``table name -> content fingerprint`` snapshot of the lake as last
         #: indexed; :meth:`refresh` diffs the live lake against it.
         self._indexed_table_fps: dict[str, str] = {}
+        #: Memo of :attr:`indexed_fingerprint` (dropped whenever the index moves).
+        self._indexed_digest: str | None = None
         #: The index store this searcher was last :meth:`warm`-ed through
         #: (``None``: in-process only); :meth:`persist` writes there.
         self.store: "IndexStore | None" = None
@@ -95,6 +97,7 @@ class TableUnionSearcher(abc.ABC):
         """
         self._lake = lake
         self._indexed_table_fps = lake.table_fingerprints()
+        self._indexed_digest = None
         self._forget_query_state()
 
     def index(self, lake: DataLake) -> "TableUnionSearcher":
@@ -117,9 +120,8 @@ class TableUnionSearcher(abc.ABC):
     ) -> "TableUnionSearcher":
         """Serve ``lake`` — through ``store`` when one is given.
 
-        The one index-lifecycle entry point every consumer
-        (:class:`~repro.serving.service.QueryService`, the ``Discovery``
-        facade, the ``warm`` CLI) calls; none of them touch the store
+        The one index-lifecycle entry point every consumer (the
+        ``Discovery`` facade, the ``warm`` CLI) calls; none of them touch the store
         themselves.  Without a store this is :meth:`index`.  With one, a
         flat backend round-trips through a single whole-lake entry
         (:meth:`~repro.serving.store.IndexStore.load_or_build`: exact load,
@@ -246,6 +248,21 @@ class TableUnionSearcher(abc.ABC):
     def is_indexed(self) -> bool:
         """Whether :meth:`index` has been called."""
         return self._lake is not None
+
+    @property
+    def drifted(self) -> bool:
+        """Whether the lake's content moved since the index last did — what
+        :meth:`refresh` would apply (``True`` before :meth:`index`)."""
+        return self._lake is None or self._lake.table_fingerprints() != self._indexed_table_fps
+
+    @property
+    def indexed_fingerprint(self) -> str:
+        """:meth:`~repro.datalake.lake.DataLake.fingerprint` of the lake as
+        last indexed: it moves only when the index does (result-cache key)."""
+        self.lake  # raises before index()
+        if self._indexed_digest is None:
+            self._indexed_digest = fingerprint_digest(self._indexed_table_fps.values())
+        return self._indexed_digest
 
     # -------------------------------------------------------- sharded builds
     #: Whether a persisted index over a *shard* of a lake depends only on

@@ -8,8 +8,8 @@ startup) — and answers queries by **fanning out** ``score_candidates`` over
 the shard indexes and ranking the merged scores by ``(-score, table name)``
 — the kernel's own ``search()`` loop, so served rankings are bit-identical to
 an unsharded backend.  Because it *is* a ``TableUnionSearcher``, everything
-downstream (``QueryService`` caching, ``DustPipeline``, the ``Discovery``
-facade) composes with it unchanged.  Whether a build forks is measured, never
+downstream (``DustPipeline``, the ``Discovery`` facade and its result
+cache) composes with it unchanged.  Whether a build forks is measured, never
 configured: there are no worker-count, executor-mode or threshold arguments.
 
 Per-shard persistence: warm :class:`ShardedSearcher` through an

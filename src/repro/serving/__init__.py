@@ -1,4 +1,4 @@
-"""Index persistence and cached search serving.
+"""Index persistence and resident serving.
 
 ``repro.serving`` turns the per-process searchers of ``repro.search`` into a
 build-once/serve-many system:
@@ -7,13 +7,9 @@ build-once/serve-many system:
   lake index to disk (versioned manifest, checksum-validated payloads) keyed
   by backend configuration and lake content fingerprints.  Delta-aware: when
   a mutated lake misses every entry, ``load_or_build`` updates the closest
-  prior snapshot through ``update_index`` instead of rebuilding.
-* :class:`~repro.serving.service.QueryService` — serves queries through a
-  bounded LRU result cache, returning rankings bit-identical to direct
-  in-process search; ``refresh()`` follows in-place
-  lake mutation (delta index update + cache invalidation).  Works unchanged
-  over a :class:`~repro.search.sharded.ShardedSearcher`, which persists one
-  store entry per lake shard and serves queries by fan-out/merge.
+  prior snapshot through ``update_index`` instead of rebuilding.  Searchers
+  warm and persist through it themselves — a
+  :class:`~repro.search.sharded.ShardedSearcher` one entry per lake shard.
 * :class:`~repro.serving.server.DiscoveryServer` — the resident server mode
   (``python -m repro serve``): a versioned HTTP/JSON API over a kept-hot
   :class:`~repro.api.facade.Discovery` deployment, with admission control,
@@ -23,14 +19,12 @@ build-once/serve-many system:
 """
 
 from repro.serving.store import IndexStore, STORE_FORMAT_VERSION
-from repro.serving.service import QueryService
 from repro.serving.events import EventLog, latency_summary, read_events
 from repro.serving.maintenance import ActivityGate, MaintenanceLoop
 from repro.serving.server import DiscoveryServer, run_server
 
 __all__ = [
     "IndexStore",
-    "QueryService",
     "STORE_FORMAT_VERSION",
     "EventLog",
     "latency_summary",

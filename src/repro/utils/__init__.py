@@ -1,4 +1,4 @@
-"""Shared utilities: errors, randomness, timing, validation, text and parallel helpers."""
+"""Shared utilities: errors, randomness, timing, text and parallel helpers."""
 
 from repro.utils.errors import (
     ReproError,
@@ -12,13 +12,6 @@ from repro.utils.errors import (
 from repro.utils.parallel import forked_map, probe_gate
 from repro.utils.rng import seeded_rng, derive_seed
 from repro.utils.timing import Timer, timed
-from repro.utils.validation import (
-    require,
-    require_positive,
-    require_in_range,
-    require_non_empty,
-    require_type,
-)
 
 __all__ = [
     "ReproError",
@@ -34,9 +27,4 @@ __all__ = [
     "derive_seed",
     "Timer",
     "timed",
-    "require",
-    "require_positive",
-    "require_in_range",
-    "require_non_empty",
-    "require_type",
 ]

@@ -20,7 +20,6 @@ from repro.benchgen import generate_ugen_benchmark
 from repro.core import DustConfig, DustDiversifier
 from repro.embeddings import CellLevelColumnEncoder, FastTextLikeModel, GloveLikeModel
 from repro.search import StarmieSearcher, TableUnionSearcher, ValueOverlapSearcher
-from repro.serving import QueryService
 from repro.utils.errors import ConfigurationError
 
 
@@ -358,9 +357,8 @@ class TestDiscoveryFacade:
             "serving": {"store_dir": str(tmp_path / "store"), "cache_size": 32},
         }
         discovery = Discovery.from_config(config).attach(small_benchmark.lake)
-        service = discovery.service()
-        assert isinstance(service, QueryService)
-        assert service.is_warm
+        assert discovery.searcher().is_indexed
+        assert discovery.searcher().store is discovery.store
         query = small_benchmark.query_tables[0]
         served = discovery.query(query).k(4).run()
         direct = Discovery.from_config(SMALL_CONFIG).attach(small_benchmark.lake)
@@ -370,21 +368,20 @@ class TestDiscoveryFacade:
         assert any((tmp_path / "store").rglob("manifest.json"))
         reloaded = Discovery.from_config(config).attach(small_benchmark.lake)
         assert reloaded.query(query).k(4).run().selections() == served.selections()
-        # Repeat queries hit the service's LRU cache.
+        # Repeat queries hit the backend's LRU cache.
         discovery.search(query)
         discovery.search(query)
-        assert discovery.service().cache_stats["hits"] >= 1
+        assert discovery.service_stats()["overlap"]["hits"] >= 1
 
     @pytest.mark.parametrize("serving", [None, {}, {"cache_size": 8}])
     def test_timings_report_real_search_time(self, small_benchmark, serving):
-        """Step 1 runs through the query service, outside the pipeline's
-        stage timer; its wall time must still land in ``timings`` — cache
-        hit or miss, with or without a ``serving`` section."""
+        """Step 1 runs through the facade's result cache, outside the
+        pipeline's stage timer; its wall time must still land in ``timings``
+        — cache hit or miss, with or without a ``serving`` section."""
         config = dict(SMALL_CONFIG)
         if serving is not None:
             config["serving"] = serving
         discovery = Discovery.from_config(config).attach(small_benchmark.lake)
-        assert isinstance(discovery.service(), QueryService)  # always present
         queries = small_benchmark.query_tables
         runs = [discovery.query(queries[0]).k(3).run() for _ in range(2)]  # miss, hit
         runs += discovery.query().k(3).run_many(queries)
@@ -452,21 +449,6 @@ class TestDiscoveryFacade:
         assert dust.config == DustConfig(prune_limit=200)
         assert discovery.tuple_encoder.info.dimension == 64
         assert discovery.column_encoder.info.family.startswith("column")
-
-    def test_workloads_reject_both_service_and_discovery(self, small_benchmark):
-        from repro.evaluation import prepare_query_workloads
-        from repro.utils.errors import BenchmarkError
-
-        discovery = Discovery.from_config(SMALL_CONFIG).attach(small_benchmark.lake)
-        encoder = TUPLE_ENCODERS.create("glove", dimension=64)
-        with pytest.raises(BenchmarkError, match="not both"):
-            prepare_query_workloads(
-                small_benchmark,
-                small_benchmark.query_tables,
-                encoder,
-                search_service=discovery.searcher(),  # any non-None sentinel
-                discovery=discovery,
-            )
 
     def test_discovery_feeds_evaluation_workloads(self, small_benchmark):
         from repro.evaluation import prepare_query_workloads

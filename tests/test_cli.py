@@ -6,6 +6,7 @@ prove the module entry point and console-script wiring work end to end.
 """
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -242,6 +243,42 @@ class TestDocsDrift:
         }
         assert named and named <= set(subcommands.choices)
         assert not list(root.glob("BENCH_*.json"))
+
+    def test_documented_repro_paths_resolve(self):
+        """Every Sphinx role and backticked dotted ``repro.*`` path in the
+        package sources, README and docs names something importable, so a
+        deleted or renamed API cannot linger in its documentation."""
+        root = _SRC.parent
+        docs = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+        if not docs[0].exists():
+            pytest.skip("docs are not shipped with an installed package")
+        role = re.compile(
+            r":(?:class|meth|func|mod|data|attr|exc):`[~!]?(repro(?:\.\w+)+)(?:\(\))?`"
+        )
+        dotted = re.compile(r"``?(repro(?:\.\w+)+)(?:\(\))?``?")
+        unresolved = sorted(
+            f"{path.relative_to(root)}: {reference}"
+            for path in [*sorted((_SRC / "repro").rglob("*.py")), *docs]
+            for reference in {*role.findall(path.read_text()), *dotted.findall(path.read_text())}
+            if not _resolves(reference)
+        )
+        assert not unresolved, unresolved
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` is an importable module or an attribute path under one."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for name in parts[cut:]:
+            if not hasattr(target, name):
+                return False
+            target = getattr(target, name)
+        return True
+    return False
 
 
 class TestSubprocessSmoke:

@@ -3,8 +3,9 @@
 Covers the versioned :class:`DataLake` mutation API (journal netting,
 fingerprint diffs), the :meth:`TableUnionSearcher.update_index`/``refresh``
 protocol (per-backend delta-vs-rebuild ranking parity, rebuild fallback), the
-delta-aware :class:`IndexStore`, :meth:`QueryService.refresh` cache
-invalidation and the lazy :meth:`Discovery.refresh` facade semantics.
+delta-aware :class:`IndexStore`, the searcher's drift / indexed-lake digest,
+result-cache invalidation and the lazy :meth:`Discovery.refresh` facade
+semantics.
 """
 
 import json
@@ -23,7 +24,7 @@ from repro.search import (
     ValueOverlapSearcher,
 )
 from repro.search.base import TableUnionSearcher
-from repro.serving import IndexStore, QueryService
+from repro.serving import IndexStore
 from repro.utils.errors import (
     ConfigurationError,
     DataLakeError,
@@ -485,43 +486,75 @@ class TestStoreDelta:
         assert len(list(store.backend_dir(searcher).glob("*/manifest.json"))) == 4
 
 
-# ---------------------------------------------------------------- QueryService
+# ------------------------------------------------------- drift + result cache
+def served(lake, **serving):
+    """An overlap deployment on ``lake`` with a result cache."""
+    return Discovery.from_config(
+        {"searcher": {"name": "overlap"}, "serving": {"cache_size": 64, **serving}}
+    ).attach(lake)
+
+
 class TestServiceRefresh:
     def test_refresh_before_warm_raises(self):
-        with pytest.raises(ServingError):
-            QueryService(ValueOverlapSearcher()).refresh()
+        searcher = ValueOverlapSearcher()
+        assert searcher.drifted  # nothing indexed yet
+        with pytest.raises(SearchError):
+            searcher.refresh()
+        with pytest.raises(SearchError):
+            searcher.indexed_fingerprint
+
+    def test_drift_and_indexed_digest_follow_refresh(self, tus_bench):
+        """``indexed_fingerprint`` is the lake fingerprint as last indexed —
+        byte-identical, and it stays put until a refresh moves the index."""
+        lake = fresh_lake(tus_bench)
+        searcher = ValueOverlapSearcher().index(lake)
+        indexed = lake.fingerprint()
+        assert searcher.indexed_fingerprint == indexed and not searcher.drifted
+        mutate_tenth(lake, tus_bench)
+        assert searcher.drifted
+        assert searcher.indexed_fingerprint == indexed != lake.fingerprint()
+        searcher.refresh()
+        assert not searcher.drifted
+        assert searcher.indexed_fingerprint == lake.fingerprint()
 
     def test_refresh_drops_stale_cache_and_matches_fresh(self, tus_bench):
         lake = fresh_lake(tus_bench)
-        service = QueryService(ValueOverlapSearcher()).warm(lake)
+        discovery = served(lake)
         query = tus_bench.query_tables[0]
-        stale = service.search(query, 8)
-        assert service.cache_stats["size"] == 1
+        discovery.search(query, 8)
+        assert discovery.service_stats()["overlap"]["size"] == 1
 
         mutate_tenth(lake, tus_bench)
-        assert service.search(query, 8) == stale  # stale-but-consistent pre-refresh
+        discovery.refresh()
+        assert discovery.service_stats()["overlap"]["size"] == 1  # lazy
+        fresh = Discovery.from_config({"searcher": {"name": "overlap"}}).attach(lake)
+        assert discovery.search(query, 8) == fresh.search(query, 8)
+        assert discovery.service_stats()["overlap"] == {"hits": 0, "misses": 2, "size": 1}
 
-        service.refresh()
-        assert service.cache_stats["size"] == 0
-        fresh = QueryService(ValueOverlapSearcher()).warm(lake)
-        assert service.search(query, 8) == fresh.search(query, 8)
+        # resync() is the eager spelling: it drops the cache of every backend
+        # it moves, and only of those.
+        discovery.search(query, 8, backend="d3l")
+        lake.add_table(make_table("zz_eager"))
+        assert discovery.resync() == ["overlap", "d3l"]
+        assert all(stats["size"] == 0 for stats in discovery.service_stats().values())
+        assert discovery.resync() == []
 
     def test_refresh_noop_keeps_cache(self, tus_bench):
         lake = fresh_lake(tus_bench)
-        service = QueryService(ValueOverlapSearcher()).warm(lake)
-        service.search(tus_bench.query_tables[0], 8)
-        service.refresh()
-        assert service.cache_stats["size"] == 1
+        discovery = served(lake)
+        discovery.search(tus_bench.query_tables[0], 8)
+        discovery.refresh()
+        discovery.search(tus_bench.query_tables[0], 8)
+        assert discovery.service_stats()["overlap"] == {"hits": 1, "misses": 1, "size": 1}
 
     def test_refresh_persists_updated_index(self, tus_bench, tmp_path):
         store = IndexStore(tmp_path)
         lake = fresh_lake(tus_bench)
-        service = QueryService(ValueOverlapSearcher()).warm(
-            lake, store
-        )
+        discovery = served(lake, store_dir=str(tmp_path))
         mutate_tenth(lake, tus_bench)
-        service.refresh()
-        assert store.contains(service.searcher, lake)
+        discovery.refresh()
+        discovery.search(tus_bench.query_tables[0], 8)  # re-syncs, then persists
+        assert store.contains(discovery.searcher(), lake)
 
 
 # ------------------------------------------------------------------- Discovery

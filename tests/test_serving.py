@@ -1,5 +1,5 @@
 """Tests for repro.serving: content fingerprints, the persistent index store,
-the cached query service, and their wiring into the DUST pipeline."""
+the facade's result cache, and their wiring into the DUST pipeline."""
 
 import json
 import time
@@ -14,17 +14,16 @@ from repro.embeddings.column import CellLevelColumnEncoder
 from repro.embeddings.word import FastTextLikeModel
 from repro.evaluation import prepare_query_workload, prepare_query_workloads
 from repro.search import (
-    CascadeSearcher,
     D3LSearcher,
     OracleSearcher,
     SantosSearcher,
     StarmieSearcher,
     ValueOverlapSearcher,
 )
+from repro.api import Discovery
 from repro.api.cli import main as cli_main
-from repro.serving import IndexStore, QueryService
+from repro.serving import IndexStore
 from repro.utils.errors import (
-    ConfigurationError,
     IndexStoreMiss,
     SearchError,
     ServingError,
@@ -287,123 +286,38 @@ class TestIndexStore:
         assert final.search(query, 5) == fresh.search(query, 5)
 
 
-class _CountingSearcher(ValueOverlapSearcher):
-    """ValueOverlapSearcher that counts search() invocations."""
+#: A small, fast deployment wired like :func:`_pipeline`, with a result cache.
+SERVED = {
+    "searcher": {"name": "overlap"},
+    "column_encoder": {"name": "cell-level", "base": {"name": "fasttext", "dimension": 64}},
+    "tuple_encoder": {"name": "fasttext", "dimension": 64},
+    "pipeline": {"num_search_tables": 4, "min_query_rows": 1},
+    "serving": {"cache_size": 64},
+}
+UNSERVED = {key: value for key, value in SERVED.items() if key != "serving"}
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.search_calls = 0
 
-    def search(self, query_table, k):
-        self.search_calls += 1
-        return super().search(query_table, k)
+def _served(benchmark, *, lake=None, **sections):
+    """``SERVED`` attached to ``lake`` (default: the benchmark's), with
+    ``sections`` replacing whole config sections."""
+    config = {**SERVED, **sections}
+    return Discovery.from_config(config).attach(
+        lake if lake is not None else benchmark.lake
+    )
 
 
-class TestQueryService:
-    def test_search_many_is_a_loop_that_never_forks(self, small_benchmark, monkeypatch):
-        """``search_many(qs, k)[i] == search(qs[i], k)`` with the cache
-        counters of a plain loop — and the query path never forks."""
+def _count_searches(discovery) -> dict[str, int]:
+    """Count the default backend searcher's ``search()`` calls."""
+    searcher = discovery.searcher()
+    real_search = searcher.search
+    calls = {"searches": 0}
 
-        def no_fork(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("the query path must never fork")
+    def counting(query_table, k):
+        calls["searches"] += 1
+        return real_search(query_table, k)
 
-        monkeypatch.setattr("repro.utils.parallel.forked_map", no_fork)
-        lake = small_benchmark.lake
-        queries = small_benchmark.query_tables * 3  # repeats hit the cache
-        distinct = len(small_benchmark.query_tables)
-        direct = ValueOverlapSearcher().index(lake)
-        searcher = _CountingSearcher()
-        service = QueryService(searcher).warm(lake)
-        batched = service.search_many(queries, 6)
-        assert len(batched) == len(queries)
-        for query, results in zip(queries, batched):
-            assert results == direct.search(query, 6)
-        assert searcher.search_calls == distinct
-        assert service.cache_stats == {
-            "hits": len(queries) - distinct,
-            "misses": distinct,
-            "size": distinct,
-        }
-        for query, results in zip(queries, batched):
-            assert service.search(query, 6) == results
-        assert searcher.search_calls == distinct
-        assert service.search_many([], 6) == []
-
-    def test_cache_serves_repeats_without_recomputing(self, small_benchmark):
-        searcher = _CountingSearcher()
-        service = QueryService(searcher).warm(small_benchmark.lake)
-        query = small_benchmark.query_tables[0]
-        first = service.search(query, 5)
-        second = service.search(query, 5)
-        assert first == second
-        assert searcher.search_calls == 1
-        assert service.cache_stats == {"hits": 1, "misses": 1, "size": 1}
-        # A different k is a different cache entry.
-        service.search(query, 3)
-        assert searcher.search_calls == 2
-
-    def test_cache_is_bounded_lru(self, small_benchmark):
-        searcher = _CountingSearcher()
-        service = QueryService(searcher, cache_size=1).warm(
-            small_benchmark.lake
-        )
-        first, second = small_benchmark.query_tables[:2]
-        service.search(first, 5)
-        service.search(second, 5)  # evicts the entry for `first`
-        assert service.cache_stats["size"] == 1
-        service.search(first, 5)
-        assert searcher.search_calls == 3
-
-    def test_cache_key_tracks_live_searcher_config(self, small_benchmark):
-        """Regression: the cache key must fold in the *current* searcher
-        config fingerprint, not one captured at construction — flipping a
-        cascade config on a live service must never serve stale rankings."""
-        searcher = CascadeSearcher(
-            ValueOverlapSearcher(), mode="approx", candidate_budget=4
-        )
-        service = QueryService(searcher).warm(small_benchmark.lake)
-        query = small_benchmark.query_tables[0]
-
-        approx_key = service._key(query, 5)
-        service.search(query, 5)
-        searcher.mode = "exact"  # live config change on the served searcher
-        exact_key = service._key(query, 5)
-        assert exact_key != approx_key
-        service.search(query, 5)
-        # Two distinct entries were cached — no hit despite identical
-        # lake/query/k — and flipping back hits the original approx entry.
-        assert service.cache_stats == {"hits": 0, "misses": 2, "size": 2}
-        searcher.mode = "approx"
-        service.search(query, 5)
-        assert service.cache_stats["hits"] == 1
-
-    def test_warm_through_store_skips_rebuild(self, small_benchmark, tmp_path):
-        store = IndexStore(tmp_path / "store")
-        lake = small_benchmark.lake
-        QueryService(ValueOverlapSearcher()).warm(lake, store)
-
-        # Same class/config (the store key): a rebuild would now be a bug.
-        no_rebuild = ValueOverlapSearcher()
-
-        def exploding_build(lake):  # pragma: no cover - must not run
-            raise AssertionError("warm() should load, not rebuild")
-
-        no_rebuild._build_index = exploding_build
-        warmed = QueryService(no_rebuild).warm(lake, store)
-        assert warmed.is_warm
-        query = small_benchmark.query_tables[0]
-        assert warmed.search(query, 4) == ValueOverlapSearcher().index(lake).search(
-            query, 4
-        )
-
-    def test_unwarmed_service_rejected(self, small_benchmark):
-        service = QueryService(ValueOverlapSearcher())
-        with pytest.raises(ServingError):
-            service.search(small_benchmark.query_tables[0], 3)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ServingError):
-            QueryService(ValueOverlapSearcher(), cache_size=-1)
+    searcher.search = counting
+    return calls
 
 
 def _pipeline(searcher):
@@ -416,17 +330,122 @@ def _pipeline(searcher):
     )
 
 
+class TestFacadeServing:
+    def test_query_path_never_forks(self, small_benchmark, monkeypatch):
+        """Repeated searches and ``run_many`` are loops over the one cached
+        single-query path, with a plain loop's counters — and the query
+        path never forks."""
+
+        def no_fork(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("the query path must never fork")
+
+        monkeypatch.setattr("repro.utils.parallel.forked_map", no_fork)
+        discovery = _served(small_benchmark)
+        calls = _count_searches(discovery)
+        queries = small_benchmark.query_tables * 3  # repeats hit the cache
+        distinct = len(small_benchmark.query_tables)
+        direct = ValueOverlapSearcher().index(small_benchmark.lake)
+        for query in queries:
+            assert discovery.search(query, 6) == direct.search(query, 6)
+        assert calls["searches"] == distinct
+        assert discovery.service_stats() == {
+            "overlap": {"hits": len(queries) - distinct, "misses": distinct, "size": distinct}
+        }
+        assert discovery.run_many([]) == []
+
+    def test_cache_serves_repeats_without_recomputing(self, small_benchmark):
+        discovery = _served(small_benchmark)
+        calls = _count_searches(discovery)
+        query = small_benchmark.query_tables[0]
+        first = discovery.search(query, 5)
+        assert discovery.search(query, 5) == first
+        assert calls["searches"] == 1
+        assert discovery.service_stats()["overlap"] == {"hits": 1, "misses": 1, "size": 1}
+        # A different k is a different cache entry.
+        discovery.search(query, 3)
+        assert calls["searches"] == 2
+
+    def test_cache_is_bounded_lru(self, small_benchmark):
+        discovery = _served(small_benchmark, serving={"cache_size": 1})
+        calls = _count_searches(discovery)
+        first, second = small_benchmark.query_tables[:2]
+        discovery.search(first, 5)
+        discovery.search(second, 5)  # evicts the entry for `first`
+        assert discovery.service_stats()["overlap"]["size"] == 1
+        discovery.search(first, 5)
+        assert calls["searches"] == 3
+
+    def test_cache_key_tracks_live_searcher_config(self, small_benchmark):
+        """Regression: the cache key must fold in the *current* searcher
+        config fingerprint, not one captured at construction — flipping a
+        cascade config on a live deployment must never serve stale rankings."""
+        discovery = _served(
+            small_benchmark, cascade={"mode": "approx", "candidate_budget": 4}
+        )
+        searcher = discovery.searcher()
+        query = small_benchmark.query_tables[0]
+        discovery.search(query, 5)
+        searcher.mode = "exact"  # live config change on the served searcher
+        discovery.search(query, 5)
+        # Two distinct entries were cached — no hit despite identical
+        # lake/query/k — and flipping back hits the original approx entry.
+        assert discovery.service_stats()["overlap"] == {"hits": 0, "misses": 2, "size": 2}
+        searcher.mode = "approx"
+        discovery.search(query, 5)
+        assert discovery.service_stats()["overlap"]["hits"] == 1
+
+    def test_warm_through_store_skips_rebuild(self, small_benchmark, tmp_path, monkeypatch):
+        serving = {"store_dir": str(tmp_path / "store"), "cache_size": 64}
+        _served(small_benchmark, serving=serving)  # builds and persists
+        query = small_benchmark.query_tables[0]
+        expected = ValueOverlapSearcher().index(small_benchmark.lake).search(query, 4)
+
+        # Same class/config (the store key): a rebuild would now be a bug.
+        def exploding_build(self, lake):  # pragma: no cover - must not run
+            raise AssertionError("warm() should load, not rebuild")
+
+        monkeypatch.setattr(ValueOverlapSearcher, "_build_index", exploding_build)
+        warmed = _served(small_benchmark, serving=serving)
+        assert warmed.searcher().is_indexed
+        assert warmed.search(query, 4) == expected
+
+    def test_deployment_without_serving_reports_misses_only(self, small_benchmark):
+        discovery = Discovery.from_config(UNSERVED).attach(small_benchmark.lake)
+        query = small_benchmark.query_tables[0]
+        assert discovery.search(query, 5) == discovery.search(query, 5)
+        assert discovery.service_stats() == {"overlap": {"hits": 0, "misses": 2, "size": 0}}
+
+    def test_cached_ranking_never_outlives_a_removed_table(self, small_benchmark):
+        """Regression: a cached ranking kept serving a table removed from the
+        lake, and ``run()`` then raised resolving it.  Between a mutation and
+        the next refresh the cache must answer exactly as the cache-less path
+        does: a table is ranked iff it is indexed *and* still in the lake."""
+        lake = DataLake([table.copy() for table in small_benchmark.lake], name="served")
+        cached = _served(small_benchmark, lake=lake)
+        uncached = Discovery.from_config(UNSERVED).attach(lake)
+        query = small_benchmark.query_tables[0]
+        top = cached.search(query)[0].table_name
+        removed = lake.get(top)
+        lake.remove_table(top)
+        after_removal = cached.search(query)
+        assert top not in [hit.table_name for hit in after_removal]
+        assert after_removal == uncached.search(query)
+        assert cached.run(query).selections() == uncached.run(query).selections()
+        # Re-adding it before any refresh puts it back on both paths: no
+        # ranking computed while it was missing may have been cached.
+        lake.add_table(removed)
+        assert cached.search(query)[0].table_name == top
+        assert cached.search(query) == uncached.search(query)
+
+
 class TestPipelineServing:
     def test_run_many_with_service_matches_direct_path(self, small_benchmark):
+        """A served deployment's ``run_many`` — second pass all cache hits —
+        selects exactly what a hand-wired direct pipeline does."""
         lake, queries = small_benchmark.lake, small_benchmark.query_tables
-        direct = _pipeline(ValueOverlapSearcher()).index(lake)
-        direct_results = direct.run_many(queries, k=5)
-
-        service = QueryService(ValueOverlapSearcher()).warm(lake)
-        served = _pipeline(ValueOverlapSearcher())  # un-indexed: adopted from service
-        served_results = served.run_many(queries, k=5, service=service)
-
-        for mine, theirs in zip(direct_results, served_results):
+        direct_results = _pipeline(ValueOverlapSearcher()).index(lake).run_many(queries, k=5)
+        served_results = _served(small_benchmark).run_many(queries * 2, k=5)
+        for mine, theirs in zip(direct_results * 2, served_results):
             assert mine.search_results == theirs.search_results
             assert mine.selected_indices == theirs.selected_indices
             assert mine.selected_tuples == theirs.selected_tuples
@@ -434,68 +453,61 @@ class TestPipelineServing:
     def test_run_many_times_each_search_on_its_own(self, small_benchmark):
         """A cache-hit query reports its own (smaller) step-1 time, not an
         equal share of the batch."""
+        discovery = _served(small_benchmark)
+        searcher = discovery.searcher()
+        real_search = searcher.search
 
-        class SlowSearcher(ValueOverlapSearcher):
-            def search(self, query_table, k):
-                time.sleep(0.05)
-                return super().search(query_table, k)
+        def slow_search(query_table, k):
+            time.sleep(0.05)
+            return real_search(query_table, k)
 
+        searcher.search = slow_search
         query = small_benchmark.query_tables[0]
-        service = QueryService(SlowSearcher()).warm(small_benchmark.lake)
-        miss, hit = _pipeline(ValueOverlapSearcher()).run_many(
-            [query, query], k=5, service=service
-        )
-        assert service.cache_stats["hits"] == 1
+        miss, hit = discovery.run_many([query, query], k=5)
+        assert discovery.service_stats()["overlap"]["hits"] == 1
         assert miss.timings["search"] >= 0.05
         assert hit.timings["search"] < miss.timings["search"]
         assert hit.search_results == miss.search_results
 
-    def test_run_many_rejects_cold_service(self, small_benchmark):
-        service = QueryService(ValueOverlapSearcher())
-        pipeline = _pipeline(ValueOverlapSearcher())
-        with pytest.raises(ConfigurationError):
-            pipeline.run_many(small_benchmark.query_tables, k=5, service=service)
-
 
 class TestEvaluationServing:
-    def test_prepare_query_workload_accepts_search_service(self, small_benchmark):
+    def test_prepare_query_workload_takes_tables_from_discovery(self, small_benchmark):
         model = FastTextLikeModel(dimension=64)
-        service = QueryService(ValueOverlapSearcher()).warm(small_benchmark.lake)
+        discovery = _served(small_benchmark)
         query = small_benchmark.query_tables[0]
         served = prepare_query_workload(
             small_benchmark,
             query,
             model,
-            search_service=service,
+            discovery=discovery,
             num_search_tables=4,
         )
-        expected_tables = [
-            table.name for table in service.search_tables(query, 4)
-        ]
+        expected_tables = [table.name for table in discovery.search_tables(query, 4)]
         assert set(served.table_ids) <= set(expected_tables)
         assert served.num_candidates > 0
 
     def test_prepare_query_workloads_batches_through_cache(self, small_benchmark):
         model = FastTextLikeModel(dimension=64)
-        searcher = _CountingSearcher()
-        service = QueryService(searcher).warm(small_benchmark.lake)
+        discovery = _served(small_benchmark)
+        calls = _count_searches(discovery)
 
         def prepare():
             return prepare_query_workloads(
                 small_benchmark,
                 small_benchmark.query_tables,
                 model,
-                search_service=service,
+                discovery=discovery,
                 num_search_tables=4,
             )
 
         workloads = prepare()
         assert set(workloads) == {q.name for q in small_benchmark.query_tables}
         # One search per query; preparing again is served from the cache.
-        assert searcher.search_calls == len(small_benchmark.query_tables)
+        assert calls["searches"] == len(small_benchmark.query_tables)
         prepare()
-        assert searcher.search_calls == len(small_benchmark.query_tables)
-        assert service.cache_stats["hits"] >= len(small_benchmark.query_tables)
+        assert calls["searches"] == len(small_benchmark.query_tables)
+        hits = discovery.service_stats()["overlap"]["hits"]
+        assert hits >= len(small_benchmark.query_tables)
 
 
 class TestSearcherIndexGuards:

@@ -32,7 +32,7 @@ from repro.search import (
     ValueOverlapSearcher,
 )
 from repro.search.sharded import balanced_assignment, skew_of
-from repro.serving import IndexStore, QueryService
+from repro.serving import IndexStore
 from repro.utils.errors import (
     ConfigurationError,
     DataLakeError,
@@ -482,15 +482,16 @@ class TestShardStorePersistence:
         lake = fresh_lake(tus_bench)
         searcher = ShardedSearcher(
             ValueOverlapSearcher, num_shards=3
-        )
-        service = QueryService(searcher).warm(lake, store)
+        ).warm(lake, store)
         assert searcher.store is store  # the composite persists per shard
         assert not list(tmp_path.glob("ShardedSearcher-*"))  # no composite entry
         lake.add_table(make_table("zz_served"))
-        service.refresh()
-        fresh = QueryService(ValueOverlapSearcher()).warm(lake)
+        searcher.refresh()
+        searcher.persist()
+        assert not list(tmp_path.glob("ShardedSearcher-*"))
+        fresh = ValueOverlapSearcher().index(lake)
         query = tus_bench.query_tables[0]
-        assert service.search(query, 8) == fresh.search(query, 8)
+        assert searcher.search(query, 8) == fresh.search(query, 8)
 
 
 # ------------------------------------------------------- online shard rebalance

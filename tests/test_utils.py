@@ -1,4 +1,4 @@
-"""Tests for repro.utils (rng, timing, validation, text helpers)."""
+"""Tests for repro.utils (rng, timing, text helpers)."""
 
 import math
 import time
@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.utils import (
-    ConfigurationError,
     Timer,
     derive_seed,
-    require,
-    require_in_range,
-    require_non_empty,
-    require_positive,
-    require_type,
     seeded_rng,
     timed,
 )
@@ -26,7 +20,6 @@ from repro.utils.text import (
     normalize_text,
     to_float,
 )
-from repro.utils.validation import require_same_length, require_unique
 
 
 class TestRng:
@@ -87,41 +80,6 @@ class TestTimer:
         result, elapsed = timed(lambda x: x * 2, 21)
         assert result == 42
         assert elapsed >= 0.0
-
-
-class TestValidation:
-    def test_require_raises_with_message(self):
-        with pytest.raises(ConfigurationError, match="broken"):
-            require(False, "broken")
-        require(True, "fine")
-
-    def test_require_positive(self):
-        require_positive(1, "x")
-        with pytest.raises(ConfigurationError):
-            require_positive(0, "x")
-
-    def test_require_in_range(self):
-        require_in_range(0.5, 0, 1, "x")
-        with pytest.raises(ConfigurationError):
-            require_in_range(2, 0, 1, "x")
-
-    def test_require_non_empty(self):
-        require_non_empty([1], "x")
-        with pytest.raises(ConfigurationError):
-            require_non_empty([], "x")
-
-    def test_require_type(self):
-        require_type("a", str, "x")
-        with pytest.raises(ConfigurationError):
-            require_type("a", int, "x")
-
-    def test_require_same_length_and_unique(self):
-        require_same_length([1, 2], [3, 4], "pair")
-        with pytest.raises(ConfigurationError):
-            require_same_length([1], [2, 3], "pair")
-        require_unique([1, 2, 3], "items")
-        with pytest.raises(ConfigurationError):
-            require_unique([1, 1], "items")
 
 
 class TestText:
