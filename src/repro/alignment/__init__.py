@@ -3,13 +3,12 @@
 from repro.alignment.types import ColumnAlignment, AlignedCluster
 from repro.alignment.holistic import HolisticColumnAligner
 from repro.alignment.bipartite import BipartiteColumnAligner
-from repro.alignment.union import outer_union, aligned_tuples_from_tables
+from repro.alignment.union import aligned_tuples_from_tables
 
 __all__ = [
     "ColumnAlignment",
     "AlignedCluster",
     "HolisticColumnAligner",
     "BipartiteColumnAligner",
-    "outer_union",
     "aligned_tuples_from_tables",
 ]

@@ -13,7 +13,6 @@ from typing import Sequence
 from repro.alignment.types import ColumnAlignment
 from repro.datalake.table import Table
 from repro.embeddings.serialization import AlignedTuple
-from repro.utils.errors import AlignmentError
 
 
 def aligned_tuples_from_tables(
@@ -62,40 +61,3 @@ def query_tuples(query_table: Table) -> list[AlignedTuple]:
         )
         for position, row in enumerate(query_table.rows)
     ]
-
-
-def outer_union(
-    query_table: Table,
-    alignment: ColumnAlignment,
-    lake_tables: Sequence[Table],
-    *,
-    include_query_rows: bool = True,
-    name: str | None = None,
-) -> Table:
-    """Materialise the outer union as a :class:`Table` over the query schema.
-
-    The result has exactly the query table's columns; each data lake tuple is
-    padded with ``None`` for query columns its source table does not cover
-    (Example 3: the single-column ``Park Phone`` cluster is discarded, missing
-    ``City`` values become nulls).
-    """
-    if alignment.query_table_name != query_table.name:
-        raise AlignmentError(
-            f"alignment was computed for query table {alignment.query_table_name!r}, "
-            f"not {query_table.name!r}"
-        )
-    columns = list(query_table.columns)
-    rows = []
-    provenance: list[tuple[str, int]] = []
-    if include_query_rows:
-        rows.extend(query_table.rows)
-        provenance.extend((query_table.name, i) for i in range(query_table.num_rows))
-    for aligned in aligned_tuples_from_tables(alignment, lake_tables):
-        rows.append(aligned.as_row(columns))
-        provenance.append((aligned.source_table, aligned.source_row))
-    return Table(
-        name=name or f"{query_table.name}__union",
-        columns=columns,
-        rows=rows,
-        metadata={"provenance": provenance},
-    )

@@ -104,23 +104,12 @@ def _add_sharding_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_store_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store-backend",
-        choices=("directory", "sqlite"),
-        default=None,
-        help="override store.backend: how the index store persists entries "
-        "(directory tree or one WAL-mode SQLite file; default: config "
-        "value or directory)",
-    )
-
-
 def config_override_parent() -> argparse.ArgumentParser:
     """The one shared config-override flag set of ``search``/``warm``/``serve``.
 
     Every subcommand that builds a deployment inherits this parent, so the
-    identical ``--config``/``--cascade-*``/``--shards``/``--store-backend``
-    flags mean the identical thing everywhere —
+    identical ``--config``/``--cascade-*``/``--shards`` flags mean the
+    identical thing everywhere —
     :func:`_load_config` folds them into the :class:`DiscoveryConfig` in one
     place.
     """
@@ -128,7 +117,6 @@ def config_override_parent() -> argparse.ArgumentParser:
     _add_config_option(parent)
     _add_cascade_options(parent)
     _add_sharding_options(parent)
-    _add_store_options(parent)
     return parent
 
 
@@ -150,13 +138,6 @@ def _sharding_overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
-def _store_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if getattr(args, "store_backend", None) is not None:
-        overrides["backend"] = args.store_backend
-    return overrides
-
-
 def _load_config(args: argparse.Namespace) -> DiscoveryConfig:
     if getattr(args, "config", None):
         config = DiscoveryConfig.from_file(args.config)
@@ -164,15 +145,12 @@ def _load_config(args: argparse.Namespace) -> DiscoveryConfig:
         config = DiscoveryConfig()
     cascade = _cascade_overrides(args)
     sharding = _sharding_overrides(args)
-    store = _store_overrides(args)
-    if cascade or sharding or store:
+    if cascade or sharding:
         payload = config.to_dict()
         if cascade:
             payload["cascade"] = {**(payload.get("cascade") or {}), **cascade}
         if sharding:
             payload["sharding"] = {**(payload.get("sharding") or {}), **sharding}
-        if store:
-            payload["store"] = {**(payload.get("store") or {}), **store}
         config = DiscoveryConfig.from_dict(payload)
     return config
 
@@ -348,9 +326,7 @@ def _cmd_info(args: argparse.Namespace) -> int:
     if serving.get("store_dir"):
         from repro.serving.store import IndexStore
 
-        store_stats = IndexStore.from_config(
-            serving["store_dir"], config.store
-        ).stats()
+        store_stats = IndexStore(serving["store_dir"]).stats()
     payload = {
         "version": __version__,
         **catalog,
@@ -367,8 +343,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"  config fingerprint: {payload['config_fingerprint'][:16]}")
     if store_stats is not None:
         print(
-            f"  index store       : {store_stats['backend']} at "
-            f"{store_stats['location']} ({store_stats['entries']} entries, "
+            f"  index store       : {store_stats['location']} "
+            f"({store_stats['entries']} entries, "
             f"{store_stats['payload_bytes']} payload bytes)"
         )
     print(f"  active config     : {json.dumps(payload['config'], sort_keys=True)}")
@@ -522,7 +498,7 @@ def _cmd_warm(args: argparse.Namespace) -> int:
     print(
         f"warming {len(args.backends)} backend(s) over {args.benchmark!r} "
         f"({lake.num_tables} tables, {lake.num_rows} rows), "
-        f"store={args.store} [{(config.store or {}).get('backend', 'directory')}]"
+        f"store={args.store}"
         + (
             f", shards={sharding['num_shards']}"
             if sharding.get("num_shards", 1) > 1

@@ -93,10 +93,6 @@ _SERVER_DEFAULTS: dict[str, Any] = {
     "maintenance_idle_seconds": 0.5,
     "prewarm_queries": 8,
 }
-_STORE_DEFAULTS: dict[str, Any] = {
-    "backend": "directory",
-    "path": None,
-}
 
 
 @dataclass(frozen=True)
@@ -292,22 +288,6 @@ def _validate_ingest(ingest: Mapping[str, Any]) -> None:
         )
 
 
-def _validate_store(store: Mapping[str, Any]) -> None:
-    """Eagerly apply the IndexStore backend constraints."""
-    from repro.api.registry import STORE_BACKENDS
-
-    backend = store["backend"]
-    if not isinstance(backend, str) or backend not in STORE_BACKENDS:
-        raise ConfigurationError(
-            f"store.backend must be one of {STORE_BACKENDS.names()}, "
-            f"got {backend!r}"
-        )
-    if store["path"] is not None and not isinstance(store["path"], str):
-        raise ConfigurationError(
-            f"store.path must be a path string or null, got {store['path']!r}"
-        )
-
-
 def _checked_section(
     section: str, payload: Mapping[str, Any], allowed: tuple[str, ...]
 ) -> dict[str, Any]:
@@ -373,13 +353,6 @@ class DiscoveryConfig:
     #: it is **fingerprint-neutral**: batching cadence changes *when* writes
     #: land, never what an index built from the same content contains.
     ingest: dict[str, Any] | None = None
-    #: Optional index-store backend section: ``{"backend": "sqlite",
-    #: "path": null}`` selecting *how* ``serving.store_dir`` persists
-    #: entries (the :data:`~repro.api.registry.STORE_BACKENDS` registry).
-    #: Like ``server`` and ``ingest`` it is **fingerprint-neutral**: the
-    #: physical storage of an index never changes its content, so the same
-    #: entries stay addressable when a deployment migrates between backends.
-    store: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:
         for section, registry in _COMPONENT_SECTIONS.items():
@@ -425,11 +398,6 @@ class DiscoveryConfig:
             ingest = _checked_section("ingest", self.ingest, tuple(_INGEST_DEFAULTS))
             self.ingest = {**_INGEST_DEFAULTS, **ingest}
             _validate_ingest(self.ingest)
-
-        if self.store is not None:
-            store = _checked_section("store", self.store, tuple(_STORE_DEFAULTS))
-            self.store = {**_STORE_DEFAULTS, **store}
-            _validate_store(self.store)
 
     # ----------------------------------------------------------------- presets
     @classmethod
@@ -477,7 +445,7 @@ class DiscoveryConfig:
                 )
         for section in (
             "pipeline", "dust", "serving", "sharding", "cascade", "server",
-            "ingest", "store",
+            "ingest",
         ):
             if section in payload:
                 kwargs[section] = payload[section]
@@ -501,8 +469,6 @@ class DiscoveryConfig:
             payload["server"] = dict(self.server)
         if self.ingest is not None:
             payload["ingest"] = dict(self.ingest)
-        if self.store is not None:
-            payload["store"] = dict(self.store)
         return payload
 
     @classmethod
@@ -542,14 +508,10 @@ class DiscoveryConfig:
         knobs, not index content, so moving a server to another port must
         not orphan its persisted indexes or cached results.  ``ingest`` is
         excluded for the same reason: batching cadence changes when writes
-        land, never what equal content indexes to.  ``store`` is excluded
-        too: the physical backend holding an index entry never changes what
-        the entry contains, so migrating a deployment from the directory
-        layout to SQLite must not re-key its indexes.
+        land, never what equal content indexes to.
         """
         content = self.to_dict()
         content.pop("server", None)
         content.pop("ingest", None)
-        content.pop("store", None)
         payload = json.dumps(content, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()

@@ -281,7 +281,7 @@ class Discovery:
         self._diversifier = self._build_diversifier(self.config.diversifier)
         serving = self.config.serving
         self._store = (
-            IndexStore.from_config(serving["store_dir"], self.config.store)
+            IndexStore(serving["store_dir"])
             if serving is not None and serving.get("store_dir")
             else None
         )
@@ -704,9 +704,9 @@ class Discovery:
             "config": self.config.to_dict(),
             "config_fingerprint": self.config.fingerprint(),
             # Every component registry in one place — searchers and
-            # diversifiers alongside the workload generators and store
-            # backends — so ``info``/``/v1/info`` stay the single
-            # discoverability surface as registries are added.
+            # diversifiers alongside the benchmark and workload generators —
+            # so ``info``/``/v1/info`` stay the single discoverability
+            # surface as registries are added.
             "registries": registry_catalog(),
             "lake": (
                 {

@@ -124,8 +124,6 @@ COLUMN_ENCODERS = Registry("column encoder", modules=("repro.embeddings",))
 BENCHMARKS = Registry("benchmark generator", modules=("repro.benchgen",))
 #: Scenario workload generators (seeded lake + query-stream shapes).
 WORKLOADS = Registry("workload generator", modules=("repro.scenarios",))
-#: Physical index-store backends (directory tree / SQLite database).
-STORE_BACKENDS = Registry("store backend", modules=("repro.serving.backends",))
 
 
 def register_searcher(name: str) -> Callable[[T], T]:
@@ -158,11 +156,6 @@ def register_workload(name: str) -> Callable[[T], T]:
     return WORKLOADS.register(name)
 
 
-def register_store_backend(name: str) -> Callable[[T], T]:
-    """Register a :class:`~repro.serving.backends.base.StoreBackend` subclass."""
-    return STORE_BACKENDS.register(name)
-
-
 def available_searchers() -> list[str]:
     """Names of every registered table union searcher."""
     return SEARCHERS.names()
@@ -193,11 +186,6 @@ def available_workloads() -> list[str]:
     return WORKLOADS.names()
 
 
-def available_store_backends() -> list[str]:
-    """Names of every registered index-store backend."""
-    return STORE_BACKENDS.names()
-
-
 def registry_catalog() -> dict[str, list[str]]:
     """Every registry's implementation names, keyed by component family.
 
@@ -212,5 +200,4 @@ def registry_catalog() -> dict[str, list[str]]:
         "column_encoders": available_column_encoders(),
         "benchmarks": available_benchmarks(),
         "workloads": available_workloads(),
-        "store_backends": available_store_backends(),
     }

@@ -86,7 +86,7 @@ def generate_imdb_case_study(
         )
         table = catalogue.select_rows(positions, name=f"imdb_lake_{index}")
         table.metadata = {"topic": _IMDB_TOPIC.name, "kind": "derived", "base_table": "imdb_catalogue"}
-        lake.add(table)
+        lake.add_table(table)
         lake_names.append(table.name)
 
     return Benchmark(

@@ -64,7 +64,7 @@ def _build_derivation_benchmark(
                 min_rows=min_rows,
                 max_row_fraction=max_row_fraction,
             )
-            lake.add(derived)
+            lake.add_table(derived)
             lake_names.append(table_name)
             group_members.append(table_name)
 

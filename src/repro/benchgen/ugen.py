@@ -73,7 +73,7 @@ def generate_ugen_benchmark(
         unionable_names = []
         for table_index in range(unionable_per_query):
             table_name = f"ugen_{topic.name}_unionable_{table_index}"
-            lake.add(
+            lake.add_table(
                 derive_table(
                     base,
                     name=table_name,
@@ -86,7 +86,7 @@ def generate_ugen_benchmark(
 
         for table_index in range(non_unionable_per_query):
             table_name = f"ugen_{topic.name}_distractor_{table_index}"
-            lake.add(
+            lake.add_table(
                 derive_table(
                     distractor_base,
                     name=table_name,

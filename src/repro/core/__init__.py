@@ -8,7 +8,7 @@
 
 from repro.core.config import DustConfig, PipelineConfig
 from repro.core.metrics import average_diversity, min_diversity, diversity_scores
-from repro.core.pruning import prune_tuples, prune_by_table
+from repro.core.pruning import prune_by_table
 from repro.core.reranking import rank_candidates_against_query, RankedCandidate
 from repro.core.diversifier import DustDiversifier
 from repro.core.pipeline import DustPipeline, DustResult
@@ -19,7 +19,6 @@ __all__ = [
     "average_diversity",
     "min_diversity",
     "diversity_scores",
-    "prune_tuples",
     "prune_by_table",
     "rank_candidates_against_query",
     "RankedCandidate",

@@ -86,16 +86,3 @@ def prune_by_table(
     # Return in decreasing-score order (paper: "top-s tuples based on this ranking").
     kept.sort(key=lambda index: (-scores[index], index))
     return kept
-
-
-def prune_tuples(
-    embeddings: np.ndarray,
-    limit: int,
-    *,
-    table_ids: Sequence[object] | None = None,
-    metric: str = "cosine",
-) -> list[int]:
-    """Prune candidates, treating all tuples as one table when ids are absent."""
-    matrix = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
-    ids = list(table_ids) if table_ids is not None else [0] * matrix.shape[0]
-    return prune_by_table(matrix, ids, limit, metric=metric)

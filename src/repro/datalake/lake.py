@@ -263,19 +263,6 @@ class DataLake:
         self._journal_op("add", name)
         return self
 
-    def add(self, table: Table) -> None:
-        """Alias of :meth:`add_table` (kept for backward compatibility)."""
-        self.add_table(table)
-
-    def add_all(self, tables: Iterable[Table]) -> None:
-        """Add every table in ``tables``."""
-        for table in tables:
-            self.add_table(table)
-
-    def remove(self, name: str) -> Table:
-        """Alias of :meth:`remove_table` (kept for backward compatibility)."""
-        return self.remove_table(name)
-
     # ------------------------------------------------------------- accessors
     def __contains__(self, name: str) -> bool:
         return name in self._tables

@@ -147,21 +147,3 @@ def profile_table(table: Table) -> TableProfile:
         num_numeric_columns=sum(1 for profile in columns if profile.is_numeric),
         columns=columns,
     )
-
-
-def column_value_overlap(first: ColumnProfile, second: ColumnProfile) -> float:
-    """Jaccard overlap of the distinct (normalised) values of two columns."""
-    if not first.distinct_values or not second.distinct_values:
-        return 0.0
-    intersection = len(first.distinct_values & second.distinct_values)
-    union = len(first.distinct_values | second.distinct_values)
-    return intersection / union if union else 0.0
-
-
-def new_values_added(query_values: set[str], candidate_values: set[str]) -> int:
-    """Count values in ``candidate_values`` that do not appear in ``query_values``.
-
-    This is the Fig. 8 case-study metric: how many novel values a method adds
-    to a column of the query table.
-    """
-    return len(candidate_values - query_values)

@@ -74,12 +74,3 @@ def l2_normalize(vector: np.ndarray, *, epsilon: float = 1e-12) -> np.ndarray:
     if norm < epsilon:
         return np.zeros_like(vector)
     return vector / norm
-
-
-def l2_normalize_rows(matrix: np.ndarray, *, epsilon: float = 1e-12) -> np.ndarray:
-    """Row-wise L2 normalisation of a 2-D matrix."""
-    if matrix.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {matrix.shape}")
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    norms = np.where(norms < epsilon, 1.0, norms)
-    return matrix / norms

@@ -10,7 +10,7 @@ metric, together with the average time per query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -139,10 +139,3 @@ def format_win_table(summary: Mapping[str, Mapping[str, float]], *, benchmark: s
             f"{row['mean_time']:>10.3f}"
         )
     return "\n".join(lines)
-
-
-def selection_from_tuples(
-    workload: QueryWorkload, tuples: Sequence[int]
-) -> np.ndarray:
-    """Embeddings of a selection given as candidate indices (helper for baselines)."""
-    return workload.candidate_embeddings[np.asarray(list(tuples), dtype=int)]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.datalake.lake import DataLake
 from repro.datalake.partition import LakePartitioner, LakeShard, _stable_shard_hash
@@ -442,6 +442,7 @@ class ShardedSearcher(TableUnionSearcher):
         shard_lakes = [shard.to_lake() for shard in shards]
         searchers: list[TableUnionSearcher | None] = [None] * len(shards)
         new_deferred: dict[int, dict[str, str]] = {}
+        moved: list[tuple[int, TableUnionSearcher | None]] = []
         for shard_id, shard_lake in enumerate(shard_lakes):
             previous = (
                 self._shard_searchers[shard_id]
@@ -450,28 +451,52 @@ class ShardedSearcher(TableUnionSearcher):
             )
             if shard_lake.num_tables == 0:
                 continue
-            if previous is None and shard_id in self._deferred:
-                if self._deferred[shard_id] == shard_lake.table_fingerprints():
-                    # Deferred shard the mutation never touched: stay
-                    # deferred — a refresh costs O(touched shards) too.
-                    new_deferred[shard_id] = self._deferred[shard_id]
-                    continue
-                # Deferred shard whose content drifted: restore through the
-                # store's exact/delta path (which persists the new entry).
-                searchers[shard_id] = self._sync_shard(self.factory(), shard_lake)
-                continue
-            if (
+            fingerprints = shard_lake.table_fingerprints()
+            if previous is None and self._deferred.get(shard_id) == fingerprints:
+                # Deferred shard the mutation never touched: stay
+                # deferred — a refresh costs O(touched shards) too.
+                new_deferred[shard_id] = fingerprints
+            elif (
                 previous is not None
                 and previous.is_indexed
-                and previous._indexed_table_fps == shard_lake.table_fingerprints()
+                and previous._indexed_table_fps == fingerprints
             ):
                 searchers[shard_id] = previous  # shard content untouched
-                continue
+            else:
+                moved.append((shard_id, previous))
+        if moved:
+            self._stamp_unchanged(shard_lakes, searchers, deferred=new_deferred)
+        for shard_id, previous in moved:
+            # A drifted deferred shard restores through the store's
+            # exact/delta path; a live one delta-updates in memory.  Both
+            # re-persist the shard's new entry.
             searchers[shard_id] = self._sync_shard(
-                previous if previous is not None else self.factory(), shard_lake
+                previous if previous is not None else self.factory(),
+                shard_lakes[shard_id],
             )
         self._deferred = new_deferred
         self._adopt_partition(lake, shards, shard_lakes, searchers)
+
+    def _stamp_unchanged(
+        self,
+        shard_lakes: list[DataLake],
+        searchers: list[TableUnionSearcher | None],
+        deferred: Iterable[int] = (),
+    ) -> None:
+        """Touch the store entries of the live and ``deferred`` shards.
+
+        Callers pass only the shards a re-persist leaves unchanged.  Eviction
+        ranks one namespace by ``last_access``; an untouched shard keeps its
+        build-time stamp, so it would rank older than a moved shard's
+        superseded snapshots, be evicted first, and be rebuilt on the next
+        restart.  Call this before the moved shards save: ``save`` runs the
+        eviction.
+        """
+        if self.store is None or not self._prototype.SHARD_LOCAL_INDEX:
+            return
+        live = (i for i, searcher in enumerate(searchers) if searcher is not None)
+        for shard_id in [*deferred, *live]:
+            self.store.touch(self._prototype, shard_lakes[shard_id])
 
     # ------------------------------------------------------------- rebalancing
     def shard_loads(self) -> list[int]:
@@ -585,6 +610,8 @@ class ShardedSearcher(TableUnionSearcher):
         # Pass 2: mover shards delta-rebuild from their best-overlapping
         # previous searcher (rebase = remove departed + add arrivals) and
         # re-persist — only these shards pay.
+        if pending:
+            self._stamp_unchanged(shard_lakes, searchers)
         rebuilt = 0
         for shard_id in pending:
             shard_lake = shard_lakes[shard_id]

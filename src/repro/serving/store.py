@@ -4,30 +4,20 @@ Every :class:`~repro.search.base.TableUnionSearcher` can dump its built index
 as a JSON metadata dict plus named numpy arrays (``index_state()``) and
 restore it without touching the lake's cell values (``load_index_state()``).
 :class:`IndexStore` persists those dumps so a data lake is indexed once and
-reused across runs *and* processes.
+reused across runs *and* processes, one directory per entry::
 
-The store owns the logical semantics — content keying, the manifest schema,
-miss-vs-corruption error taxonomy, delta anchoring, eviction policy — and
-delegates physical persistence to a pluggable
-:class:`~repro.serving.backends.base.StoreBackend` selected by name:
+    <root>/
+      <Backend>-<config_fp12>/      one namespace per (class, config, format)
+        <lake_fp16>/                one entry per lake content fingerprint
+          state.json                JSON metadata payload
+          arrays.npz                numpy payloads (uncompressed)
+          manifest.json             versions, fingerprints, payload checksums
 
-* ``directory`` (default) — the original one-directory-per-entry layout::
-
-      <root>/
-        <Backend>-<config_fp12>/      one namespace per (class, config, format)
-          <lake_fp16>/                one entry per lake content fingerprint
-            state.json                JSON metadata payload
-            arrays.npz                numpy payloads
-            manifest.json             versions, fingerprints, payload checksums
-
-* ``sqlite`` — the same entries as rows of one WAL-mode database file, for
-  shared storage and concurrent multi-process readers.
-
-Every backend commits the manifest last (directory: atomic rename; sqlite:
-one transaction), so a crashed save never produces a loadable entry; both
-payloads are checksum-validated on load and any mismatch is reported as
-corruption rather than silently served.  On the read path arrays come back
-as *lazy* views (memory-mapped npz members on the directory backend), so
+Payloads are written first and the manifest last, by atomic rename, so a
+crashed save never produces a loadable entry; both payloads are
+checksum-validated on load and any mismatch is reported as corruption rather
+than silently served.  On the read path arrays come back as lazy
+memory-mapped views (:class:`~repro.serving.payload.MappedArrayPayload`), so
 restoring an index only faults in the bytes its ``load_index_state``
 actually decodes.
 
@@ -43,11 +33,20 @@ only the changed tables.
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import shutil
 import time
+import zipfile
+from collections.abc import Mapping
 from pathlib import Path
+from typing import Iterator
+
+import numpy as np
 
 from repro.datalake.lake import DataLake
 from repro.search.base import TableUnionSearcher
+from repro.serving.payload import MappedArrayPayload
 from repro.utils.errors import IndexStoreMiss, SearchError, ServingError
 
 #: Bump when the on-disk layout of store entries changes.  (The
@@ -56,12 +55,16 @@ from repro.utils.errors import IndexStoreMiss, SearchError, ServingError
 #: delta updates / recency-ordered eviction.)
 STORE_FORMAT_VERSION = 1
 
+#: The three files of one entry; manifests checksum the two payloads.
+_STATE = "state.json"
+_ARRAYS = "arrays.npz"
+_MANIFEST = "manifest.json"
+
 
 def _file_checksum(path: Path) -> str:
     """Streaming sha256 of one payload file, in fixed 1 MiB chunks.
 
-    The canonical checksum helper for file-based backends: large npz
-    payloads hash at constant memory instead of being read whole.
+    Large npz payloads hash at constant memory instead of being read whole.
     """
     hasher = hashlib.sha256()
     with path.open("rb") as handle:
@@ -72,10 +75,6 @@ def _file_checksum(path: Path) -> str:
 
 class IndexStore:
     """Persisted search indexes keyed by backend config and lake content.
-
-    ``backend`` names the physical storage implementation from the
-    :data:`~repro.api.registry.STORE_BACKENDS` registry (``"directory"`` or
-    ``"sqlite"``); ``path`` is forwarded to its constructor.
 
     ``max_delta_fraction`` bounds when :meth:`load_or_build` prefers updating
     a prior snapshot over rebuilding: a delta is applied only when it touches
@@ -94,8 +93,6 @@ class IndexStore:
         self,
         root: str | Path,
         *,
-        backend: str = "directory",
-        path: str | Path | None = None,
         max_delta_fraction: float = 0.5,
         max_entries_per_backend: int | None = 8,
     ) -> None:
@@ -111,75 +108,49 @@ class IndexStore:
         self.root = Path(root)
         self.max_delta_fraction = max_delta_fraction
         self.max_entries_per_backend = max_entries_per_backend
-        # Imported lazily: repro.api's package __init__ pulls in modules that
-        # import this one, so a module-level registry import could observe a
-        # partially initialized repro.serving.store.
-        from repro.api.registry import STORE_BACKENDS
-
-        self._backend = STORE_BACKENDS.create(backend, root=self.root, path=path)
-
-    @classmethod
-    def from_config(
-        cls, root: str | Path, section: dict | None = None, **overrides
-    ) -> IndexStore:
-        """Build a store from a validated ``store`` config section.
-
-        ``section`` is the (already defaulted) ``DiscoveryConfig.store``
-        dict; ``None`` means all defaults.  Shared by the facade and the
-        ``warm`` CLI so both construct identically-behaving stores.
-        """
-        section = dict(section or {})
-        return cls(
-            root,
-            backend=section.get("backend", "directory"),
-            path=section.get("path"),
-            **overrides,
-        )
 
     # ------------------------------------------------------------- addressing
-    @property
-    def backend_name(self) -> str:
-        """Registry name of the active physical backend."""
-        return self._backend.name
-
-    def _backend_key(self, searcher: TableUnionSearcher) -> str:
-        return f"{type(searcher).__name__}-{searcher.config_fingerprint()[:12]}"
-
-    def _entry_key(self, lake: DataLake) -> str:
-        return lake.fingerprint()[:16]
-
     def backend_dir(self, searcher: TableUnionSearcher) -> Path:
-        """Logical directory holding every persisted lake entry of one config.
-
-        A real directory only on the ``directory`` backend; other backends
-        use the same path as a virtual namespace.
-        """
-        return self.root / self._backend_key(searcher)
+        """Directory holding every persisted lake entry of one config."""
+        return self.root / f"{type(searcher).__name__}-{searcher.config_fingerprint()[:12]}"
 
     def entry_dir(self, searcher: TableUnionSearcher, lake: DataLake) -> Path:
-        """Logical directory of the persisted index of ``searcher`` over ``lake``."""
-        return self.backend_dir(searcher) / self._entry_key(lake)
+        """Directory of the persisted index of ``searcher`` over ``lake``."""
+        return self.backend_dir(searcher) / lake.fingerprint()[:16]
 
     def contains(self, searcher: TableUnionSearcher, lake: DataLake) -> bool:
         """Whether a completed entry exists (no payload validation)."""
-        return self._backend.has_entry(
-            self._backend_key(searcher), self._entry_key(lake)
-        )
+        return (self.entry_dir(searcher, lake) / _MANIFEST).is_file()
 
     def stats(self) -> dict:
-        """Occupancy of the physical backend, for ``info`` surfaces.
+        """Occupancy of the store, for ``info`` surfaces.
 
-        Keys: ``backend`` (registry name), ``location``, ``backends``
-        (config namespaces), ``entries`` and ``payload_bytes`` — what a cold
-        start would have to touch if it loaded everything eagerly.
+        Keys: ``location`` (the root), ``backends`` (config namespaces),
+        ``entries`` and ``payload_bytes`` — what a cold start would have to
+        touch if it loaded everything eagerly.
         """
-        return self._backend.stats()
+        namespaces = self._namespaces()
+        entries = payload_bytes = 0
+        for namespace in namespaces:
+            for manifest_path in namespace.glob(f"*/{_MANIFEST}"):
+                entries += 1
+                for name in (_STATE, _ARRAYS):
+                    try:
+                        payload_bytes += (manifest_path.parent / name).stat().st_size
+                    except OSError:
+                        continue
+        return {
+            "location": str(self.root),
+            "backends": len(namespaces),
+            "entries": entries,
+            "payload_bytes": payload_bytes,
+        }
 
     # ------------------------------------------------------------------- save
     def save(
         self, searcher: TableUnionSearcher, lake: DataLake | None = None
     ) -> Path:
-        """Persist ``searcher``'s built index; returns the logical entry dir.
+        """Persist ``searcher``'s built index; returns the entry directory.
 
         Payloads are committed before the manifest becomes visible, so
         concurrent or crashed writers can never leave a manifest pointing at
@@ -198,15 +169,10 @@ class IndexStore:
             "num_tables": lake.num_tables,
             "last_access": time.time(),
         }
-        self._backend.write_entry(
-            self._backend_key(searcher),
-            self._entry_key(lake),
-            state=state,
-            arrays=arrays,
-            manifest=manifest,
-        )
-        self._evict_superseded(searcher, lake)
-        return self.entry_dir(searcher, lake)
+        entry = self.entry_dir(searcher, lake)
+        self._write_entry(entry, state=state, arrays=arrays, manifest=manifest)
+        self._evict_superseded(entry)
+        return entry
 
     def try_save(
         self, searcher: TableUnionSearcher, lake: DataLake | None = None
@@ -222,7 +188,93 @@ class IndexStore:
         except SearchError:
             pass
 
-    def _evict_superseded(self, searcher: TableUnionSearcher, lake: DataLake) -> None:
+    def touch(self, searcher: TableUnionSearcher, lake: DataLake) -> None:
+        """Record an access to one entry by atomically rewriting its manifest.
+
+        Eviction orders entries by this ``last_access`` stamp, so an entry
+        still in use must be touched to outrank superseded snapshots.
+        Best-effort: a missing entry, or a concurrent eviction racing the
+        rewrite, loses nothing but the stamp, so every failure is swallowed.
+        """
+        entry = self.entry_dir(searcher, lake)
+        manifest_path = entry / _MANIFEST
+        try:
+            manifest = json.loads(manifest_path.read_text())
+            manifest["last_access"] = time.time()
+            tmp_path = entry / f"{_MANIFEST}.touch.tmp"
+            tmp_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+            os.replace(tmp_path, manifest_path)
+        except (OSError, json.JSONDecodeError):
+            pass
+
+    def _write_entry(
+        self,
+        entry: Path,
+        *,
+        state: dict,
+        arrays: Mapping[str, np.ndarray],
+        manifest: dict,
+    ) -> None:
+        """Write both payloads, then their checksums in the manifest, last."""
+        entry.mkdir(parents=True, exist_ok=True)
+        manifest_path = entry / _MANIFEST
+        if manifest_path.exists():  # invalidate the old entry while replacing
+            manifest_path.unlink()
+
+        state_path, arrays_path = entry / _STATE, entry / _ARRAYS
+        state_path.write_text(json.dumps(state, sort_keys=True))
+        with arrays_path.open("wb") as handle:
+            np.savez(handle, **arrays)
+
+        manifest = dict(manifest)
+        manifest["checksums"] = {
+            _STATE: _file_checksum(state_path),
+            _ARRAYS: _file_checksum(arrays_path),
+        }
+        tmp_path = entry / f"{_MANIFEST}.tmp"
+        tmp_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        os.replace(tmp_path, manifest_path)
+
+    # -------------------------------------------------------------- eviction
+    def _namespaces(self) -> list[Path]:
+        """Every config namespace directory under the root."""
+        if not self.root.is_dir():
+            return []
+        return sorted(child for child in self.root.iterdir() if child.is_dir())
+
+    def _manifests(self, namespace: Path) -> Iterator[tuple[Path, dict]]:
+        """``(entry_dir, manifest)`` per readable entry; unreadable ones skip."""
+        for manifest_path in namespace.glob(f"*/{_MANIFEST}"):
+            try:
+                yield manifest_path.parent, json.loads(manifest_path.read_text())
+            except (OSError, json.JSONDecodeError):
+                continue
+
+    def _stamped_entries(self, namespace: Path) -> list[tuple[float, str]]:
+        """``(last_access, entry name)`` per entry, for eviction ordering.
+
+        Entries written before the ``last_access`` field existed fall back to
+        the manifest's mtime.
+        """
+        stamped: list[tuple[float, str]] = []
+        for entry, manifest in self._manifests(namespace):
+            stamp = manifest.get("last_access")
+            if not isinstance(stamp, (int, float)):
+                try:
+                    stamp = (entry / _MANIFEST).stat().st_mtime
+                except OSError:
+                    continue
+            stamped.append((float(stamp), entry.name))
+        return stamped
+
+    @staticmethod
+    def _delete_entry(entry: Path) -> bool:
+        """Best-effort removal; ``True`` when a committed entry was removed."""
+        existed = (entry / _MANIFEST).is_file()
+        shutil.rmtree(entry, ignore_errors=True)
+        return existed
+
+    def _evict_superseded(self, entry: Path) -> None:
         """Keep the freshest ``max_entries_per_backend`` entries of one backend.
 
         Called after every save so a continuously mutating lake cannot grow
@@ -233,16 +285,15 @@ class IndexStore:
         """
         if self.max_entries_per_backend is None:
             return
-        backend_key = self._backend_key(searcher)
-        keep = self._entry_key(lake)
+        namespace = entry.parent
         aged = [
             stamped
-            for stamped in self._backend.list_entries(backend_key)
-            if stamped[1] != keep
+            for stamped in self._stamped_entries(namespace)
+            if stamped[1] != entry.name
         ]
         excess = len(aged) + 1 - self.max_entries_per_backend
         for _, stale in sorted(aged)[:excess] if excess > 0 else []:
-            self._backend.delete_entry(backend_key, stale)
+            self._delete_entry(namespace / stale)
 
     def evict_cold(self, max_entries: int | None = None) -> int:
         """Trim every backend namespace to its freshest ``max_entries`` entries.
@@ -254,7 +305,7 @@ class IndexStore:
         longer being saved to at all.  Ordering uses the manifest-recorded
         ``last_access`` stamp where present (loads refresh it even when the
         payload bytes are only ever memory-mapped), falling back to the
-        physical mtime for pre-stamp entries.  ``max_entries`` defaults to
+        manifest mtime for pre-stamp entries.  ``max_entries`` defaults to
         the store's ``max_entries_per_backend``; with both unset the sweep
         is a no-op (an unbounded store stays unbounded).  Returns the number
         of entries removed.  Best-effort like :meth:`_evict_superseded`:
@@ -264,15 +315,53 @@ class IndexStore:
         if bound is None or bound < 1:
             return 0
         removed = 0
-        for backend_key in self._backend.list_backend_keys():
-            aged = self._backend.list_entries(backend_key)
+        for namespace in self._namespaces():
+            aged = self._stamped_entries(namespace)
             # Freshest entries survive; stamp ties keep every tied entry.
             for _, stale in sorted(aged)[: max(0, len(aged) - bound)]:
-                if self._backend.delete_entry(backend_key, stale):
+                if self._delete_entry(namespace / stale):
                     removed += 1
         return removed
 
     # ------------------------------------------------------------------- load
+    @staticmethod
+    def _read_manifest(entry: Path) -> dict | None:
+        """The entry's manifest, ``None`` when absent, ServingError when unreadable."""
+        manifest_path = entry / _MANIFEST
+        if not manifest_path.is_file():
+            return None
+        try:
+            return json.loads(manifest_path.read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ServingError(f"unreadable index manifest {manifest_path}") from exc
+
+    @staticmethod
+    def _read_payloads(entry: Path, manifest: dict) -> tuple[dict, Mapping]:
+        """Checksum-validate and return ``(state, lazy arrays)`` for one entry.
+
+        Raises ServingError on a checksum mismatch or an entry vanishing
+        mid-read.
+        """
+        for filename, expected in manifest.get("checksums", {}).items():
+            payload = entry / filename
+            if not payload.is_file() or _file_checksum(payload) != expected:
+                raise ServingError(
+                    f"persisted index payload {payload} is missing or corrupt "
+                    "(checksum mismatch)"
+                )
+        try:
+            state = json.loads((entry / _STATE).read_text())
+            arrays = MappedArrayPayload(entry / _ARRAYS)
+        except (OSError, json.JSONDecodeError, ValueError, zipfile.BadZipFile) as exc:
+            # The entry can vanish between checksum validation and these
+            # reads — a concurrent evict_cold/_evict_superseded rmtree.
+            # Surface it as corruption so load_or_build heals with a build.
+            raise ServingError(
+                f"persisted index entry {entry} became unreadable mid-load "
+                f"(concurrent eviction?): {exc}"
+            ) from exc
+        return state, arrays
+
     def load(
         self, searcher: TableUnionSearcher, lake: DataLake
     ) -> TableUnionSearcher:
@@ -282,10 +371,8 @@ class IndexStore:
         written for a different format/config/lake) and :class:`ServingError`
         when an entry exists but fails checksum validation.
         """
-        backend_key = self._backend_key(searcher)
-        entry_key = self._entry_key(lake)
         entry = self.entry_dir(searcher, lake)
-        manifest = self._backend.read_manifest(backend_key, entry_key)
+        manifest = self._read_manifest(entry)
         if manifest is None:
             raise IndexStoreMiss(
                 f"no persisted {type(searcher).__name__} index for lake "
@@ -307,7 +394,7 @@ class IndexStore:
                 f"index entry {entry} was built for different lake contents"
             )
 
-        state, arrays = self._backend.read_payloads(backend_key, entry_key, manifest)
+        state, arrays = self._read_payloads(entry, manifest)
         try:
             searcher.load_index_state(lake, state, arrays)
         except Exception as exc:
@@ -317,7 +404,7 @@ class IndexStore:
             raise ServingError(
                 f"persisted index entry {entry} failed to deserialize: {exc}"
             ) from exc
-        self._backend.touch(backend_key, entry_key)
+        self.touch(searcher, lake)
         return searcher
 
     # ------------------------------------------------------------ delta update
@@ -336,9 +423,8 @@ class IndexStore:
         """
         current = lake.table_fingerprints()
         config_fingerprint = searcher.config_fingerprint()
-        backend_key = self._backend_key(searcher)
-        best: tuple[int, str, dict, list[str], list[str]] | None = None
-        for entry_key, manifest in self._backend.iter_manifests(backend_key):
+        best: tuple[int, Path, dict, list[str], list[str]] | None = None
+        for entry, manifest in self._manifests(self.backend_dir(searcher)):
             if manifest.get("store_format") != STORE_FORMAT_VERSION:
                 continue
             if manifest.get("config_fingerprint") != config_fingerprint:
@@ -352,14 +438,14 @@ class IndexStore:
             if changes == 0:
                 continue  # identical content would have been an exact hit
             if best is None or changes < best[0]:
-                best = (changes, entry_key, manifest, added, removed)
+                best = (changes, entry, manifest, added, removed)
         if best is None:
             return False
-        changes, entry_key, manifest, added, removed = best
+        changes, entry, manifest, added, removed = best
         if changes > self.max_delta_fraction * max(lake.num_tables, 1):
             return False
         try:
-            state, arrays = self._backend.read_payloads(backend_key, entry_key, manifest)
+            state, arrays = self._read_payloads(entry, manifest)
             searcher.load_index_state(lake, state, arrays)
             searcher.update_index(
                 added=[lake.get(name) for name in added], removed=removed

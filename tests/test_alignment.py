@@ -1,4 +1,4 @@
-"""Tests for column alignment (holistic, bipartite) and the outer union."""
+"""Tests for column alignment (holistic, bipartite) and aligned tuples."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.alignment import (
     ColumnAlignment,
     HolisticColumnAligner,
     aligned_tuples_from_tables,
-    outer_union,
 )
 from repro.alignment.types import AlignedCluster
 from repro.alignment.union import query_tuples
@@ -151,33 +150,6 @@ class TestColumnAlignmentType:
 
 
 class TestOuterUnion:
-    def test_outer_union_pads_missing_columns(self, fig1_tables, aligner):
-        query, lake_tables = fig1_tables
-        alignment = aligner.align(query, lake_tables)
-        union = outer_union(query, alignment, lake_tables)
-        assert union.columns == query.columns
-        # Query rows first, then lake tuples.
-        assert union.num_rows == query.num_rows + sum(t.num_rows for t in lake_tables)
-        # Table (b) has no City column: its rows must be padded with None.
-        provenance = union.metadata["provenance"]
-        city_index = union.column_index("City")
-        for position, (source, _) in enumerate(provenance):
-            if source == "table_b":
-                assert union.rows[position][city_index] is None
-
-    def test_outer_union_without_query_rows(self, fig1_tables, aligner):
-        query, lake_tables = fig1_tables
-        alignment = aligner.align(query, lake_tables)
-        union = outer_union(query, alignment, lake_tables, include_query_rows=False)
-        assert union.num_rows == sum(t.num_rows for t in lake_tables)
-
-    def test_outer_union_validates_query_name(self, fig1_tables, aligner):
-        query, lake_tables = fig1_tables
-        alignment = aligner.align(query, lake_tables)
-        other = Table(name="other", columns=["a"], rows=[(1,)])
-        with pytest.raises(AlignmentError):
-            outer_union(other, alignment, lake_tables)
-
     def test_aligned_tuples_from_tables(self, fig1_tables, aligner):
         query, lake_tables = fig1_tables
         alignment = aligner.align(query, lake_tables)

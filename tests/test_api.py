@@ -217,24 +217,29 @@ class TestDiscoveryConfig:
             ("store", "pool_size"),
             ("store", "mmap"),
             ("store", "lazy_shards"),
+            ("store", "backend"),
         ],
     )
     def test_removed_execution_knobs_are_rejected(self, section, key):
-        """Execution strategy is measured, not configured (and a store knob
-        with one value in use is a constant): an old config file naming a
-        removed knob fails loudly, naming the section and the key."""
+        """Execution strategy is measured, not configured, and the store has
+        one layout: an old config file naming a removed knob fails loudly,
+        naming the section and the key — or the whole ``store`` section,
+        which is gone."""
         with pytest.raises(ConfigurationError) as raised:
             DiscoveryConfig.from_dict({section: {key: 1}})
-        message = str(raised.value)
-        assert f"unknown keys in config section {section!r}" in message
-        assert key in message.split(";")[0]
+        message = str(raised.value).split(";")[0]
+        if section == "store":
+            assert message == "unknown discovery config sections: ['store']"
+        else:
+            assert f"unknown keys in config section {section!r}" in message
+            assert key in message
 
     def test_optional_section_key_surface(self):
-        """Snapshot of every key of the six optional sections (30 keys): a
+        """Snapshot of every key of the five optional sections (28 keys): a
         new knob must show up here as a visible diff."""
         surface = {
             section: sorted(DiscoveryConfig.from_dict({section: {}}).to_dict()[section])
-            for section in ("serving", "sharding", "cascade", "ingest", "server", "store")
+            for section in ("serving", "sharding", "cascade", "ingest", "server")
         }
         assert surface == {
             "serving": ["cache_size", "store_dir"],
@@ -269,9 +274,8 @@ class TestDiscoveryConfig:
                 "queue_timeout_seconds",
                 "retry_after_seconds",
             ],
-            "store": ["backend", "path"],
         }
-        assert sum(len(keys) for keys in surface.values()) == 30
+        assert sum(len(keys) for keys in surface.values()) == 28
 
     def test_serving_section_is_normalised(self):
         config = DiscoveryConfig.from_dict(

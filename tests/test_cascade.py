@@ -354,9 +354,10 @@ class TestPersistence:
         cascade = CascadeSearcher(
             ValueOverlapSearcher(), mode="approx", candidate_budget=6
         )
-        store._backend.write_entry(
-            f"CascadeSearcher-{cascade.config_fingerprint()[:12]}",
-            lake.fingerprint()[:16],
+        store._write_entry(
+            store.root
+            / f"CascadeSearcher-{cascade.config_fingerprint()[:12]}"
+            / lake.fingerprint()[:16],
             state={"base": {}, "cascade": {"prefilter_name": "lsh", "prefilter": {}}},
             arrays={},
             manifest={

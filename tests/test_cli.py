@@ -30,6 +30,9 @@ CLI_CONFIG = {
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
+#: Flags the docs pass to pytest (the paper tier), not to ``python -m repro``.
+_PYTEST_FLAGS = {"--benchmark-disable"}
+
 
 @pytest.fixture()
 def config_file(tmp_path):
@@ -243,6 +246,45 @@ class TestDocsDrift:
         }
         assert named and named <= set(subcommands.choices)
         assert not list(root.glob("BENCH_*.json"))
+
+    def test_documented_flags_exist(self):
+        """Every ``--flag`` on a ``python -m repro <verb>`` line of the docs
+        or CI is an option of that verb, and every backticked ``--flag`` in
+        the docs is an option of some verb, so a deleted flag cannot linger
+        in a command line a reader copies."""
+        root = _SRC.parent
+        docs = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+        if not docs[0].exists():
+            pytest.skip("docs are not shipped with an installed package")
+        (subcommands,) = (
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        options = {
+            verb: {flag for action in parser._actions for flag in action.option_strings}
+            for verb, parser in subcommands.choices.items()
+        }
+        flag = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
+        stray = []
+        for path in [*docs, root / ".github" / "workflows" / "ci.yml"]:
+            text = path.read_text().replace("\\\n", " ")
+            for verb, rest in re.findall(r"python -m repro ([a-z][a-z-]*)(.*)", text):
+                command = re.split(r"[|;#`)]|&&", rest)[0]
+                stray += [
+                    f"{path.name}: {verb} {name}"
+                    for name in flag.findall(command)
+                    if name not in options.get(verb, ())
+                ]
+        every_option = set().union(*options.values())
+        for path in docs:
+            for span in re.findall(r"`(--[^`]*)`", path.read_text()):
+                stray += [
+                    f"{path.name}: `{name}`"
+                    for name in flag.findall(span)
+                    if name not in every_option | _PYTEST_FLAGS
+                ]
+        assert not stray, stray
 
     def test_documented_repro_paths_resolve(self):
         """Every Sphinx role and backticked dotted ``repro.*`` path in the

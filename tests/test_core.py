@@ -13,7 +13,6 @@ from repro.core import (
     diversity_scores,
     min_diversity,
     prune_by_table,
-    prune_tuples,
     rank_candidates_against_query,
 )
 from repro.core.reranking import top_k_candidates
@@ -73,7 +72,7 @@ class TestDiversityMetrics:
 class TestPruning:
     def test_returns_all_when_under_limit(self):
         embeddings = np.random.default_rng(0).standard_normal((5, 3))
-        assert prune_tuples(embeddings, 10) == [0, 1, 2, 3, 4]
+        assert prune_by_table(embeddings, [0] * 5, 10) == [0, 1, 2, 3, 4]
 
     def test_keeps_tuples_far_from_table_mean(self):
         # Table "a": 9 tuples at the origin and 1 far outlier.

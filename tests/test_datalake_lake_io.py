@@ -33,14 +33,14 @@ class TestDataLake:
 
     def test_duplicate_names_rejected(self, small_lake):
         with pytest.raises(DataLakeError, match="already contains"):
-            small_lake.add(Table(name="a", columns=["z"], rows=[]))
+            small_lake.add_table(Table(name="a", columns=["z"], rows=[]))
 
     def test_remove(self, small_lake):
-        removed = small_lake.remove("a")
+        removed = small_lake.remove_table("a")
         assert removed.name == "a"
         assert "a" not in small_lake
         with pytest.raises(DataLakeError):
-            small_lake.remove("a")
+            small_lake.remove_table("a")
 
     def test_filter(self, small_lake):
         filtered = small_lake.filter(lambda table: table.num_columns > 1)

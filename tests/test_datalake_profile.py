@@ -3,7 +3,6 @@
 import pytest
 
 from repro.datalake import Table, profile_column, profile_table
-from repro.datalake.profile import column_value_overlap, new_values_added
 
 
 @pytest.fixture
@@ -60,24 +59,3 @@ class TestTableProfile:
         assert profile.num_numeric_columns == 1
         assert len(profile.columns) == 3
 
-
-class TestOverlapHelpers:
-    def test_column_value_overlap(self):
-        first = Table(name="a", columns=["c"], rows=[("USA",), ("UK",), ("Canada",)])
-        second = Table(name="b", columns=["c"], rows=[("USA",), ("France",)])
-        overlap = column_value_overlap(
-            profile_column(first, "c"), profile_column(second, "c")
-        )
-        assert overlap == pytest.approx(1 / 4)
-
-    def test_column_value_overlap_empty(self):
-        empty = Table(name="a", columns=["c"], rows=[(None,)])
-        full = Table(name="b", columns=["c"], rows=[("USA",)])
-        assert column_value_overlap(
-            profile_column(empty, "c"), profile_column(full, "c")
-        ) == 0.0
-
-    def test_new_values_added(self):
-        assert new_values_added({"a", "b"}, {"b", "c", "d"}) == 2
-        assert new_values_added(set(), {"x"}) == 1
-        assert new_values_added({"x"}, set()) == 0

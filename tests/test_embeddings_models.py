@@ -12,7 +12,7 @@ from repro.embeddings import (
     RobertaLikeModel,
     SentenceBertLikeModel,
 )
-from repro.embeddings.base import l2_normalize, l2_normalize_rows
+from repro.embeddings.base import l2_normalize
 from repro.cluster.distance import cosine_distance
 
 
@@ -127,14 +127,6 @@ class TestNormalisationHelpers:
     def test_l2_normalize(self):
         assert np.isclose(np.linalg.norm(l2_normalize(np.array([3.0, 4.0]))), 1.0)
         assert np.allclose(l2_normalize(np.zeros(3)), np.zeros(3))
-
-    def test_l2_normalize_rows(self):
-        matrix = np.array([[3.0, 4.0], [0.0, 0.0]])
-        normalized = l2_normalize_rows(matrix)
-        assert np.isclose(np.linalg.norm(normalized[0]), 1.0)
-        assert np.allclose(normalized[1], 0.0)
-        with pytest.raises(ValueError):
-            l2_normalize_rows(np.zeros(3))
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.text(alphabet="abcdefg ", min_size=1, max_size=12), min_size=1, max_size=5))

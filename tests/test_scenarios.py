@@ -193,7 +193,6 @@ class TestDiscoverability:
             "column_encoders",
             "diversifiers",
             "searchers",
-            "store_backends",
             "tuple_encoders",
             "workloads",
         ]

@@ -701,7 +701,6 @@ class TestCliSurface:
             "--cascade-budget",
             "--cascade-margin",
             "--shards",
-            "--store-backend",
         }
         flag_sets = {}
         for name in ("search", "warm", "serve"):

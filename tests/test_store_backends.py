@@ -1,43 +1,34 @@
-"""Tests for the pluggable index-store backends (:mod:`repro.serving.backends`).
+"""Tests for the index store's on-disk entries (:mod:`repro.serving.store`).
 
-One parameterized suite runs the full store contract — round-trip parity,
-miss semantics, corruption healing, delta updates, eviction — against both
-physical backends, so ``directory`` and ``sqlite`` are provably
-interchangeable.  Backend-specific classes cover what only one of them has:
-WAL concurrency, schema migration and connection pooling for SQLite;
-memory-mapped payload views for the directory layout.  The lazy-restoration
-classes pin the O(touched-shards) cold-start behavior the backends exist to
-enable.
+One suite runs the store contract — round-trip parity, miss semantics,
+corruption healing, delta updates, eviction — plus a pin of the entry
+format, so a store written by an earlier build keeps loading without a
+rebuild.  Further classes cover the memory-mapped payload views, the
+streaming checksum, and the O(touched-shards) cold start that lazy shard
+and prefilter restoration provide.
 """
 
 import hashlib
 import json
-import sqlite3
-import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.api.registry import available_store_backends
+from repro.api import Discovery
+from repro.api.facade import build_benchmark
+from repro.datalake.lake import DataLake
 from repro.search import CascadeSearcher, ShardedSearcher, ValueOverlapSearcher
 from repro.search.cascade import CascadePrefilterEntry
 from repro.serving import IndexStore
-from repro.serving.backends.base import (
-    MappedArrayPayload,
-    checksum_bytes,
-    serialize_arrays,
-)
-from repro.serving.backends.sqlite import SCHEMA_V1_STATEMENTS, SCHEMA_VERSION
+from repro.serving.payload import MappedArrayPayload
 from repro.serving.store import _file_checksum
-from repro.utils.errors import ConfigurationError, IndexStoreMiss, ServingError
+from repro.utils.errors import IndexStoreMiss, ServingError
 from testkit import make_lake, make_table
 
-BACKENDS = ("directory", "sqlite")
 
-
-def make_store(tmp_path, backend, **kwargs):
-    return IndexStore(tmp_path / f"store-{backend}", backend=backend, **kwargs)
+def make_store(tmp_path, **kwargs):
+    return IndexStore(tmp_path / "store", **kwargs)
 
 
 def search_pairs(searcher, lake, query_name="t0", k=5):
@@ -48,16 +39,9 @@ def search_pairs(searcher, lake, query_name="t0", k=5):
 
 
 def corrupt_entry(store, searcher, lake):
-    """Flip the persisted arrays payload of one entry, per physical backend."""
-    if store.backend_name == "directory":
-        payload = store.entry_dir(searcher, lake) / "arrays.npz"
-        payload.write_bytes(b"garbage" + payload.read_bytes()[7:])
-    else:
-        with sqlite3.connect(store._backend.path) as connection:
-            connection.execute(
-                "UPDATE payloads SET data = ? WHERE name = 'arrays.npz'",
-                (b"garbage",),
-            )
+    """Flip the persisted arrays payload of one entry."""
+    payload = store.entry_dir(searcher, lake) / "arrays.npz"
+    payload.write_bytes(b"garbage" + payload.read_bytes()[7:])
 
 
 class _CountingSearcher(ValueOverlapSearcher):
@@ -72,49 +56,39 @@ class _CountingSearcher(ValueOverlapSearcher):
         super()._build_index(lake)
 
 
-class TestBackendRegistry:
-    def test_both_backends_registered(self):
-        assert {"directory", "sqlite"} <= set(available_store_backends())
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises((ConfigurationError, ServingError, KeyError)):
-            IndexStore(tmp_path, backend="no-such-backend")
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestStoreContract:
-    def test_round_trip_rankings_identical(self, backend, tmp_path):
+    def test_round_trip_rankings_identical(self, tmp_path):
         lake = make_lake("t0", "t1", "t2", "t3", "t4")
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         built = ValueOverlapSearcher().index(lake)
         store.save(built, lake)
         restored = store.load(ValueOverlapSearcher(), lake)
         assert search_pairs(restored, lake) == search_pairs(built, lake)
 
-    def test_load_without_entry_is_a_miss(self, backend, tmp_path):
+    def test_load_without_entry_is_a_miss(self, tmp_path):
         lake = make_lake("t0", "t1")
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         with pytest.raises(IndexStoreMiss):
             store.load(ValueOverlapSearcher(), lake)
 
-    def test_config_mismatch_is_a_miss(self, backend, tmp_path):
+    def test_config_mismatch_is_a_miss(self, tmp_path):
         lake = make_lake("t0", "t1", "t2")
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         store.save(ValueOverlapSearcher(num_hashes=64).index(lake), lake)
         with pytest.raises(IndexStoreMiss):
             store.load(ValueOverlapSearcher(num_hashes=32), lake)
 
-    def test_lake_change_is_a_miss(self, backend, tmp_path):
+    def test_lake_change_is_a_miss(self, tmp_path):
         lake = make_lake("t0", "t1", "t2")
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         store.save(ValueOverlapSearcher().index(lake), lake)
         grown = make_lake("t0", "t1", "t2", "brand_new")
         with pytest.raises(IndexStoreMiss):
             store.load(ValueOverlapSearcher(), grown)
 
-    def test_load_or_build_builds_once_then_loads(self, backend, tmp_path):
+    def test_load_or_build_builds_once_then_loads(self, tmp_path):
         lake = make_lake("t0", "t1", "t2")
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         first = _CountingSearcher()
         store.load_or_build(first, lake)
         assert first.builds == 1
@@ -123,9 +97,9 @@ class TestStoreContract:
         assert second.builds == 0
         assert search_pairs(second, lake) == search_pairs(first, lake)
 
-    def test_corrupt_payload_detected_and_healed(self, backend, tmp_path):
+    def test_corrupt_payload_detected_and_healed(self, tmp_path):
         lake = make_lake("t0", "t1", "t2")
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         built = _CountingSearcher().index(lake)
         store.save(built, lake)
         corrupt_entry(store, built, lake)
@@ -140,9 +114,9 @@ class TestStoreContract:
             search_pairs(built, lake)
         )
 
-    def test_delta_update_serves_grown_lake_without_rebuild(self, backend, tmp_path):
+    def test_delta_update_serves_grown_lake_without_rebuild(self, tmp_path):
         lake = make_lake("t0", "t1", "t2")
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         store.save(_CountingSearcher().index(lake), lake)
         grown = make_lake("t0", "t1", "t2", "t3")
         delta = _CountingSearcher()
@@ -151,8 +125,8 @@ class TestStoreContract:
         fresh = ValueOverlapSearcher().index(grown)
         assert search_pairs(delta, grown) == search_pairs(fresh, grown)
 
-    def test_save_evicts_superseded_entries(self, backend, tmp_path):
-        store = make_store(tmp_path, backend, max_entries_per_backend=2)
+    def test_save_evicts_superseded_entries(self, tmp_path):
+        store = make_store(tmp_path, max_entries_per_backend=2)
         searcher = ValueOverlapSearcher()
         lakes = [
             make_lake("t0", "t1", f"snapshot{i}") for i in range(3)
@@ -164,9 +138,9 @@ class TestStoreContract:
         assert store.contains(searcher, lakes[1])
         assert store.contains(searcher, lakes[2])
 
-    def test_evict_cold_keeps_recently_loaded_entry(self, backend, tmp_path):
+    def test_evict_cold_keeps_recently_loaded_entry(self, tmp_path):
         """Eviction orders by last access, not creation: loading refreshes."""
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         searcher = ValueOverlapSearcher()
         old = make_lake("t0", "t1", "old")
         new = make_lake("t0", "t1", "new")
@@ -179,8 +153,8 @@ class TestStoreContract:
         assert store.contains(searcher, old)
         assert not store.contains(searcher, new)
 
-    def test_evict_cold_bounds_every_namespace(self, backend, tmp_path):
-        store = make_store(tmp_path, backend)
+    def test_evict_cold_bounds_every_namespace(self, tmp_path):
+        store = make_store(tmp_path)
         for i in range(3):
             lake = make_lake("t0", "t1", f"v{i}")
             store.save(ValueOverlapSearcher().index(lake), lake)
@@ -188,124 +162,59 @@ class TestStoreContract:
         assert store.evict_cold(max_entries=1) == 2
         assert store.evict_cold(max_entries=1) == 0
 
-    def test_stats_report_occupancy(self, backend, tmp_path):
+    def test_stats_report_occupancy(self, tmp_path):
         lake = make_lake("t0", "t1", "t2")
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         empty = store.stats()
-        assert empty["backend"] == backend
+        assert set(empty) == {"location", "backends", "entries", "payload_bytes"}
         assert empty["entries"] == 0
         store.save(ValueOverlapSearcher().index(lake), lake)
         stats = store.stats()
-        assert stats["backend"] == backend
+        assert stats["location"] == str(store.root)
         assert stats["backends"] == 1
         assert stats["entries"] == 1
         assert stats["payload_bytes"] > 0
 
-    def test_payload_bytes_identical_across_backends(self, backend, tmp_path):
-        """Both backends serialize the same canonical bytes (shared parity)."""
+    def test_entry_format_is_pinned(self, tmp_path):
+        """The on-disk entry every earlier build wrote, file for file: what
+        lets a store written before this layout was the only one load
+        without a rebuild."""
         lake = make_lake("t0", "t1", "t2")
-        checksums = {}
-        for name in BACKENDS:
-            store = make_store(tmp_path, name)
-            built = ValueOverlapSearcher().index(lake)
-            store.save(built, lake)
-            manifest = store._backend.read_manifest(
-                store._backend_key(built), store._entry_key(lake)
-            )
-            checksums[name] = manifest["checksums"]
-        assert checksums["directory"] == checksums["sqlite"]
-
-
-class TestSQLiteBackend:
-    def _seed(self, tmp_path):
-        lake = make_lake("t0", "t1", "t2")
-        store = make_store(tmp_path, "sqlite")
+        store = make_store(tmp_path)
         built = ValueOverlapSearcher().index(lake)
-        store.save(built, lake)
-        return store, built, lake
-
-    def test_database_is_in_wal_mode(self, tmp_path):
-        store, _, _ = self._seed(tmp_path)
-        with sqlite3.connect(store._backend.path) as connection:
-            mode = connection.execute("PRAGMA journal_mode").fetchone()[0]
-        assert mode == "wal"
-
-    def test_concurrent_readers_share_one_database(self, tmp_path):
-        store, built, lake = self._seed(tmp_path)
-        expected = search_pairs(built, lake)
-        results, errors = [], []
-
-        def reader():
-            try:
-                restored = store.load(ValueOverlapSearcher(), lake)
-                results.append(search_pairs(restored, lake))
-            except Exception as exc:  # pragma: no cover - diagnostic aid
-                errors.append(exc)
-
-        threads = [threading.Thread(target=reader) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert results == [expected] * 6
-
-    def test_v1_database_migrates_forward(self, tmp_path):
-        db = tmp_path / "legacy.sqlite3"
-        with sqlite3.connect(db) as connection:
-            for statement in SCHEMA_V1_STATEMENTS:
-                connection.execute(statement)
-            connection.execute(
-                "INSERT INTO entries (backend_key, entry_key, manifest, created) "
-                "VALUES (?, ?, ?, ?)",
-                ("bk", "ek", json.dumps({"lake_fingerprint": "x"}), 123.0),
-            )
-        store = IndexStore(tmp_path, backend="sqlite", path=db)
-        # Opening migrates: the v1 row is still served, stamped from created.
-        assert store._backend.read_manifest("bk", "ek") == {"lake_fingerprint": "x"}
-        assert store._backend.list_entries("bk") == [(123.0, "ek")]
-        with sqlite3.connect(db) as connection:
-            version = connection.execute(
-                "SELECT MAX(version) FROM schema_version"
-            ).fetchone()[0]
-        assert version == SCHEMA_VERSION
-
-    def test_future_schema_version_rejected(self, tmp_path):
-        db = tmp_path / "future.sqlite3"
-        with sqlite3.connect(db) as connection:
-            connection.execute("CREATE TABLE schema_version (version INTEGER NOT NULL)")
-            connection.execute("INSERT INTO schema_version (version) VALUES (99)")
-        store = IndexStore(tmp_path, backend="sqlite", path=db)
-        with pytest.raises(ServingError, match="newer than this build"):
-            store.stats()
-
-    def test_connections_are_pooled_and_reused(self, tmp_path):
-        store, built, lake = self._seed(tmp_path)
-        opened_after_seed = store._backend._connections_opened
-        for _ in range(5):
-            store.load(ValueOverlapSearcher(), lake)
-            store.stats()
-        assert store._backend._connections_opened == opened_after_seed
-
-    def test_corrupted_database_file_quarantined_and_healed(self, tmp_path):
-        store, built, lake = self._seed(tmp_path)
-        store._backend.close()
-        db = store._backend.path
-        db.write_bytes(b"this is not a sqlite database at all")
-        fresh = IndexStore(tmp_path / "store-sqlite", backend="sqlite")
-        rebuilt = _CountingSearcher()
-        fresh.load_or_build(rebuilt, lake)
-        assert rebuilt.builds == 1
-        assert db.with_name(db.name + ".corrupt").exists()
-        assert search_pairs(
-            fresh.load(_CountingSearcher(), lake), lake
-        ) == search_pairs(built, lake)
+        entry = store.save(built, lake)
+        assert entry.relative_to(store.root).parts == (
+            f"ValueOverlapSearcher-{built.config_fingerprint()[:12]}",
+            lake.fingerprint()[:16],
+        )
+        assert sorted(path.name for path in entry.iterdir()) == [
+            "arrays.npz",
+            "manifest.json",
+            "state.json",
+        ]
+        manifest = json.loads((entry / "manifest.json").read_text())
+        assert set(manifest) == {
+            "backend_class",
+            "backend_config",
+            "checksums",
+            "config_fingerprint",
+            "index_format",
+            "lake_fingerprint",
+            "last_access",
+            "num_tables",
+            "store_format",
+            "table_fingerprints",
+        }
+        assert manifest["checksums"] == {
+            name: hashlib.sha256((entry / name).read_bytes()).hexdigest()
+            for name in ("state.json", "arrays.npz")
+        }
 
 
 class TestMappedArrayPayload:
     def _payload(self, tmp_path, arrays):
         path = tmp_path / "arrays.npz"
-        path.write_bytes(serialize_arrays(arrays))
+        np.savez(path, **arrays)
         return path, MappedArrayPayload(path)
 
     def test_parity_with_eager_load(self, tmp_path):
@@ -350,52 +259,46 @@ class TestFileChecksum:
         path.write_bytes(data)
         assert _file_checksum(path) == hashlib.sha256(data).hexdigest()
 
-    def test_matches_bytes_checksum(self, tmp_path):
-        path = tmp_path / "small.bin"
-        path.write_bytes(b"abc")
-        assert _file_checksum(path) == checksum_bytes(b"abc")
 
-
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestLazyShardRestore:
     def _deployment(self, store, num_shards=4):
         return ShardedSearcher(
             lambda: ValueOverlapSearcher(), num_shards=num_shards, store=store
         )
 
-    def test_warm_start_defers_every_shard(self, backend, tmp_path):
+    def test_warm_start_defers_every_shard(self, tmp_path):
         lake = make_lake(*[f"t{i}" for i in range(12)])
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         cold = self._deployment(store).index(lake)
         assert cold.deferred_shards == []
-        warm = self._deployment(make_store(tmp_path, backend)).index(lake)
+        warm = self._deployment(make_store(tmp_path)).index(lake)
         assert warm.deferred_shards == [0, 1, 2, 3]
 
-    def test_first_query_materializes_owner_shards_only(self, backend, tmp_path):
+    def test_first_query_materializes_owner_shards_only(self, tmp_path):
         lake = make_lake(*[f"t{i}" for i in range(12)])
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         cold = self._deployment(store).index(lake)
         reference = cold.score_candidates(lake.get("t0"), ["t1", "t2"])
-        warm = self._deployment(make_store(tmp_path, backend)).index(lake)
+        warm = self._deployment(make_store(tmp_path)).index(lake)
         scores = warm.score_candidates(lake.get("t0"), ["t1", "t2"])
         assert scores == reference
         touched = 4 - len(warm.deferred_shards)
         assert 0 < touched < 4  # only the shards owning t1/t2 materialized
 
-    def test_full_search_drains_deferral_with_parity(self, backend, tmp_path):
+    def test_full_search_drains_deferral_with_parity(self, tmp_path):
         lake = make_lake(*[f"t{i}" for i in range(12)])
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         cold = self._deployment(store).index(lake)
         reference = search_pairs(cold, lake)
-        warm = self._deployment(make_store(tmp_path, backend)).index(lake)
+        warm = self._deployment(make_store(tmp_path)).index(lake)
         assert search_pairs(warm, lake) == reference
         assert warm.deferred_shards == []
 
-    def test_refresh_keeps_untouched_shards_deferred(self, backend, tmp_path):
+    def test_refresh_keeps_untouched_shards_deferred(self, tmp_path):
         lake = make_lake(*[f"t{i}" for i in range(12)])
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         self._deployment(store).index(lake)
-        warm = self._deployment(make_store(tmp_path, backend)).index(lake)
+        warm = self._deployment(make_store(tmp_path)).index(lake)
         assert len(warm.deferred_shards) == 4
         added = make_table("t12")
         lake.add_table(added)
@@ -403,12 +306,48 @@ class TestLazyShardRestore:
         # Only the shard that owns the new table had to materialize.
         assert 0 < len(warm.deferred_shards) < 4
         fresh = self._deployment(
-            make_store(tmp_path / "fresh", backend)
+            make_store(tmp_path / "fresh")
         ).index(make_lake(*[f"t{i}" for i in range(13)]))
         assert search_pairs(warm, lake) == search_pairs(fresh, lake)
 
+    def test_repeated_resyncs_keep_every_live_shard_entry(self, tmp_path, monkeypatch):
+        """Regression: eviction ranks a namespace by ``last_access``, and an
+        unchanged shard used to keep its build-time stamp — older than one
+        busy shard's superseded snapshots — so repeated re-syncs of that
+        shard evicted the live entries of the others, and a restart rebuilt
+        them."""
+        bench = build_benchmark("tus", num_queries=1, seed=3)
+        lake = DataLake((table.copy() for table in bench.lake), name=bench.lake.name)
+        config = {
+            "searcher": {"name": "overlap"},
+            "serving": {"store_dir": str(tmp_path / "store")},
+            "sharding": {"num_shards": 4},
+        }
+        with Discovery.from_config(config).attach(lake) as discovery:
+            sharded = discovery.searcher()
+            busy = sharded.shards[0].table_names[0]
+            for round_ in range(8):
+                table = lake.get(busy).copy()
+                table.append_rows([tuple(f"r{round_}" for _ in table.columns)])
+                lake.replace_table(table)
+                discovery.resync()
+            live = {
+                shard_id: shard_lake
+                for shard_id, shard_lake in enumerate(sharded._shard_lakes)
+                if shard_lake.num_tables
+            }
+            for shard_lake in live.values():
+                assert discovery.store.contains(ValueOverlapSearcher(), shard_lake)
 
-@pytest.mark.parametrize("backend", BACKENDS)
+        builds = []
+        monkeypatch.setattr(
+            ValueOverlapSearcher, "_build_index", lambda self, lake: builds.append(lake)
+        )
+        with Discovery.from_config(config).attach(lake) as reopened:
+            assert reopened.searcher().deferred_shards == sorted(live)
+        assert builds == []
+
+
 class TestCascadePrefilterEntry:
     def _deployment(self, store):
         base = ShardedSearcher(
@@ -416,44 +355,42 @@ class TestCascadePrefilterEntry:
         )
         return CascadeSearcher(base, mode="approx", candidate_budget=4)
 
-    def test_warm_cascade_restores_prefilter_without_touching_shards(
-        self, backend, tmp_path
-    ):
+    def test_warm_cascade_restores_prefilter_without_touching_shards(self, tmp_path):
         lake = make_lake(*[f"t{i}" for i in range(12)])
-        cold = self._deployment(make_store(tmp_path, backend)).index(lake)
+        cold = self._deployment(make_store(tmp_path)).index(lake)
         reference = search_pairs(cold, lake)
-        warm = self._deployment(make_store(tmp_path, backend)).index(lake)
+        warm = self._deployment(make_store(tmp_path)).index(lake)
         assert warm.prefilter.is_fitted
         assert warm.base.deferred_shards == [0, 1, 2, 3]
         assert search_pairs(warm, lake) == reference
         assert len(warm.base.deferred_shards) > 0  # query touched a subset
 
-    def test_prefilter_entry_persisted_alongside_shards(self, backend, tmp_path):
+    def test_prefilter_entry_persisted_alongside_shards(self, tmp_path):
         lake = make_lake(*[f"t{i}" for i in range(12)])
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         cascade = self._deployment(store).index(lake)
         assert store.contains(CascadePrefilterEntry(cascade), lake)
         assert store.stats()["entries"] == 4 + 1  # shards + prefilter
 
-    def test_corrupt_prefilter_entry_heals_via_refit(self, backend, tmp_path):
+    def test_corrupt_prefilter_entry_heals_via_refit(self, tmp_path):
         lake = make_lake(*[f"t{i}" for i in range(12)])
-        cold = self._deployment(make_store(tmp_path, backend)).index(lake)
+        cold = self._deployment(make_store(tmp_path)).index(lake)
         reference = search_pairs(cold, lake)
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         corrupt_entry(store, CascadePrefilterEntry(cold), lake)
         healed = self._deployment(store).index(lake)
         assert healed.prefilter.is_fitted
         assert search_pairs(healed, lake) == reference
 
-    def test_refresh_repersists_prefilter(self, backend, tmp_path):
+    def test_refresh_repersists_prefilter(self, tmp_path):
         lake = make_lake(*[f"t{i}" for i in range(12)])
-        store = make_store(tmp_path, backend)
+        store = make_store(tmp_path)
         cascade = self._deployment(store).index(lake)
         added = make_table("t12")
         lake.add_table(added)
         cascade.update_index(added=[added], removed=[])
         grown = cascade.base.lake
         assert store.contains(CascadePrefilterEntry(cascade), grown)
-        warm = self._deployment(make_store(tmp_path, backend)).index(grown)
+        warm = self._deployment(make_store(tmp_path)).index(grown)
         assert warm.base.deferred_shards == [0, 1, 2, 3]
         assert search_pairs(warm, grown) == search_pairs(cascade, grown)
