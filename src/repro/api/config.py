@@ -73,14 +73,6 @@ _CASCADE_DEFAULTS: dict[str, Any] = {
     "num_bands": 16,
     "seed": 7,
 }
-_INGEST_DEFAULTS: dict[str, Any] = {
-    "max_batch_events": 256,
-    "max_batch_bytes": 1_048_576,
-    "max_latency_seconds": 0.5,
-    "checkpoint": True,
-    "rebalance_skew_threshold": 2.0,
-    "exclusive_timeout_seconds": 5.0,
-}
 _SERVER_DEFAULTS: dict[str, Any] = {
     "host": "127.0.0.1",
     "port": 8765,
@@ -259,35 +251,6 @@ def _validate_server(server: Mapping[str, Any]) -> None:
         )
 
 
-def _validate_ingest(ingest: Mapping[str, Any]) -> None:
-    """Eagerly apply the IngestController/MicroBatcher value constraints."""
-    for key in ("max_batch_events", "max_batch_bytes"):
-        value = ingest[key]
-        if not isinstance(value, int) or value < 1:
-            raise ConfigurationError(
-                f"ingest.{key} must be a positive integer, got {value!r}"
-            )
-    if ingest["max_latency_seconds"] <= 0:
-        raise ConfigurationError(
-            "ingest.max_latency_seconds must be positive, "
-            f"got {ingest['max_latency_seconds']}"
-        )
-    if not isinstance(ingest["checkpoint"], bool):
-        raise ConfigurationError(
-            f"ingest.checkpoint must be a boolean, got {ingest['checkpoint']!r}"
-        )
-    if ingest["rebalance_skew_threshold"] < 1.0:
-        raise ConfigurationError(
-            "ingest.rebalance_skew_threshold must be >= 1.0, "
-            f"got {ingest['rebalance_skew_threshold']}"
-        )
-    if ingest["exclusive_timeout_seconds"] < 0:
-        raise ConfigurationError(
-            "ingest.exclusive_timeout_seconds must be non-negative, "
-            f"got {ingest['exclusive_timeout_seconds']}"
-        )
-
-
 def _checked_section(
     section: str, payload: Mapping[str, Any], allowed: tuple[str, ...]
 ) -> dict[str, Any]:
@@ -346,13 +309,6 @@ class DiscoveryConfig:
     #: two configs differing only here share :meth:`fingerprint` — and hence
     #: persisted index entries and cached results.
     server: dict[str, Any] | None = None
-    #: Optional streaming-ingestion section: ``{"max_batch_events": 256,
-    #: "max_batch_bytes": 1048576, "max_latency_seconds": 0.5, ...}``
-    #: consumed by :meth:`~repro.api.facade.Discovery.ingest` /
-    #: :class:`~repro.ingest.controller.IngestController`.  Like ``server``,
-    #: it is **fingerprint-neutral**: batching cadence changes *when* writes
-    #: land, never what an index built from the same content contains.
-    ingest: dict[str, Any] | None = None
 
     def __post_init__(self) -> None:
         for section, registry in _COMPONENT_SECTIONS.items():
@@ -393,11 +349,6 @@ class DiscoveryConfig:
             server = _checked_section("server", self.server, tuple(_SERVER_DEFAULTS))
             self.server = {**_SERVER_DEFAULTS, **server}
             _validate_server(self.server)
-
-        if self.ingest is not None:
-            ingest = _checked_section("ingest", self.ingest, tuple(_INGEST_DEFAULTS))
-            self.ingest = {**_INGEST_DEFAULTS, **ingest}
-            _validate_ingest(self.ingest)
 
     # ----------------------------------------------------------------- presets
     @classmethod
@@ -443,10 +394,7 @@ class DiscoveryConfig:
                 kwargs[section] = ComponentSpec.from_value(
                     payload[section], section=section
                 )
-        for section in (
-            "pipeline", "dust", "serving", "sharding", "cascade", "server",
-            "ingest",
-        ):
+        for section in ("pipeline", "dust", "serving", "sharding", "cascade", "server"):
             if section in payload:
                 kwargs[section] = payload[section]
         return cls(**kwargs)
@@ -467,8 +415,6 @@ class DiscoveryConfig:
             payload["cascade"] = dict(self.cascade)
         if self.server is not None:
             payload["server"] = dict(self.server)
-        if self.ingest is not None:
-            payload["ingest"] = dict(self.ingest)
         return payload
 
     @classmethod
@@ -506,12 +452,9 @@ class DiscoveryConfig:
         left to leak in here.  The ``server`` section is excluded: a
         deployment's listen address and admission limits are operational
         knobs, not index content, so moving a server to another port must
-        not orphan its persisted indexes or cached results.  ``ingest`` is
-        excluded for the same reason: batching cadence changes when writes
-        land, never what equal content indexes to.
+        not orphan its persisted indexes or cached results.
         """
         content = self.to_dict()
         content.pop("server", None)
-        content.pop("ingest", None)
         payload = json.dumps(content, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()

@@ -381,9 +381,7 @@ class Discovery:
         if self._closed:
             return
         self._closed = True
-        if self._ingest is not None:
-            self._ingest.close()
-            self._ingest = None
+        self._ingest = None
         self._searchers.clear()
         self._caches.clear()
         self._pipelines.clear()
@@ -407,11 +405,9 @@ class Discovery:
         self._caches.clear()
         self._pipelines.clear()
         self._stale_backends.clear()
-        if self._ingest is not None:
-            # The controller targets the previous lake; drop it so the next
-            # ingest() call rebuilds against the new attachment.
-            self._ingest.close()
-            self._ingest = None
+        # The controller targets the previous lake; drop it so the next
+        # ingest() call rebuilds against the new attachment.
+        self._ingest = None
         self.searcher()  # the configured default
         return self
 
@@ -459,28 +455,22 @@ class Discovery:
     def ingest(self, *, gate: Any = None) -> "IngestController":
         """The deployment's streaming write path (built lazily, one per lake).
 
-        Returns an :class:`~repro.ingest.controller.IngestController`
-        configured from this config's ``ingest`` section (defaults when the
-        section is absent).  Events submitted to it are netted per table,
-        coalesced into bounded micro-batches, applied atomically to the
-        attached lake plus every built backend's ``update_index`` path, and
-        checkpointed for journal compaction.  Pass the serving layer's
-        ``gate`` so applied batches exclude in-flight queries; calling again
-        with a gate rebinds the existing controller.
+        Returns an :class:`~repro.ingest.controller.IngestController`, which
+        keeps the last submitted event per table and applies bounded
+        micro-batches atomically to the attached lake plus every built
+        backend's ``update_index`` path, checkpointed for journal compaction.
+        Pass the serving layer's ``gate`` so applied batches exclude
+        in-flight queries; calling again with a gate rebinds the existing
+        controller.
         """
         self._check_open()
         self.lake  # raises when not attached
         if self._ingest is None:
             from repro.ingest.controller import IngestController
 
-            section = self.config.ingest
-            if section is None:
-                from repro.api.config import _INGEST_DEFAULTS
-
-                section = dict(_INGEST_DEFAULTS)
-            self._ingest = IngestController(self, gate=gate, **section)
+            self._ingest = IngestController(self, gate=gate)
         elif gate is not None:
-            self._ingest.bind_gate(gate)
+            self._ingest.gate = gate
         return self._ingest
 
     def lake_health(self) -> dict[str, Any] | None:

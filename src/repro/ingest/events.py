@@ -2,10 +2,8 @@
 
 A :class:`TableEvent` describes one intended lake mutation: add, remove, or
 replace a named table.  Events are what producers hand to the
-:class:`~repro.ingest.queue.IngestQueue`; the
-:class:`~repro.ingest.registry.DeltaRegistry` nets them per table name and
-the :class:`~repro.ingest.batcher.MicroBatcher` applies the survivors in
-bounded micro-batches.
+:class:`~repro.ingest.controller.IngestController`, which keeps the last
+one per table name and applies them in bounded micro-batches.
 
 Events also have a wire form (:meth:`TableEvent.to_payload` /
 :func:`event_from_payload`) shared by the ``POST /v1/ingest`` server
@@ -34,7 +32,7 @@ class TableEvent:
     ``op`` is one of :data:`EVENT_OPS`.  ``add`` and ``replace`` carry the
     table payload; ``remove`` carries only the name.  ``cost_bytes`` is a
     cheap size estimate (cells, not serialized bytes) used by the
-    micro-batcher's byte budget.
+    controller's batch byte budget.
     """
 
     op: str

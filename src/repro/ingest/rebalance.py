@@ -6,8 +6,8 @@ this module supplies the glue the
 :class:`~repro.ingest.controller.IngestController` needs: unwrap a built
 backend down to its sharded composite (the facade may wrap it in a
 :class:`~repro.search.cascade.CascadeSearcher`), whose ``shard_loads()`` the
-controller reads so it only pays for a rebalance when drift crossed the
-configured threshold.
+controller reads so it only pays for a rebalance when drift crossed its
+skew threshold.
 """
 
 from __future__ import annotations

@@ -22,6 +22,12 @@ One cycle runs three tasks, each a wiring of machinery earlier PRs built:
    the facade, refilling the LRU before the next burst arrives.
 3. **Evict** — :meth:`~repro.serving.store.IndexStore.evict_cold` trims
    superseded index snapshots the mutation history accumulated on disk.
+
+With an :class:`~repro.ingest.controller.IngestController` attached, the
+cycle first flushes its due micro-batches and ends with shard rebalancing.
+Only a gate-drain timeout (:class:`~repro.utils.errors.IngestError`, which
+drains nothing) counts as a yield; any other failure of a batch counts as
+an error, because its events were already drained and applied.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.datalake.table import Table
 from repro.serving.events import EventLog
-from repro.utils.errors import ReproError, ServingError
+from repro.utils.errors import IngestError, ReproError, ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api -> serving)
     from repro.api.facade import Discovery
@@ -268,17 +274,23 @@ class MaintenanceLoop:
             "yielded": 0,
         }
         self._bump("cycles")
-        # Streaming ingest flushes first: the micro-batcher takes the gate
+        # Streaming ingest flushes first: the controller takes the gate
         # exclusively itself (per batch), and the re-sync below then sees a
         # lake whose pending writes already landed.
         if self.ingest is not None:
             try:
                 reports = self.ingest.flush_if_due()
-            except ReproError:
-                # Gate drain timeout — events stay queued for a later cycle.
+            except IngestError:
+                # Gate drain timeout — nothing was drained, events stay
+                # pending for a later cycle.
                 self._bump("yields")
                 done["yielded"] = 1
                 reports = []
+            except ReproError:
+                # A drained batch failed mid-apply: its events already hit
+                # the lake, so this is an error, not a yield.
+                self._bump("errors")
+                return done
             if reports:
                 done["batches_applied"] = len(reports)
                 self._bump("batches_applied", len(reports))

@@ -447,12 +447,13 @@ class DiscoveryServer(ThreadingHTTPServer):
                          "table": {...}}, ...],
              "flush": false}
 
-        Events are netted into the ingest queue; with ``"flush": true`` all
+        Each event becomes its table's pending event (``accepted`` counts
+        those that opened a new pending entry); with ``"flush": true`` all
         pending micro-batches are applied before responding (the CLI sets it
         on its final chunk), otherwise batches land when a bound trips —
         applied by this request if one is already due, else by the
-        maintenance loop.  The response reports what happened *now*; pending
-        events are durable in the queue either way.
+        maintenance loop.  The response reports what happened *now*;
+        unapplied events stay pending in the controller either way.
         """
         if not isinstance(payload, Mapping):
             raise ServingError(

@@ -218,28 +218,29 @@ class TestDiscoveryConfig:
             ("store", "mmap"),
             ("store", "lazy_shards"),
             ("store", "backend"),
+            ("ingest", "max_latency_seconds"),
         ],
     )
     def test_removed_execution_knobs_are_rejected(self, section, key):
-        """Execution strategy is measured, not configured, and the store has
-        one layout: an old config file naming a removed knob fails loudly,
-        naming the section and the key — or the whole ``store`` section,
-        which is gone."""
+        """Execution strategy is measured, not configured, the store has one
+        layout and the write path has fixed batch bounds: an old config file
+        naming a removed knob fails loudly, naming the section and the key —
+        or the whole ``store`` / ``ingest`` section, which is gone."""
         with pytest.raises(ConfigurationError) as raised:
             DiscoveryConfig.from_dict({section: {key: 1}})
         message = str(raised.value).split(";")[0]
-        if section == "store":
-            assert message == "unknown discovery config sections: ['store']"
+        if section in ("store", "ingest"):
+            assert message == f"unknown discovery config sections: [{section!r}]"
         else:
             assert f"unknown keys in config section {section!r}" in message
             assert key in message
 
     def test_optional_section_key_surface(self):
-        """Snapshot of every key of the five optional sections (28 keys): a
+        """Snapshot of every key of the four optional sections (22 keys): a
         new knob must show up here as a visible diff."""
         surface = {
             section: sorted(DiscoveryConfig.from_dict({section: {}}).to_dict()[section])
-            for section in ("serving", "sharding", "cascade", "ingest", "server")
+            for section in ("serving", "sharding", "cascade", "server")
         }
         assert surface == {
             "serving": ["cache_size", "store_dir"],
@@ -254,14 +255,6 @@ class TestDiscoveryConfig:
                 "projection_dim",
                 "seed",
             ],
-            "ingest": [
-                "checkpoint",
-                "exclusive_timeout_seconds",
-                "max_batch_bytes",
-                "max_batch_events",
-                "max_latency_seconds",
-                "rebalance_skew_threshold",
-            ],
             "server": [
                 "event_log",
                 "host",
@@ -275,7 +268,7 @@ class TestDiscoveryConfig:
                 "retry_after_seconds",
             ],
         }
-        assert sum(len(keys) for keys in surface.values()) == 28
+        assert sum(len(keys) for keys in surface.values()) == 22
 
     def test_serving_section_is_normalised(self):
         config = DiscoveryConfig.from_dict(

@@ -1,29 +1,31 @@
 """Tests for the streaming-ingestion subsystem (repro.ingest): events and
-their wire/JSONL forms, the netting DeltaRegistry/IngestQueue, atomic
-MicroBatcher application under the ActivityGate, the IngestController facade
-handle + config section, the POST /v1/ingest endpoint and the
-``python -m repro ingest`` CLI."""
+their wire/JSONL forms, the IngestController's last-event-per-table netting
+(a case table plus a one-event-at-a-time model property), its batch
+application under the ActivityGate, the facade handle, the POST /v1/ingest
+endpoint and the ``python -m repro ingest`` CLI."""
 
 import io
 import json
 import random
+import sys
 import threading
 import urllib.error
 import urllib.request
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import pytest
-from testkit import make_lake, make_table, rankings
+from hypothesis import given, settings, strategies as st
+from testkit import fresh_lake, make_lake, make_table, rankings
 
 import repro.datalake.lake as lake_module
+import repro.ingest.controller as controller_module
 from repro.api.cli import main as cli_main
-from repro.api.config import DiscoveryConfig
 from repro.api.facade import Discovery
 from repro.benchgen import generate_ugen_benchmark
 from repro.datalake import DataLake, Table
 from repro.ingest import (
-    DeltaRegistry,
-    IngestQueue,
-    MicroBatcher,
+    EVENT_OPS,
     TableEvent,
     event_from_payload,
     events_from_jsonl,
@@ -32,7 +34,7 @@ from repro.ingest import (
 from repro.search.sharded import skew_of
 from repro.serving.maintenance import ActivityGate, MaintenanceLoop
 from repro.serving.server import DiscoveryServer
-from repro.utils.errors import ConfigurationError, IngestError
+from repro.utils.errors import IngestError, SearchError
 
 
 def add_event(name: str, seed: str = "x") -> TableEvent:
@@ -76,6 +78,22 @@ def churn_events(lake: DataLake, total: int, seed: int) -> list[TableEvent]:
         )
         events.append(TableEvent(op=op, name=name, table=table))
     return events
+
+
+#: Word-model encoders: a deployment the write path can rebuild per example.
+LIGHT_CONFIG = {
+    "column_encoder": {"name": "cell-level", "base": "fasttext"},
+    "tuple_encoder": {"name": "glove", "dimension": 16},
+}
+
+
+@pytest.fixture()
+def deployment():
+    """A deployment over two bystander tables, so the lake is never empty."""
+    with Discovery.from_config(LIGHT_CONFIG).attach(
+        make_lake("bystander_a", "bystander_b")
+    ) as d:
+        yield d
 
 
 # -------------------------------------------------------------------- events
@@ -130,209 +148,346 @@ class TestTableEvent:
 
 
 # ------------------------------------------------------------------- netting
-class TestDeltaRegistry:
-    def test_add_then_remove_cancels(self):
-        registry = DeltaRegistry()
-        assert registry.record(add_event("t"))
-        assert not registry.record(remove_event("t"))
-        assert registry.pending_events == 0
-        assert registry.stats["cancelled"] == 1
+#: Marks a flush point inside a case's event list.
+FLUSH = ("flush", "", None)
 
-    def test_remove_then_add_nets_to_replace(self):
-        registry = DeltaRegistry()
-        registry.record(remove_event("t"))
-        registry.record(add_event("t", seed="new"))
-        (batch,) = registry.drain()
-        assert batch.op == "replace"
-        assert batch.table.rows[0][0].startswith("new")
+#: Counters every netting case states (missing ones are expected to be 0).
+NETTING_COUNTERS = (
+    "accepted", "deduped", "cancelled", "superseded", "noops_dropped", "events_applied",
+)
 
-    def test_supersede_keeps_pending_op_kind(self):
-        registry = DeltaRegistry()
-        registry.record(add_event("t", seed="v1"))
-        registry.record(replace_event("t", seed="v2"))
-        (batch,) = registry.drain()
-        assert batch.op == "add"  # unapplied add stays an add
-        assert batch.table.rows[0][0].startswith("v2")  # newest content wins
 
-    def test_identical_content_dedups(self):
-        registry = DeltaRegistry()
-        registry.record(add_event("t"))
-        registry.record(replace_event("t", seed="x"))  # same content as add
-        assert registry.stats["deduped"] == 1
-        assert registry.pending_events == 1
+@dataclass(frozen=True)
+class NettingCase:
+    """One stream: the lake's initial ``t`` content (``None`` = absent), the
+    ``(op, name, content seed)`` events, the expected final content of ``t``
+    and the expected counters."""
 
-    def test_replace_then_remove_nets_to_plain_remove(self):
-        registry = DeltaRegistry()
-        registry.record(replace_event("t"))
-        registry.record(remove_event("t"))
-        (batch,) = registry.drain()
-        assert batch.op == "remove" and batch.table is None
+    name: str
+    initial: str | None
+    events: list[tuple[str, str, str | None]]
+    final: str | None
+    counters: dict[str, int] = field(default_factory=dict)
 
-    def test_remove_remove_dedups(self):
-        registry = DeltaRegistry()
-        registry.record(remove_event("t"))
-        registry.record(remove_event("t"))
-        assert registry.stats["deduped"] == 1
-        assert len(registry.drain()) == 1
 
-    def test_lake_fingerprint_noop_dropped(self):
-        lake = make_lake("t")
-        registry = DeltaRegistry(
-            fingerprint_of=lambda name: (
-                lake.get(name).content_fingerprint() if name in lake else None
-            )
+NETTING_CASES = [
+    NettingCase(
+        name="add_then_remove_of_a_new_table",
+        initial=None,
+        events=[("add", "t", "x"), ("remove", "t", None)],
+        final=None,
+        counters={"accepted": 1, "cancelled": 1, "noops_dropped": 1, "events_applied": 1},
+    ),
+    NettingCase(
+        name="add_of_a_present_table_then_remove",  # the add must not cancel the remove
+        initial="x",
+        events=[("add", "t", "y"), ("remove", "t", None)],
+        final=None,
+        counters={"accepted": 1, "cancelled": 1, "events_applied": 1},
+    ),
+    NettingCase(
+        name="replace_then_remove",
+        initial="x",
+        events=[("replace", "t", "y"), ("remove", "t", None)],
+        final=None,
+        counters={"accepted": 1, "cancelled": 1, "events_applied": 1},
+    ),
+    NettingCase(
+        name="remove_then_add_replaces",
+        initial="x",
+        events=[("remove", "t", None), ("add", "t", "new")],
+        final="new",
+        counters={"accepted": 1, "superseded": 1, "events_applied": 1},
+    ),
+    NettingCase(
+        name="newest_content_wins",
+        initial=None,
+        events=[("add", "t", "v1"), ("replace", "t", "v2")],
+        final="v2",
+        counters={"accepted": 1, "superseded": 1, "events_applied": 1},
+    ),
+    NettingCase(
+        name="same_op_same_content_dedups",
+        initial=None,
+        events=[("add", "t", "x"), ("add", "t", "x")],
+        final="x",
+        counters={"accepted": 1, "deduped": 1, "events_applied": 1},
+    ),
+    NettingCase(
+        name="other_op_same_content_supersedes",
+        initial=None,
+        events=[("add", "t", "x"), ("replace", "t", "x")],
+        final="x",
+        counters={"accepted": 1, "superseded": 1, "events_applied": 1},
+    ),
+    NettingCase(
+        name="remove_remove_dedups",
+        initial="x",
+        events=[("remove", "t", None), ("remove", "t", None)],
+        final=None,
+        counters={"accepted": 1, "deduped": 1, "events_applied": 1},
+    ),
+    NettingCase(
+        name="identical_content_is_a_noop_at_apply",
+        initial="x",
+        events=[("replace", "t", "x")],
+        final="x",
+        counters={"accepted": 1, "noops_dropped": 1, "events_applied": 1},
+    ),
+    NettingCase(
+        name="remove_of_an_absent_table_is_skipped",
+        initial=None,
+        events=[("remove", "t", None)],
+        final=None,
+        counters={"accepted": 1, "noops_dropped": 1, "events_applied": 1},
+    ),
+    NettingCase(
+        name="replace_of_an_absent_table_adds",
+        initial=None,
+        events=[("replace", "t", "y")],
+        final="y",
+        counters={"accepted": 1, "events_applied": 1},
+    ),
+    NettingCase(
+        name="write_back_after_a_flush_lands",  # the race form is tested below
+        initial="x",
+        events=[("replace", "t", "c1"), FLUSH, ("replace", "t", "x")],
+        final="x",
+        counters={"accepted": 2, "events_applied": 2},
+    ),
+]
+
+
+def _content(seed: str | None) -> str | None:
+    return None if seed is None else make_table("t", seed).content_fingerprint()
+
+
+class TestNetting:
+    @pytest.mark.parametrize("case", NETTING_CASES, ids=lambda case: case.name)
+    def test_case(self, deployment, case):
+        if case.initial is not None:
+            deployment.lake.add_table(make_table("t", case.initial))
+        controller = deployment.ingest()
+        accepted = 0
+        for op, name, seed in case.events:
+            if op == "flush":
+                controller.flush()
+                continue
+            table = None if seed is None else make_table(name, seed)
+            accepted += controller.submit(TableEvent(op=op, name=name, table=table))
+        controller.flush()
+        lake = deployment.lake
+        observed = lake.get("t").content_fingerprint() if "t" in lake else None
+        assert observed == _content(case.final)
+        counters = {**controller.stats, "accepted": accepted}
+        assert {key: counters[key] for key in NETTING_COUNTERS} == {
+            **dict.fromkeys(NETTING_COUNTERS, 0),
+            **case.counters,
+        }
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        initial=st.dictionaries(
+            st.sampled_from(["p0", "p1", "p2", "p3"]), st.sampled_from(["c0", "c1", "c2"])
+        ),
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(EVENT_OPS),
+                st.sampled_from(["p0", "p1", "p2", "p3"]),
+                st.sampled_from(["c0", "c1", "c2"]),
+                st.booleans(),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_matches_applying_one_event_at_a_time(self, initial, steps):
+        """Whatever the stream and wherever it flushes, the lake ends as the
+        one-event-at-a-time model says, and no built index is left behind."""
+        lake = make_lake("bystander_a", "bystander_b")
+        for name, seed in initial.items():
+            lake.add_table(make_table(name, seed))
+        model = lake.table_fingerprints()
+        with Discovery.from_config(LIGHT_CONFIG).attach(lake) as d:
+            controller = d.ingest()
+            for op, name, seed, flush_after in steps:
+                table = None if op == "remove" else make_table(name, seed)
+                controller.submit(TableEvent(op=op, name=name, table=table))
+                if table is None:
+                    model.pop(name, None)
+                else:
+                    model[name] = table.content_fingerprint()
+                if flush_after:
+                    controller.flush()
+            controller.flush()
+            assert lake.table_fingerprints() == model
+            assert not any(d.searcher(key).drifted for key in d.built_backends)
+
+    def test_write_submitted_during_a_flush_is_kept(self, deployment, monkeypatch):
+        """A write submitted while a drained batch is still applying is
+        pending work, never a no-op judged against the pre-batch lake."""
+        lake = deployment.lake
+        original = lake.get("bystander_a")
+        changed = make_table("bystander_a", "c1")
+        applying, release = threading.Event(), threading.Event()
+        replace_table = lake.replace_table
+
+        def blocking_replace(table):
+            applying.set()
+            assert release.wait(timeout=10)
+            return replace_table(table)
+
+        monkeypatch.setattr(lake, "replace_table", blocking_replace)
+        controller = deployment.ingest()
+        controller.submit(TableEvent(op="replace", name="bystander_a", table=changed))
+        flusher = threading.Thread(target=controller.flush)
+        flusher.start()
+        try:
+            assert applying.wait(timeout=10)
+            restore = TableEvent(op="replace", name="bystander_a", table=original.copy())
+            assert controller.submit(restore)
+        finally:
+            release.set()
+            flusher.join(timeout=10)
+        assert not flusher.is_alive()
+        controller.flush()
+        assert lake.get("bystander_a").content_fingerprint() == original.content_fingerprint()
+        assert controller.stats["noops_dropped"] == 0
+
+
+# ------------------------------------------------------------- batch apply
+class TestBatchApply:
+    def test_due_by_count_bytes_and_latency(self, deployment, monkeypatch):
+        monkeypatch.setattr(controller_module, "MAX_BATCH_EVENTS", 2)
+        monkeypatch.setattr(controller_module, "MAX_LATENCY_SECONDS", 60.0)
+        controller = deployment.ingest()
+        assert not controller.due()
+        controller.submit(add_event("a"))
+        assert not controller.due()
+        controller.submit(add_event("b"))
+        assert controller.due()  # count bound
+        controller.flush()
+        controller.submit(add_event("c"))
+        monkeypatch.setattr(controller_module, "MAX_BATCH_BYTES", 1)
+        assert controller.due()  # byte bound
+        monkeypatch.setattr(controller_module, "MAX_BATCH_BYTES", 1 << 20)
+        monkeypatch.setattr(controller_module, "MAX_LATENCY_SECONDS", 0.0)
+        assert controller.due()  # latency bound
+
+    def test_latency_anchor_resets_on_full_drain(self, deployment, monkeypatch):
+        clock = {"now": 0.0}
+        monkeypatch.setattr(
+            controller_module, "time", SimpleNamespace(monotonic=lambda: clock["now"])
         )
-        assert not registry.record(replace_event("t", seed="x"))  # same content
-        assert registry.stats["noops_dropped"] == 1
-        assert registry.record(replace_event("t", seed="different"))
+        monkeypatch.setattr(controller_module, "MAX_LATENCY_SECONDS", 60.0)
+        controller = deployment.ingest()
+        controller.submit(add_event("a"))
+        clock["now"] = 61.0
+        assert controller.due()  # "a" has waited past the bound
+        controller.flush()
+        assert not controller.due()
+        controller.submit(add_event("b"))
+        clock["now"] = 62.0
+        assert not controller.due()  # "b" waits from its own submit, not from "a"
+        clock["now"] = 121.0
+        assert controller.due()
 
-    def test_drain_is_fifo_and_bounded(self):
-        registry = DeltaRegistry()
-        for name in ("a", "b", "c"):
-            registry.record(add_event(name))
-        first = registry.drain(max_events=2)
-        assert [event.name for event in first] == ["a", "b"]
-        assert [event.name for event in registry.drain()] == ["c"]
-
-    def test_drain_byte_budget_always_yields_one(self):
-        registry = DeltaRegistry()
-        registry.record(add_event("big"))
-        registry.record(add_event("other"))
-        batch = registry.drain(max_bytes=1)  # smaller than any single event
-        assert [event.name for event in batch] == ["big"]
-
-
-class TestIngestQueue:
-    def test_concurrent_submitters(self):
-        queue = IngestQueue()
-
-        def submit(slot: int) -> None:
-            for i in range(50):
-                queue.submit(add_event(f"t_{slot}_{i}"))
-
-        threads = [threading.Thread(target=submit, args=(slot,)) for slot in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert queue.pending_events == 200
-        assert queue.stats["received"] == 200
-
-    def test_latency_anchor_resets_on_full_drain(self):
-        queue = IngestQueue()
-        assert queue.oldest_pending_seconds() == 0.0
-        queue.submit(add_event("t"))
-        assert queue.oldest_pending_seconds() >= 0.0
-        queue.drain()
-        assert queue.oldest_pending_seconds() == 0.0
-
-
-# ------------------------------------------------------------- micro-batcher
-class TestMicroBatcher:
-    def test_bounds_validation(self):
-        queue = IngestQueue()
-        lake = make_lake()
-        with pytest.raises(IngestError):
-            MicroBatcher(queue, lake, max_events=0)
-        with pytest.raises(IngestError):
-            MicroBatcher(queue, lake, max_bytes=0)
-        with pytest.raises(IngestError):
-            MicroBatcher(queue, lake, max_latency_seconds=0)
-
-    def test_due_by_count_bytes_and_latency(self):
-        queue = IngestQueue()
-        lake = make_lake()
-        batcher = MicroBatcher(
-            queue, lake, max_events=2, max_bytes=1 << 20, max_latency_seconds=60
-        )
-        assert not batcher.due()
-        queue.submit(add_event("a"))
-        assert not batcher.due()
-        queue.submit(add_event("b"))
-        assert batcher.due()  # count bound
-        queue.drain()
-        queue.submit(add_event("c"))
-        batcher.max_bytes = 1
-        assert batcher.due()  # byte bound
-        batcher.max_bytes = 1 << 20
-        batcher.max_latency_seconds = 1e-9
-        assert batcher.due()  # latency bound
-
-    def test_flush_applies_refreshes_and_checkpoints(self):
-        queue = IngestQueue()
-        lake = make_lake("keep")
-        refreshed = []
-        batcher = MicroBatcher(queue, lake, refresh=lambda: refreshed.append(1))
-        queue.submit(add_event("new"))
-        queue.submit(remove_event("keep"))
-        (report,) = batcher.flush()
-        assert "new" in lake and "keep" not in lake
-        assert report.added == 1 and report.removed == 1
-        assert refreshed == [1]
-        assert report.checkpoint_version == lake.version
-        delta = lake.changes_since(report.checkpoint_version)
+    def test_flush_applies_refreshes_and_checkpoints(self, deployment, monkeypatch):
+        lake = deployment.lake
+        resyncs = []
+        resync = deployment.resync
+        monkeypatch.setattr(deployment, "resync", lambda: resyncs.append(resync()))
+        controller = deployment.ingest()
+        controller.submit(add_event("new"))
+        controller.submit(remove_event("bystander_b"))
+        (report,) = controller.flush()
+        assert "new" in lake and "bystander_b" not in lake
+        assert report["added"] == 1 and report["removed"] == 1
+        assert len(resyncs) == 1
+        assert report["checkpoint_version"] == lake.version
+        delta = lake.changes_since(report["checkpoint_version"])
         assert delta is not None and delta.is_empty
+        # A batch that moves nothing skips the resync and the checkpoint.
+        controller.submit(remove_event("ghost"))
+        (noop,) = controller.flush()
+        assert noop["skipped"] == 1 and noop["checkpoint_version"] is None
+        assert noop["version_before"] == noop["version_after"] and len(resyncs) == 1
 
-    def test_flush_splits_into_bounded_batches(self):
-        queue = IngestQueue()
-        lake = make_lake()
-        batcher = MicroBatcher(queue, lake, max_events=2)
+    def test_flush_splits_into_bounded_batches(self, deployment, monkeypatch):
+        monkeypatch.setattr(controller_module, "MAX_BATCH_EVENTS", 2)
+        controller = deployment.ingest()
         for i in range(5):
-            queue.submit(add_event(f"t{i}"))
-        reports = batcher.flush()
-        assert [report.events for report in reports] == [2, 2, 1]
-        assert lake.num_tables == 5
+            controller.submit(add_event(f"t{i}"))
+        reports = controller.flush()
+        assert [report["events"] for report in reports] == [2, 2, 1]
+        assert deployment.lake.num_tables == 2 + 5
 
-    def test_membership_resolved_application(self):
-        queue = IngestQueue()
-        lake = make_lake("present")
-        batcher = MicroBatcher(queue, lake)
-        queue.submit(add_event("present", seed="mutated"))  # add on present
-        queue.submit(remove_event("ghost"))  # remove on absent
-        (report,) = batcher.flush()
-        assert report.replaced == 1 and report.skipped == 1
-        assert lake.get("present").rows[0][0].startswith("mutated")
+    def test_batches_are_fifo_and_bounded(self, deployment, monkeypatch):
+        monkeypatch.setattr(controller_module, "MAX_BATCH_EVENTS", 2)
+        controller = deployment.ingest()
+        for name in ("a", "b", "c"):
+            controller.submit(add_event(name))
+        controller.submit(add_event("a", seed="later"))  # keeps a's first slot
+        reports = controller.flush()
+        assert [report["events"] for report in reports] == [2, 1]
+        assert deployment.lake.table_names()[2:] == ["a", "b", "c"]
+        assert deployment.lake.get("a").rows[0][0].startswith("later")
 
-    def test_gate_timeout_is_lossless(self):
-        queue = IngestQueue()
-        lake = make_lake()
+    def test_over_budget_event_is_a_batch_of_one(self, deployment, monkeypatch):
+        monkeypatch.setattr(controller_module, "MAX_BATCH_BYTES", 1)  # below any event
+        controller = deployment.ingest()
+        controller.submit(add_event("big"))
+        controller.submit(add_event("other"))
+        assert [report["events"] for report in controller.flush()] == [1, 1]
+        assert "big" in deployment.lake and "other" in deployment.lake
+
+    def test_membership_resolved_application(self, deployment):
+        controller = deployment.ingest()
+        controller.submit(add_event("bystander_a", seed="mutated"))  # add on present
+        controller.submit(remove_event("ghost"))  # remove on absent
+        (report,) = controller.flush()
+        assert report["replaced"] == 1 and report["skipped"] == 1
+        assert deployment.lake.get("bystander_a").rows[0][0].startswith("mutated")
+
+    def test_gate_timeout_is_lossless(self, deployment, monkeypatch):
+        monkeypatch.setattr(controller_module, "EXCLUSIVE_TIMEOUT_SECONDS", 0.05)
         gate = ActivityGate()
-        batcher = MicroBatcher(queue, lake, gate=gate, exclusive_timeout=0.05)
-        queue.submit(add_event("t"))
+        controller = deployment.ingest(gate=gate)
+        controller.submit(add_event("t"))
         gate.enter()  # a query is in flight: the gate can never drain
         try:
             with pytest.raises(IngestError, match="timed out"):
-                batcher.flush()
+                controller.flush()
         finally:
             gate.leave()
         # Nothing drained, nothing applied: the flush is retryable.
-        assert queue.pending_events == 1
-        assert "t" not in lake
-        assert batcher.stats["flush_timeouts"] == 1
-        (report,) = batcher.flush()
-        assert report.added == 1 and "t" in lake
+        assert controller.pending_events == 1
+        assert "t" not in deployment.lake
+        assert controller.stats["flush_timeouts"] == 1
+        (report,) = controller.flush()
+        assert report["added"] == 1 and "t" in deployment.lake
 
-    def test_queries_blocked_while_batch_applies(self):
-        queue = IngestQueue()
-        lake = make_lake()
+    def test_queries_blocked_while_batch_applies(self, deployment, monkeypatch):
+        lake = deployment.lake
         gate = ActivityGate()
         observed = []
+        blocked = threading.Thread(
+            target=lambda: (gate.enter(), observed.append(lake.num_tables), gate.leave())
+        )
 
-        def refresh():
+        def resync():
             # While the batch applies (gate exclusive), a new query must not
             # be able to enter; it proceeds only after release.
-            blocked = threading.Thread(target=lambda: (gate.enter(), observed.append(lake.num_tables), gate.leave()))
             blocked.start()
             blocked.join(timeout=0.1)
             assert blocked.is_alive(), "query entered the gate mid-batch"
             observed.append("applying")
-            refresh.blocked = blocked
 
-        batcher = MicroBatcher(queue, lake, refresh=refresh, gate=gate)
-        queue.submit(add_event("t"))
-        batcher.flush()
-        refresh.blocked.join(timeout=2.0)
-        assert observed == ["applying", 1]  # query saw the post-batch lake
+        monkeypatch.setattr(deployment, "resync", resync)
+        controller = deployment.ingest(gate=gate)
+        controller.submit(add_event("t"))
+        controller.flush()
+        blocked.join(timeout=2.0)
+        assert observed == ["applying", 3]  # query saw the post-batch lake
 
 
 # ---------------------------------------------------------------- controller
@@ -344,12 +499,6 @@ def small_benchmark():
         non_unionable_per_query=4,
         rows_per_table=6,
         seed=9,
-    )
-
-
-def fresh_lake(benchmark) -> DataLake:
-    return DataLake(
-        (table.copy() for table in benchmark.lake), name=benchmark.lake.name
     )
 
 
@@ -365,6 +514,40 @@ class TestIngestController:
             reports = controller.flush()
             assert sum(r["events"] for r in reports) == 2
             assert "wire_a" in d.lake and "wire_b" in d.lake
+
+    def test_concurrent_submitters(self, deployment):
+        """Four submitters race a flushing thread: no event is lost between
+        submit and drain."""
+        controller = deployment.ingest()
+        done = threading.Event()
+
+        def submit(slot: int) -> None:
+            for i in range(50):
+                controller.submit(add_event(f"t_{slot}_{i}"))
+
+        def flush_until_done() -> None:
+            while not done.is_set():
+                controller.flush()
+
+        submitters = [threading.Thread(target=submit, args=(slot,)) for slot in range(4)]
+        flusher = threading.Thread(target=flush_until_done)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            flusher.start()
+            for thread in submitters:
+                thread.start()
+            for thread in submitters:
+                thread.join(timeout=30)
+        finally:
+            done.set()
+            flusher.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in [*submitters, flusher])
+        controller.flush()
+        stats = controller.stats
+        assert stats["received"] == stats["events_applied"] == 200
+        assert deployment.lake.num_tables == 202
 
     def test_flush_updates_search_results(self, small_benchmark):
         with Discovery.from_config(None).attach(fresh_lake(small_benchmark)) as d:
@@ -383,6 +566,8 @@ class TestIngestController:
         discovery = Discovery.from_config(None).attach(fresh_lake(small_benchmark))
         controller = discovery.ingest()
         assert discovery.ingest() is controller
+        gate = ActivityGate()
+        assert discovery.ingest(gate=gate) is controller and controller.gate is gate
         discovery.close()
         assert discovery.closed
 
@@ -428,13 +613,13 @@ class TestIngestController:
             assert sharded is not None
             assert skew_of(sharded.shard_loads()) >= 1.0
 
-    def test_gate_timeout_reports_yield(self, small_benchmark):
+    def test_gate_timeout_reports_yield(self, small_benchmark, monkeypatch):
+        monkeypatch.setattr(controller_module, "EXCLUSIVE_TIMEOUT_SECONDS", 0.05)
         config = {"sharding": {"num_shards": 2}}
         with Discovery.from_config(config).attach(fresh_lake(small_benchmark)) as d:
             d.searcher()
             gate = ActivityGate()
             controller = d.ingest(gate=gate)
-            controller.batcher.exclusive_timeout = 0.05
             gate.enter()
             try:
                 (report,) = controller.maybe_rebalance(force=True)
@@ -445,28 +630,6 @@ class TestIngestController:
                 }
             finally:
                 gate.leave()
-
-
-# -------------------------------------------------------------------- config
-class TestIngestConfigSection:
-    def test_defaults_and_overrides(self):
-        config = DiscoveryConfig.from_dict({"ingest": {"max_batch_events": 7}})
-        assert config.ingest["max_batch_events"] == 7
-        assert config.ingest["max_latency_seconds"] == 0.5
-
-    def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigurationError, match="ingest"):
-            DiscoveryConfig.from_dict({"ingest": {"bogus": 1}})
-
-    def test_fingerprint_neutral(self):
-        bare = DiscoveryConfig.from_dict({})
-        tuned = DiscoveryConfig.from_dict({"ingest": {"max_batch_events": 7}})
-        assert bare.fingerprint() == tuned.fingerprint()
-
-    def test_round_trips_through_to_dict(self):
-        config = DiscoveryConfig.from_dict({"ingest": {"max_batch_events": 7}})
-        clone = DiscoveryConfig.from_dict(config.to_dict())
-        assert clone.ingest == config.ingest
 
 
 # ------------------------------------------------------------ facade health
@@ -505,7 +668,7 @@ def _post(url: str, payload) -> tuple[int, dict]:
 @pytest.fixture()
 def server(small_benchmark):
     with DiscoveryServer.from_config(
-        {"ingest": {"max_batch_events": 4}},
+        None,
         fresh_lake(small_benchmark),
         queries=small_benchmark.query_tables,
         port=0,
@@ -527,7 +690,7 @@ class TestIngestEndpoint:
         assert body["lake_version"] > version
         assert "wire_added" in server.discovery.lake
 
-    def test_without_flush_events_stay_pending(self, server):
+    def test_without_flush_events_stay_pending(self, server, monkeypatch):
         status, body = _post(
             server.url + "/v1/ingest",
             {"events": [add_event("wire_pending").to_payload()]},
@@ -537,7 +700,7 @@ class TestIngestEndpoint:
         assert body["pending_events"] == 1
         assert "wire_pending" not in server.discovery.lake
         # The maintenance cycle picks pending events up once a bound trips.
-        server.ingest.batcher.max_latency_seconds = 1e-9
+        monkeypatch.setattr(controller_module, "MAX_LATENCY_SECONDS", 0.0)
         server.maintenance.run_cycle()
         assert "wire_pending" in server.discovery.lake
 
@@ -554,8 +717,26 @@ class TestIngestEndpoint:
         )
         assert status == 200
         assert body["received"] == 2 and body["accepted"] == 1
-        assert body["events_applied"] == 0  # add+remove cancelled
+        assert body["events_applied"] == 1  # the remove, applied as a skip
         assert "wire_net" not in server.discovery.lake
+
+    def test_add_of_a_present_table_then_remove_removes_it(self, server):
+        lake = server.discovery.lake
+        first = lake.get(lake.table_names()[0])
+        shrunk = Table(name=first.name, columns=list(first.columns), rows=first.rows[:2])
+        status, body = _post(
+            server.url + "/v1/ingest",
+            {
+                "events": [
+                    TableEvent(op="add", name=first.name, table=shrunk).to_payload(),
+                    remove_event(first.name).to_payload(),
+                ],
+                "flush": True,
+            },
+        )
+        assert status == 200
+        assert first.name not in lake
+        assert body["accepted"] == 1 and body["events_applied"] == 1
 
     def test_malformed_payloads_400(self, server):
         for payload in (
@@ -578,6 +759,23 @@ class TestIngestEndpoint:
         assert metrics["lake"]["journal_depth"] >= 1
         assert metrics["ingest"]["batches_applied"] >= 1
         assert metrics["maintenance"]["batches_applied"] >= 0
+        # dustbench reads these counters (events and batches applied, flush
+        # timeouts, the four netting counters): a cut must fail here first.
+        assert sorted(metrics["ingest"]) == sorted([
+            "received",
+            "noops_dropped",
+            "cancelled",
+            "superseded",
+            "deduped",
+            "drained",
+            "batches_applied",
+            "events_applied",
+            "flush_timeouts",
+            "pending_events",
+            "pending_bytes",
+            "rebalances",
+            "rebalance_moved_tables",
+        ])
 
 
 # ----------------------------------------------------------------------- CLI
@@ -647,11 +845,11 @@ class TestIngestCli:
 
 # ----------------------------------------------- maintenance-loop integration
 class TestMaintenanceIntegration:
-    def test_cycle_flushes_due_batches_first(self, small_benchmark):
+    def test_cycle_flushes_due_batches_first(self, small_benchmark, monkeypatch):
+        monkeypatch.setattr(controller_module, "MAX_LATENCY_SECONDS", 0.0)
         with Discovery.from_config(None).attach(fresh_lake(small_benchmark)) as d:
             gate = ActivityGate()
             controller = d.ingest(gate=gate)
-            controller.batcher.max_latency_seconds = 1e-9
             loop = MaintenanceLoop(d, gate=gate, ingest=controller)
             controller.submit(add_event("cycle_added"))
             done = loop.run_cycle()
@@ -661,13 +859,13 @@ class TestMaintenanceIntegration:
             assert loop.stats["events_applied"] == 1
 
     def test_cycle_yields_on_gate_timeout_without_losing_events(
-        self, small_benchmark
+        self, small_benchmark, monkeypatch
     ):
+        monkeypatch.setattr(controller_module, "MAX_LATENCY_SECONDS", 0.0)
+        monkeypatch.setattr(controller_module, "EXCLUSIVE_TIMEOUT_SECONDS", 0.05)
         with Discovery.from_config(None).attach(fresh_lake(small_benchmark)) as d:
             gate = ActivityGate()
             controller = d.ingest(gate=gate)
-            controller.batcher.max_latency_seconds = 1e-9
-            controller.batcher.exclusive_timeout = 0.05
             loop = MaintenanceLoop(d, gate=gate, ingest=controller, exclusive_timeout=0.05)
             controller.submit(add_event("cycle_kept"))
             gate.enter()
@@ -681,6 +879,27 @@ class TestMaintenanceIntegration:
             assert done["batches_applied"] == 1
             assert "cycle_kept" in d.lake
 
+    def test_failed_batch_apply_is_an_error_not_a_yield(
+        self, small_benchmark, monkeypatch
+    ):
+        """A batch that fails after its drain has already changed the lake:
+        the cycle reports an error, never a lossless yield."""
+        monkeypatch.setattr(controller_module, "MAX_LATENCY_SECONDS", 0.0)
+        with Discovery.from_config(None).attach(fresh_lake(small_benchmark)) as d:
+            gate = ActivityGate()
+            controller = d.ingest(gate=gate)
+            loop = MaintenanceLoop(d, gate=gate, ingest=controller)
+            controller.submit(add_event("cycle_failed"))
+
+            def failing_resync():
+                raise SearchError("index update failed")
+
+            monkeypatch.setattr(d, "resync", failing_resync)
+            done = loop.run_cycle()
+            assert done["yielded"] == 0 and done["batches_applied"] == 0
+            assert loop.stats["yields"] == 0 and loop.stats["errors"] == 1
+            assert "cycle_failed" in d.lake and controller.pending_events == 0
+
 
 # ---------------------------------------------- journal compaction end to end
 class TestCompactionEndToEnd:
@@ -688,9 +907,8 @@ class TestCompactionEndToEnd:
         self, small_benchmark, monkeypatch
     ):
         monkeypatch.setattr(lake_module, "MAX_JOURNAL_ENTRIES", 16)
-        with Discovery.from_config(
-            {"ingest": {"max_batch_events": 8}}
-        ).attach(fresh_lake(small_benchmark)) as d:
+        monkeypatch.setattr(controller_module, "MAX_BATCH_EVENTS", 8)
+        with Discovery.from_config(None).attach(fresh_lake(small_benchmark)) as d:
             controller = d.ingest()
             anchor = d.lake.checkpoint()
             served_behind_floor = 0
@@ -721,10 +939,9 @@ class TestCompactionEndToEnd:
         applied in bounded batches, the maintained index ranks (names and
         scores) exactly as a fresh deployment attached to the final lake."""
         monkeypatch.setattr(lake_module, "MAX_JOURNAL_ENTRIES", 16)
-        config = {
-            "sharding": {"num_shards": num_shards},
-            "ingest": {"max_batch_events": 8, "max_latency_seconds": 3600.0},
-        }
+        monkeypatch.setattr(controller_module, "MAX_BATCH_EVENTS", 8)
+        monkeypatch.setattr(controller_module, "MAX_LATENCY_SECONDS", 3600.0)
+        config = {"sharding": {"num_shards": num_shards}}
         queries = small_benchmark.query_tables
         lake = fresh_lake(small_benchmark)
         events = churn_events(lake, 5 * lake_module.MAX_JOURNAL_ENTRIES, seed=11)
