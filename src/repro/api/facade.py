@@ -40,6 +40,7 @@ from repro.api.registry import (
 from repro.core.pipeline import DustPipeline, DustResult
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
+from repro.embeddings.contextual import ContextualEncoder
 from repro.search.base import SearchResult, TableUnionSearcher
 from repro.search.cascade import CascadeSearcher
 from repro.search.sharded import ShardedSearcher
@@ -320,10 +321,17 @@ class Discovery:
         base = params.get("base")
         if isinstance(base, (str, Mapping)):
             base_spec = ComponentSpec.from_value(base, section="column_encoder.base")
-            params["base"] = TUPLE_ENCODERS.create(base_spec.name, **base_spec.params)
+            # The same spec builds an identical encoder: share the instance,
+            # so one weight set and one text memo serve both stages.
+            params["base"] = (
+                self._tuple_encoder
+                if base_spec == self.config.tuple_encoder
+                else TUPLE_ENCODERS.create(base_spec.name, **base_spec.params)
+            )
         elif base is None:
             # Column encoders wrap a base tuple encoder; share the config's.
             params["base"] = self._tuple_encoder
+        self._column_base = params["base"]
         return COLUMN_ENCODERS.create(spec.name, **params)
 
     def _build_diversifier(self, spec: ComponentSpec):
@@ -493,6 +501,18 @@ class Discovery:
             "journal_dropped": lake.journal_dropped,
             "checkpoints": lake.checkpoint_versions,
         }
+
+    def encoder_memo_stats(self) -> dict[str, int]:
+        """Text-memo ``{hits, misses, entries, bytes, budget_bytes}`` summed
+        over the distinct contextual encoders this facade built (all zero
+        when neither stage uses one)."""
+        totals = dict.fromkeys(("hits", "misses", "entries", "bytes", "budget_bytes"), 0)
+        encoders = {id(e): e for e in (self._tuple_encoder, self._column_base)}
+        for encoder in encoders.values():
+            if isinstance(encoder, ContextualEncoder):
+                for key, value in encoder.memo_stats().items():
+                    totals[key] += value
+        return totals
 
     def service_stats(self) -> dict[str, dict[str, int]]:
         """Result-cache ``{hits, misses, size}`` per built backend."""

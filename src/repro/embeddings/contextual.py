@@ -16,10 +16,19 @@ random (not trained), the resulting space is only weakly aligned with
 unionability — the behaviour the paper reports for pre-trained models — while
 the fine-tuning head of :mod:`repro.models` can still learn a good space on
 top of the same features.
+
+Every encoding goes through :meth:`ContextualEncoder.encode_text`, which keeps
+a byte-bounded memo keyed on the exact input text (:class:`_TextMemo`).  The
+output is a pure function of that text, so a resident server that sees the
+same lake tables query after query pays the forward pass once per distinct
+column sentence or serialised tuple, and the memo needs no invalidation.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -29,6 +38,11 @@ from repro.embeddings.base import EncoderInfo, TupleEncoder, l2_normalize
 from repro.embeddings.hashing import HashedVectorSpace
 from repro.embeddings.tokenizer import CLS_TOKEN, MAX_SEQUENCE_LENGTH, Tokenizer
 from repro.utils.rng import stable_hash
+
+
+#: Byte budget of each encoder's text memo: its float64 rows plus the memory
+#: of their key strings.  24 MiB holds ~4 000 768-d rows of short texts.
+MEMO_BUDGET_BYTES = 24 * 1024 * 1024
 
 
 def _position_encoding(length: int, dimension: int) -> np.ndarray:
@@ -41,6 +55,89 @@ def _position_encoding(length: int, dimension: int) -> np.ndarray:
     encoding[:, 0::2] = np.sin(angles[:, 0::2])
     encoding[:, 1::2] = np.cos(angles[:, 1::2])
     return encoding
+
+
+@lru_cache(maxsize=None)
+def _position_table(dimension: int) -> np.ndarray:
+    """Read-only position encodings for every sequence length up to the cap.
+
+    Row ``i`` depends only on ``i`` and ``dimension``, so ``[:length]`` equals
+    ``_position_encoding(length, dimension)`` exactly for every length.
+    """
+    table = _position_encoding(MAX_SEQUENCE_LENGTH, dimension)
+    table.setflags(write=False)
+    return table
+
+
+class _TextMemo:
+    """Thread-safe, byte-bounded LRU map from an input text to its embedding.
+
+    Rows live in one float64 slab of ``budget // row_bytes`` rows, allocated
+    on the first insert.  An entry costs its row plus ``sys.getsizeof`` of its
+    key; least-recently-used entries are evicted until a new one fits, so the
+    resident bytes never exceed the budget.  A hit returns a copy, so a caller
+    that mutates its vector cannot change the next hit.
+    """
+
+    def __init__(self, dimension: int, budget_bytes: int) -> None:
+        self._dimension = dimension
+        self._row_bytes = dimension * np.dtype(np.float64).itemsize
+        self._budget = budget_bytes
+        self._slab: np.ndarray | None = None
+        self._free_slots: list[int] = []
+        self._slots: OrderedDict[str, int] = OrderedDict()
+        self._bytes = 0
+        self._hits = 0
+        self._misses = 0
+        self._lock = threading.Lock()
+
+    def _cost(self, text: str) -> int:
+        return self._row_bytes + sys.getsizeof(text)
+
+    def get(self, text: str) -> np.ndarray | None:
+        """A copy of the memoised row for ``text``, or ``None`` (a miss)."""
+        with self._lock:
+            slot = self._slots.get(text)
+            if slot is None:
+                self._misses += 1
+                return None
+            self._slots.move_to_end(text)
+            self._hits += 1
+            return self._slab[slot].copy()
+
+    def put(self, text: str, vector: np.ndarray) -> None:
+        """Memoise ``vector`` for ``text``, evicting the oldest entries to fit."""
+        cost = self._cost(text)
+        if cost > self._budget:
+            return
+        with self._lock:
+            if text in self._slots:  # another thread encoded it meanwhile
+                return
+            while self._bytes + cost > self._budget:
+                oldest, slot = self._slots.popitem(last=False)
+                self._free_slots.append(slot)
+                self._bytes -= self._cost(oldest)
+            if self._slab is None:
+                # Every entry costs at least one row, so the byte bound keeps
+                # the entry count within the slab.
+                rows = self._budget // self._row_bytes
+                self._slab = np.empty((rows, self._dimension), dtype=np.float64)
+                self._free_slots = list(range(rows))
+            slot = self._free_slots.pop()
+            self._slab[slot] = vector
+            self._slots[text] = slot
+            self._bytes += cost
+
+    def stats(self) -> dict[str, int]:
+        """``{hits, misses, entries, bytes, budget_bytes}``."""
+        with self._lock:
+            return {
+                "hits": self._hits,
+                "misses": self._misses,
+                "entries": len(self._slots),
+                "bytes": self._bytes,
+                "budget_bytes": self._budget,
+            }
 
 
 class ContextualEncoder(TupleEncoder):
@@ -85,6 +182,7 @@ class ContextualEncoder(TupleEncoder):
         self._pooling = pooling
         self._context_weight = context_weight
         self._weights = [self._layer_weights(layer) for layer in range(num_layers)]
+        self._memo = _TextMemo(dimension, MEMO_BUDGET_BYTES)
 
     # ------------------------------------------------------------ construction
     def _layer_weights(self, layer: int) -> np.ndarray:
@@ -106,7 +204,7 @@ class ContextualEncoder(TupleEncoder):
             return np.zeros(self.dimension, dtype=np.float64)
         tokens = tokens[:MAX_SEQUENCE_LENGTH]
         hidden = np.vstack([self._space.token_vector(token) for token in tokens])
-        hidden = hidden + 0.05 * _cached_positions(len(tokens), self.dimension)
+        hidden = hidden + 0.05 * _position_table(self.dimension)[: len(tokens)]
         for weights in self._weights:
             context = hidden.mean(axis=0, keepdims=True)
             blended = (1.0 - self._context_weight) * hidden + self._context_weight * context
@@ -118,17 +216,23 @@ class ContextualEncoder(TupleEncoder):
         return l2_normalize(pooled)
 
     def encode_text(self, text: str) -> np.ndarray:
-        """Tokenize and encode a serialized tuple / column sentence."""
-        tokens = self._tokenizer.tokenize_text(text)
-        if tokens and tokens[0] != CLS_TOKEN:
-            tokens = [CLS_TOKEN, *tokens]
-        return self.encode_tokens(tokens)
+        """Tokenize and encode a serialized tuple / column sentence.
 
+        Memoised on the exact text; the forward pass runs outside the memo's
+        lock, and every call returns a vector the caller owns.
+        """
+        vector = self._memo.get(text)
+        if vector is None:
+            tokens = self._tokenizer.tokenize_text(text)
+            if tokens and tokens[0] != CLS_TOKEN:
+                tokens = [CLS_TOKEN, *tokens]
+            vector = self.encode_tokens(tokens)
+            self._memo.put(text, vector)
+        return vector
 
-@lru_cache(maxsize=8)
-def _cached_positions(length: int, dimension: int) -> np.ndarray:
-    """Cache position encodings; lengths repeat heavily across tuples."""
-    return _position_encoding(length, dimension)
+    def memo_stats(self) -> dict[str, int]:
+        """Counters of the text memo: ``{hits, misses, entries, bytes, budget_bytes}``."""
+        return self._memo.stats()
 
 
 @register_tuple_encoder("bert")

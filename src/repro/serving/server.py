@@ -420,6 +420,7 @@ class DiscoveryServer(ThreadingHTTPServer):
             "events_logged": len(self.events),
             "latency": latency_summary(self.events.tail()),
             "cache": self.discovery.service_stats(),
+            "encoder_memo": self.discovery.encoder_memo_stats(),
             "maintenance": self.maintenance.stats,
             "lake": self.discovery.lake_health(),
             "ingest": self.ingest.stats,

@@ -18,6 +18,7 @@ from repro.api.facade import ResultSet, build_benchmark
 from repro.api.registry import DIVERSIFIERS, SEARCHERS, TUPLE_ENCODERS
 from repro.benchgen import generate_ugen_benchmark
 from repro.core import DustConfig, DustDiversifier
+from repro.datalake import DataLake, Table
 from repro.embeddings import CellLevelColumnEncoder, FastTextLikeModel, GloveLikeModel
 from repro.search import StarmieSearcher, TableUnionSearcher, ValueOverlapSearcher
 from repro.utils.errors import ConfigurationError
@@ -461,6 +462,51 @@ class TestDiscoveryFacade:
         )
         assert set(workloads) == {t.name for t in small_benchmark.query_tables}
         assert all(w.num_candidates > 0 for w in workloads.values())
+
+
+class TestEncoderMemo:
+    """Repeated column sentences and tuples skip the contextual forward pass."""
+
+    def test_column_base_shares_the_tuple_encoder_when_specs_match(self):
+        discovery = Discovery()
+        assert discovery.column_encoder._base is discovery.tuple_encoder
+        other = Discovery.from_config(
+            {"column_encoder": {"name": "column-level", "base": "bert"}}
+        )
+        assert other.column_encoder._base is not other.tuple_encoder
+        assert other.column_encoder._base.info.name == "bert-like"
+
+    def test_unchanged_lake_runs_no_forward_pass(self, small_benchmark, monkeypatch):
+        lake = DataLake(small_benchmark.lake.tables(), name="memo-lake")
+        discovery = Discovery.from_config(
+            {"pipeline": {"k": 5, "num_search_tables": 4}}
+        ).attach(lake)
+        encoder = discovery.tuple_encoder
+        forward_passes = []
+        forward = encoder.encode_tokens
+        monkeypatch.setattr(
+            encoder,
+            "encode_tokens",
+            lambda tokens: forward_passes.append(tokens) or forward(tokens),
+        )
+        query = small_benchmark.query_tables[0]
+        first = discovery.run(query)
+        assert forward_passes
+        forward_passes.clear()
+        assert discovery.run(query).selections() == first.selections()
+        assert forward_passes == []
+        assert discovery.encoder_memo_stats()["hits"] > 0
+
+        # A replaced result table: only the texts carrying its new value miss.
+        name = first.search_results[0].table_name
+        old = lake.get(name)
+        marker = "zzreplacedvalue"
+        rows = [(marker, *old.rows[0][1:]), *old.rows[1:]]
+        lake.replace_table(Table(name, list(old.columns), rows))
+        discovery.refresh()
+        discovery.run(query)
+        assert forward_passes
+        assert all(marker in tokens for tokens in forward_passes)
 
 
 class TestBuildBenchmark:

@@ -1,5 +1,9 @@
 """Tests for the hashed vector space, word models and contextual encoders."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +16,9 @@ from repro.embeddings import (
     RobertaLikeModel,
     SentenceBertLikeModel,
 )
+from repro.embeddings import contextual
 from repro.embeddings.base import l2_normalize
+from repro.embeddings.contextual import ContextualEncoder
 from repro.cluster.distance import cosine_distance
 
 
@@ -121,6 +127,109 @@ class TestContextualModels:
             ContextualEncoder("x", pooling="bad")
         with pytest.raises(ValueError):
             ContextualEncoder("x", num_layers=0)
+
+
+class TestTextMemo:
+    def test_memoised_rows_equal_the_forward_pass(self):
+        texts = [
+            "[CLS] Park Name River Park [SEP] Country USA [SEP]",
+            "",
+            "park river " * 300,  # over the 512-token cap
+            "Country USA",
+            "[CLS] Park Name River Park [SEP] Country USA [SEP]",
+            "",
+            "park river " * 300,
+        ]
+        model = RobertaLikeModel()
+        first = model.encode_many(texts)
+        again = model.encode_many(texts)
+        reference = RobertaLikeModel()
+        expected = {text: reference.encode_text(text) for text in dict.fromkeys(texts)}
+        assert reference.memo_stats()["hits"] == 0
+        for memoised in (first, again):
+            for row, text in zip(memoised, texts):
+                assert np.array_equal(row, expected[text])
+        stats = model.memo_stats()
+        assert (stats["misses"], stats["hits"], stats["entries"]) == (4, 10, 4)
+
+    def test_returned_vectors_are_copies(self):
+        model = ContextualEncoder("memo-copy", dimension=32)
+        first = model.encode_text("river park")
+        expected = first.copy()
+        first[:] = 0.0
+        hit = model.encode_text("river park")
+        assert np.array_equal(hit, expected)
+        hit[:] = 1.0
+        assert np.array_equal(model.encode_text("river park"), expected)
+
+    def test_byte_budget_evicts_least_recently_used(self, monkeypatch):
+        entry = 16 * 8 + sys.getsizeof("t0")
+        monkeypatch.setattr(contextual, "MEMO_BUDGET_BYTES", 3 * entry)
+        model = ContextualEncoder("memo-budget", dimension=16)
+        calls = []
+        forward = model.encode_tokens
+        monkeypatch.setattr(
+            model, "encode_tokens", lambda tokens: calls.append(tokens) or forward(tokens)
+        )
+        for text in ("t0", "t1", "t2", "t0", "t3"):  # t0 is touched, t1 is oldest
+            model.encode_text(text)
+            assert model.memo_stats()["bytes"] <= 3 * entry
+        assert len(calls) == 4
+        model.encode_text("t0")
+        model.encode_text("t2")
+        model.encode_text("t3")
+        assert len(calls) == 4
+        model.encode_text("t1")
+        assert len(calls) == 5
+        stats = model.memo_stats()
+        assert (stats["entries"], stats["bytes"], stats["budget_bytes"]) == (3, 3 * entry, 3 * entry)
+
+    def test_concurrent_encode_many_matches_serial(self, monkeypatch):
+        # Room for three entries under 24 texts: nearly every call evicts, so
+        # the threads race on the LRU order, the free slots and the byte count.
+        monkeypatch.setattr(contextual, "MEMO_BUDGET_BYTES", 3 * (32 * 8 + 66))
+        # Widen the race window: yield the interpreter inside every cost
+        # lookup, which put() makes mid-eviction.
+        cost = contextual._TextMemo._cost
+
+        def yielding_cost(memo, text):
+            time.sleep(0)
+            return cost(memo, text)
+
+        monkeypatch.setattr(contextual._TextMemo, "_cost", yielding_cost)
+        texts = [f"river park row {i}" for i in range(24)]
+        serial = ContextualEncoder("memo-threads", dimension=32)
+        expected = {text: serial.encode_text(text) for text in texts}
+        shared = ContextualEncoder("memo-threads", dimension=32)
+        rng = np.random.default_rng(5)
+        batches = [[texts[j] for j in rng.integers(0, len(texts), 40)] for _ in range(4)]
+        matched = [0] * len(batches)
+
+        def work(index):
+            want = np.vstack([expected[text] for text in batches[index]])
+            for _ in range(20):
+                matched[index] += np.array_equal(shared.encode_many(batches[index]), want)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert matched == [20] * len(batches)
+        stats = shared.memo_stats()
+        assert stats["entries"] <= 3 and stats["bytes"] <= contextual.MEMO_BUDGET_BYTES
+
+    def test_position_table_slices_equal_per_length_encodings(self):
+        table = contextual._position_table(768)
+        assert not table.flags.writeable
+        for length in (1, 2, 7, 60, 511, 512):
+            assert np.array_equal(table[:length], contextual._position_encoding(length, 768))
 
 
 class TestNormalisationHelpers:

@@ -20,6 +20,7 @@ from repro.api.schema import (
 )
 from repro.benchgen import generate_ugen_benchmark
 from repro.datalake import table_from_payload, table_from_rows, table_to_payload
+from repro.embeddings.contextual import MEMO_BUDGET_BYTES
 from repro.search import ValueOverlapSearcher
 from repro.serving import IndexStore
 from repro.serving.events import EventLog, latency_summary, percentile, read_events
@@ -433,6 +434,10 @@ class TestServerEndpoints:
         assert status == 200
         assert metrics["counters"]["served"] == 0
         assert metrics["latency"]["count"] == 0
+        memo = metrics["encoder_memo"]
+        assert set(memo) == {"hits", "misses", "entries", "bytes", "budget_bytes"}
+        # The default config's column and tuple stages share one encoder.
+        assert memo["budget_bytes"] == MEMO_BUDGET_BYTES
 
     def test_wire_result_matches_direct_facade_bytes(self, server, small_benchmark):
         status, body, _ = _post(server.url + "/v1/search", {"query_index": 0, "k": 4})
