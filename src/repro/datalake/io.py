@@ -62,10 +62,19 @@ def table_from_payload(payload: Mapping[str, Any]) -> Table:
     missing = {"name", "columns", "rows"} - set(payload)
     if missing:
         raise DataLakeError(f"table payload is missing keys: {sorted(missing)}")
+    columns, rows = payload["columns"], payload["rows"]
+    if not isinstance(columns, (list, tuple)):
+        raise DataLakeError(
+            f"table payload 'columns' must be a list, got {type(columns).__name__}"
+        )
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(row, (list, tuple)) for row in rows
+    ):
+        raise DataLakeError("table payload 'rows' must be a list of row lists")
     return Table(
         name=str(payload["name"]),
-        columns=[str(column) for column in payload["columns"]],
-        rows=[tuple(row) for row in payload["rows"]],
+        columns=[str(column) for column in columns],
+        rows=[tuple(row) for row in rows],
     )
 
 

@@ -11,7 +11,7 @@ versioned HTTP/JSON API off the standard library's ``ThreadingHTTPServer``
 ``GET /v1/info``     :meth:`Discovery.info` plus the server's own block
 ``GET /v1/metrics``  served/rejected/error counters, in-flight gauge,
                      latency p50/p95 over the event tail, result-cache
-                     hit rates, maintenance-loop stats
+                     hit rates, maintenance-loop stats, BLAS cap state
 ``POST /v1/search``  one Algorithm-1 run; the response body is the
                      :func:`~repro.api.schema.dump_result` serialization
                      of :meth:`ResultSet.to_dict` — byte-identical to the
@@ -19,7 +19,7 @@ versioned HTTP/JSON API off the standard library's ``ThreadingHTTPServer``
 ``POST /v1/refresh`` run one maintenance cycle now (eager re-sync)
 ===================  ====================================================
 
-Three mechanisms keep heavy concurrent traffic honest:
+Four mechanisms keep heavy concurrent traffic honest:
 
 * **Admission control** — a bounded semaphore caps in-flight searches;
   a request that cannot acquire a slot within the queue timeout is
@@ -33,6 +33,10 @@ Three mechanisms keep heavy concurrent traffic honest:
   thread runs between request bursts (the :class:`ActivityGate` pauses it
   around queries), eagerly re-syncing drifted indexes from lake deltas,
   re-warming the LRU, and evicting cold store entries.
+* **BLAS thread cap** — every admitted ``Discovery.run`` holds the
+  process-wide :func:`~repro.utils.blas.process_cap`, so while two searches
+  are in flight every loaded OpenBLAS library runs one thread instead of
+  the searches fighting over its worker team.
 
 The query side of the versioned API accepts three body shapes::
 
@@ -59,6 +63,7 @@ from repro.datalake.io import table_from_payload
 from repro.datalake.table import Table
 from repro.serving.events import EventLog, latency_summary
 from repro.serving.maintenance import ActivityGate, MaintenanceLoop
+from repro.utils.blas import process_cap
 from repro.utils.errors import ReproError, ServingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api -> serving)
@@ -139,7 +144,17 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if path not in ENDPOINTS["POST"]:
             self._not_found(path)
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.server._bump("errors")
+            self._respond(
+                400,
+                _json_bytes({"error": "Content-Length must be a non-negative integer"}),
+            )
+            return
         raw = self.rfile.read(length) if length > 0 else b""
         try:
             payload = json.loads(raw) if raw else {}
@@ -424,6 +439,7 @@ class DiscoveryServer(ThreadingHTTPServer):
             "maintenance": self.maintenance.stats,
             "lake": self.discovery.lake_health(),
             "ingest": self.ingest.stats,
+            "blas": process_cap().stats(),
         }
 
     def api_refresh(self) -> dict[str, Any]:
@@ -506,7 +522,8 @@ class DiscoveryServer(ThreadingHTTPServer):
             with self.gate.active():
                 with self._ensure_lock:
                     self.discovery.searcher(backend)
-                result = self.discovery.run(table, k=k, backend=backend)
+                with process_cap().held():
+                    result = self.discovery.run(table, k=k, backend=backend)
             latency = time.perf_counter() - start
             self._bump("served")
             self.events.append(

@@ -2,6 +2,7 @@
 repro.serving.server / maintenance / events, repro.api.schema, and the
 Discovery lifecycle (close / context manager)."""
 
+import http.client
 import json
 import threading
 import time
@@ -26,6 +27,7 @@ from repro.serving import IndexStore
 from repro.serving.events import EventLog, latency_summary, percentile, read_events
 from repro.serving.maintenance import ActivityGate, MaintenanceLoop
 from repro.serving.server import DiscoveryServer
+from repro.utils import blas
 from repro.utils.errors import ConfigurationError, ServingError
 
 
@@ -438,6 +440,15 @@ class TestServerEndpoints:
         assert set(memo) == {"hits", "misses", "entries", "bytes", "budget_bytes"}
         # The default config's column and tuple stages share one encoder.
         assert memo["budget_bytes"] == MEMO_BUDGET_BYTES
+        assert set(metrics["blas"]) == {
+            "available",
+            "default_threads",
+            "threads",
+            "holders",
+            "capped_entries",
+        }
+        assert metrics["blas"]["holders"] == 0
+        assert metrics["blas"]["threads"] == metrics["blas"]["default_threads"]
 
     def test_wire_result_matches_direct_facade_bytes(self, server, small_benchmark):
         status, body, _ = _post(server.url + "/v1/search", {"query_index": 0, "k": 4})
@@ -490,8 +501,32 @@ class TestServerEndpoints:
             server.url + "/v1/search", {"query_name": "no_such_table"}
         )
         assert status == 400
+        for malformed in (
+            {"name": "x", "columns": ["a"], "rows": 7},
+            {"name": "x", "columns": ["a"], "rows": [7]},
+            {"name": "x", "columns": 3, "rows": []},
+        ):
+            status, body, _ = _post(
+                server.url + "/v1/search", {"query_table": malformed}
+            )
+            assert status == 400
+            assert "table payload" in json.loads(body)["error"]
+        for length in ("abc", "-5"):
+            connection = http.client.HTTPConnection(
+                server.server_address[0], server.server_address[1], timeout=10.0
+            )
+            try:
+                connection.putrequest("POST", "/v1/search")
+                connection.putheader("Content-Length", length)
+                connection.endheaders()
+                response = connection.getresponse()
+                assert response.status == 400
+                assert "Content-Length" in json.loads(response.read())["error"]
+            finally:
+                connection.close()
         status, metrics, _ = _get(server.url + "/v1/metrics")
-        assert metrics["counters"]["errors"] >= 4
+        assert metrics["counters"]["errors"] >= 9
+        assert metrics["counters"]["inflight"] == 0
 
     def test_events_are_written_to_jsonl(self, small_benchmark, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -601,6 +636,68 @@ class TestServerConcurrency:
             _, metrics, _ = _get(running.url + "/v1/metrics")
             assert metrics["counters"]["rejected"] == 1
             assert metrics["counters"]["served"] == 1
+
+    def test_two_searches_in_flight_run_one_blas_thread(
+        self, small_benchmark, monkeypatch
+    ):
+        library = {"threads": 4, "calls": []}
+
+        def _set(threads: int) -> None:
+            library["calls"].append(threads)
+            library["threads"] = threads
+
+        monkeypatch.setattr(
+            blas, "_PROCESS_CAP", blas.BlasCap([(_set, lambda: library["threads"])])
+        )
+        with DiscoveryServer.from_config(
+            None,
+            small_benchmark.lake,
+            queries=small_benchmark.query_tables,
+            port=0,
+            max_inflight=4,
+            queue_timeout_seconds=30.0,
+            maintenance=False,
+        ) as running:
+            release = threading.Event()
+            both_inside = threading.Barrier(3)
+            original_run = running.discovery.run
+
+            def _held_run(*args, **kwargs):
+                both_inside.wait(10.0)
+                release.wait(10.0)
+                return original_run(*args, **kwargs)
+
+            running.discovery.run = _held_run
+            statuses: list[int] = []
+
+            def _client(index: int) -> None:
+                status, _, _ = _post(
+                    running.url + "/v1/search", {"query_index": index, "k": 3}
+                )
+                statuses.append(status)
+
+            clients = [
+                threading.Thread(target=_client, args=(index,)) for index in (0, 1)
+            ]
+            for client in clients:
+                client.start()
+            try:
+                both_inside.wait(10.0)
+                assert library["threads"] == 1
+                _, metrics, _ = _get(running.url + "/v1/metrics")
+                assert metrics["blas"]["holders"] == 2
+                assert metrics["blas"]["threads"] == 1
+            finally:
+                release.set()
+                for client in clients:
+                    client.join(timeout=30.0)
+            assert not any(client.is_alive() for client in clients)
+            assert statuses == [200, 200]
+            assert library["threads"] == 4
+            assert library["calls"] == [1, 4]
+            _, metrics, _ = _get(running.url + "/v1/metrics")
+            assert metrics["blas"]["holders"] == 0
+            assert metrics["blas"]["capped_entries"] == 1
 
     def test_mutation_visible_after_maintenance_without_restart(self, small_benchmark):
         lake = generate_ugen_benchmark(
