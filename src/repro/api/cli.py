@@ -73,7 +73,7 @@ def _add_cascade_options(parser: argparse.ArgumentParser) -> None:
         "--cascade-mode",
         choices=("exact", "approx"),
         default=None,
-        help="enable the tiered query cascade in this mode (exact mode is "
+        help="enable the prefilter stage in this mode (exact mode is "
         "bit-identical to the bare backend; approx prunes to a candidate "
         "budget before exact scoring)",
     )
@@ -83,13 +83,6 @@ def _add_cascade_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="cascade candidate budget: how many prefilter candidates survive "
         "to exact scoring (default: config value or 32)",
-    )
-    parser.add_argument(
-        "--cascade-margin",
-        type=float,
-        default=None,
-        help="cascade escalation margin: approximate-score gaps below this "
-        "escalate the query to the full exact path (default: 0, never)",
     )
 
 
@@ -126,8 +119,6 @@ def _cascade_overrides(args: argparse.Namespace) -> dict:
         overrides["mode"] = args.cascade_mode
     if getattr(args, "cascade_budget", None) is not None:
         overrides["candidate_budget"] = args.cascade_budget
-    if getattr(args, "cascade_margin", None) is not None:
-        overrides["escalation_margin"] = args.cascade_margin
     return overrides
 
 

@@ -11,7 +11,8 @@ its registry name plus parameters::
       "pipeline": {"num_search_tables": 10, "k": 30, "min_query_rows": 3},
       "dust": {"candidate_multiplier": 2, "prune_limit": 2500, ...},
       "serving": {"store_dir": ".cache/index-store"},
-      "sharding": {"num_shards": 8, "strategy": "hash"}
+      "sharding": {"num_shards": 8},
+      "cascade": {"mode": "approx", "candidate_budget": 32}
     }
 
 The tree round-trips through ``from_dict``/``to_dict`` and JSON, is validated
@@ -61,17 +62,10 @@ _SERVING_DEFAULTS: dict[str, Any] = {
 }
 _SHARDING_DEFAULTS: dict[str, Any] = {
     "num_shards": 1,
-    "strategy": "hash",
 }
 _CASCADE_DEFAULTS: dict[str, Any] = {
     "mode": "approx",
-    "prefilter": "auto",
     "candidate_budget": 32,
-    "escalation_margin": 0.0,
-    "projection_dim": 16,
-    "num_hashes": 64,
-    "num_bands": 16,
-    "seed": 7,
 }
 _SERVER_DEFAULTS: dict[str, Any] = {
     "host": "127.0.0.1",
@@ -170,42 +164,18 @@ def _validate_sharding(sharding: Mapping[str, Any]) -> None:
         raise ConfigurationError(
             f"sharding.num_shards must be a positive integer, got {num_shards!r}"
         )
-    if sharding["strategy"] not in ("hash", "size"):
-        raise ConfigurationError(
-            f"sharding.strategy must be hash/size, got {sharding['strategy']!r}"
-        )
 
 
 def _validate_cascade(cascade: Mapping[str, Any]) -> None:
-    """Eagerly apply the CascadeSearcher/prefilter value constraints."""
+    """Eagerly apply the prefilter-stage value constraints."""
     if cascade["mode"] not in ("exact", "approx"):
         raise ConfigurationError(
             f"cascade.mode must be exact/approx, got {cascade['mode']!r}"
-        )
-    if cascade["prefilter"] not in ("auto", "lsh", "projection"):
-        raise ConfigurationError(
-            "cascade.prefilter must be auto/lsh/projection, "
-            f"got {cascade['prefilter']!r}"
         )
     budget = cascade["candidate_budget"]
     if not isinstance(budget, int) or budget < 1:
         raise ConfigurationError(
             f"cascade.candidate_budget must be a positive integer, got {budget!r}"
-        )
-    if cascade["escalation_margin"] < 0:
-        raise ConfigurationError(
-            "cascade.escalation_margin must be non-negative, "
-            f"got {cascade['escalation_margin']}"
-        )
-    if cascade["projection_dim"] < 1:
-        raise ConfigurationError(
-            f"cascade.projection_dim must be positive, got {cascade['projection_dim']}"
-        )
-    num_hashes, num_bands = cascade["num_hashes"], cascade["num_bands"]
-    if num_hashes < 1 or num_bands < 1 or num_hashes % num_bands != 0:
-        raise ConfigurationError(
-            f"cascade.num_hashes ({num_hashes}) must be a positive multiple of "
-            f"cascade.num_bands ({num_bands})"
         )
 
 
@@ -287,17 +257,16 @@ class DiscoveryConfig:
     pipeline: dict[str, Any] = field(default_factory=dict)
     dust: dict[str, Any] = field(default_factory=dict)
     serving: dict[str, Any] | None = None
-    #: Optional lake-sharding section: ``{"num_shards": 8, "strategy":
-    #: "hash"}``.  With ``num_shards > 1`` every backend the
-    #: facade builds becomes a :class:`~repro.search.sharded.ShardedSearcher`
-    #: — partition-parallel builds, fan-out/merge serving, per-shard store
-    #: entries — transparently, with rankings bit-identical to a flat index.
+    #: Optional lake-sharding section: ``{"num_shards": 8}``.  With
+    #: ``num_shards > 1`` every backend the facade builds is served by a
+    #: :class:`~repro.search.sharded.ShardedSearcher` — partition-parallel
+    #: builds, fan-out/merge serving, per-shard store entries —
+    #: transparently, with rankings bit-identical to a flat index.
     sharding: dict[str, Any] | None = None
-    #: Optional tiered-cascade section: ``{"mode": "approx",
-    #: "candidate_budget": 32, "escalation_margin": 0.0, ...}``.  When present
-    #: the facade wraps the built backend in a
-    #: :class:`~repro.search.cascade.CascadeSearcher` — approximate candidate
-    #: prefilter, narrow exact scoring, ambiguity-triggered escalation.
+    #: Optional prefilter-stage section: ``{"mode": "approx",
+    #: "candidate_budget": 32}``.  In ``approx`` mode the executor
+    #: (a one-shard :class:`~repro.search.sharded.ShardedSearcher` when
+    #: unsharded) exact-scores only the prefilter's top candidates;
     #: ``mode: "exact"`` keeps rankings bit-identical to the bare backend.
     cascade: dict[str, Any] | None = None
     #: Optional resident-server section: ``{"host": ..., "port": ...,

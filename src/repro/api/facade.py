@@ -42,7 +42,6 @@ from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
 from repro.embeddings.contextual import ContextualEncoder
 from repro.search.base import SearchResult, TableUnionSearcher
-from repro.search.cascade import CascadeSearcher
 from repro.search.sharded import ShardedSearcher
 from repro.serving.store import IndexStore
 from repro.utils.errors import ConfigurationError
@@ -206,8 +205,8 @@ class _ResultCache:
     """One backend's bounded LRU of step-1 rankings, with hit/miss counters.
 
     Keyed by ``(searcher config fingerprint, indexed-lake digest, query
-    fingerprint, k)``, all read live: wrappers such as
-    :class:`~repro.search.cascade.CascadeSearcher` fold their mode/budget
+    fingerprint, k)``, all read live: a
+    :class:`~repro.search.sharded.ShardedSearcher` folds its candidate budget
     into the config fingerprint, and the digest moves with every refresh.
     ``size`` 0 (no ``serving`` section) caches nothing and counts misses.
     """
@@ -560,36 +559,16 @@ class Discovery:
         def factory() -> TableUnionSearcher:
             return SEARCHERS.create(backend, **params)
 
-        sharding = self.config.sharding
-        if sharding is not None and sharding["num_shards"] > 1:
-            # Transparently shard-aware: the composite builds one index per
-            # shard, serves by fan-out/merge and (warmed through a
-            # store) persists per shard — rankings bit-identical to the
-            # flat backend, so nothing downstream changes.
-            searcher: TableUnionSearcher = ShardedSearcher(
-                factory,
-                num_shards=sharding["num_shards"],
-                strategy=sharding["strategy"],
-            )
-        else:
-            searcher = factory()
-        cascade = self.config.cascade
-        if cascade is not None:
-            # Outermost wrapper: the cascade prefilters over the (possibly
-            # sharded) backend and pushes its candidate budget down through
-            # score_candidates; in "exact" mode it delegates wholesale.
-            searcher = CascadeSearcher(
-                searcher,
-                mode=cascade["mode"],
-                candidate_budget=cascade["candidate_budget"],
-                escalation_margin=cascade["escalation_margin"],
-                prefilter=cascade["prefilter"],
-                projection_dim=cascade["projection_dim"],
-                num_hashes=cascade["num_hashes"],
-                num_bands=cascade["num_bands"],
-                seed=cascade["seed"],
-            )
-        return searcher
+        # One executor: flat is one shard, exact is no candidate budget, and
+        # only the flat exact deployment skips it for the bare backend.
+        sharding, cascade = self.config.sharding, self.config.cascade
+        num_shards = sharding["num_shards"] if sharding is not None else 1
+        budget = None
+        if cascade is not None and cascade["mode"] == "approx":
+            budget = cascade["candidate_budget"]
+        if num_shards == 1 and budget is None:
+            return factory()
+        return ShardedSearcher(factory, num_shards=num_shards, candidate_budget=budget)
 
     def searcher(self, backend: str | None = None) -> TableUnionSearcher:
         """The lazily built, indexed and re-synced searcher serving ``backend``."""

@@ -5,14 +5,14 @@ resolved by ``DiscoveryConfig.preset(name)``; all three use the ``overlap``
 backend with a 256-entry result cache.
 
 * ``exact`` — flat exact search: recall 1.0 by construction.
-* ``balanced`` — approximate cascade, ``candidate_budget`` 32.
-* ``low-latency`` — approximate cascade, ``candidate_budget`` 12.
+* ``balanced`` — approximate prefilter stage, ``candidate_budget`` 32.
+* ``low-latency`` — approximate prefilter stage, ``candidate_budget`` 12.
 
-``candidate_budget`` is the dial: it bounds the exact-scoring set, trading
-recall for latency.  What that trade costs is measured in one place — the
-dustbench ``search-large`` workload's ``recall_at_10`` and latency records
-(``benchmarks/dustbench/README.md``) — so start from a preset and move the
-budget against that record rather than hand-tuning the other cascade keys.
+``candidate_budget`` is the one dial of the ``cascade`` section: it bounds
+the exact-scoring set, trading recall for latency.  What that trade costs is
+measured in one place — the dustbench ``search-large`` workload's
+``recall_at_10`` and latency records (``benchmarks/dustbench/README.md``) —
+so start from a preset and move the budget against that record.
 """
 
 from __future__ import annotations

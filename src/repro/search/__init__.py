@@ -26,13 +26,13 @@ shard concurrently in forked workers (``build_partial(shard)``/
 shards separate and serves queries by fan-out/merge, bit-identical to a flat
 index.
 
-Query latency is made sub-linear in lake size by the **tiered cascade**
-(:mod:`repro.search.cascade`): :class:`~repro.search.cascade.CascadeSearcher`
-wraps any backend, prunes the lake with an approximate
+Query latency is made sub-linear in lake size by the same executor's
+**prefilter stage** (:mod:`repro.search.cascade`): given a
+``candidate_budget``, ``ShardedSearcher`` — one shard when the lake is not
+sharded — prunes the lake with an approximate
 :class:`~repro.search.cascade.CandidatePrefilter` (LSH bucket probe or
-low-dimensional random projection), exact-scores only the surviving
-candidates through the kernel's ``score_candidates`` loop, and
-escalates to the full exact path when the approximate margin is ambiguous.
+low-dimensional random projection) and exact-scores only the surviving
+candidates through the kernel's ``score_candidates`` loop.
 """
 
 from repro.search.base import TableUnionSearcher, SearchResult
@@ -45,7 +45,6 @@ from repro.search.oracle import OracleSearcher
 from repro.search.sharded import ShardedSearcher
 from repro.search.cascade import (
     CandidatePrefilter,
-    CascadeSearcher,
     LSHPrefilter,
     ProjectionPrefilter,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "OracleSearcher",
     "ShardedSearcher",
     "CandidatePrefilter",
-    "CascadeSearcher",
     "LSHPrefilter",
     "ProjectionPrefilter",
 ]

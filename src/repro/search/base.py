@@ -126,10 +126,9 @@ class TableUnionSearcher(abc.ABC):
         flat backend round-trips through a single whole-lake entry
         (:meth:`~repro.serving.store.IndexStore.load_or_build`: exact load,
         else delta-update of the closest prior snapshot, else build +
-        persist); composites override this to persist their own way — a
-        :class:`~repro.search.sharded.ShardedSearcher` per shard, a
-        :class:`~repro.search.cascade.CascadeSearcher` through its base plus
-        one prefilter entry.
+        persist); the :class:`~repro.search.sharded.ShardedSearcher` executor
+        overrides this to persist one entry per shard plus, with a candidate
+        budget, one prefilter entry.
         """
         self.store = store
         if store is None:
@@ -482,7 +481,7 @@ class TableUnionSearcher(abc.ABC):
         random-projection prefilter of :mod:`repro.search.cascade` can rank
         candidates without touching the exact scorer.  Backends without a
         natural embedding (the overlap searcher, the oracle) return ``None``
-        and the cascade falls back to the LSH bucket-probe prefilter.
+        and the stage falls back to the LSH bucket-probe prefilter.
         """
         indexed = self._indexed_column_vectors()
         if not indexed:
@@ -523,8 +522,8 @@ class TableUnionSearcher(abc.ABC):
         """Exact scores for just the candidate tables in ``names``.
 
         The one ranking loop: :meth:`search` is this over every indexed
-        table, and the tiered query cascade
-        (:class:`~repro.search.cascade.CascadeSearcher`) calls it with the
+        table, and the executor's prefilter stage
+        (:class:`~repro.search.sharded.ShardedSearcher`) calls it with the
         candidate set its prefilter kept — per-table scores depend only on
         the query and that table's index entry, so both are **bit-identical**
         (the memoised :meth:`_query_state` makes the per-candidate cost

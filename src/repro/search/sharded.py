@@ -1,7 +1,7 @@
-"""Sharded index construction and fan-out/merge search serving.
+"""The search executor: prefilter -> route -> score -> merge over N shards.
 
-:class:`ShardedSearcher` is a composite
-:class:`~repro.search.base.TableUnionSearcher` that partitions a lake, keeps
+:class:`ShardedSearcher` is the one composite
+:class:`~repro.search.base.TableUnionSearcher`.  It partitions a lake, keeps
 one independently-indexed searcher per shard — built **concurrently in
 forked worker processes** (probe-gated, so tiny lakes never pay fork
 startup) — and answers queries by **fanning out** ``score_candidates`` over
@@ -12,13 +12,23 @@ downstream (``DustPipeline``, the ``Discovery`` facade and its result
 cache) composes with it unchanged.  Whether a build forks is measured, never
 configured: there are no worker-count, executor-mode or threshold arguments.
 
+With a ``candidate_budget`` the executor adds the prefilter stage of
+:mod:`repro.search.cascade`: a fitted
+:class:`~repro.search.cascade.CandidatePrefilter` keeps the top
+``candidate_budget`` names and only their owner shards exact-score them.
+Without one, ``search`` is the full fan-out.  Flat is one shard; exact is no
+budget.
+
 Per-shard persistence: warm :class:`ShardedSearcher` through an
 :class:`~repro.serving.store.IndexStore` and each shard is loaded from /
-persisted to its own store entry, keyed by the shard's content fingerprint.
-Mutating the lake therefore re-indexes and re-persists **only the shards
-whose fingerprints moved**, and each shard's store entry composes with the
-store's snapshot-delta path (PR 4): a shard that drifted slightly is healed
-by delta-updating its closest prior snapshot, not rebuilt.
+persisted to its own store entry, keyed by the shard's content fingerprint
+(a one-shard lake has the whole lake's fingerprint, so a flat deployment's
+entry is the shard's), and the fitted prefilter to one
+:class:`~repro.search.cascade.CascadePrefilterEntry`.  Mutating the lake
+therefore re-indexes and re-persists **only the shards whose fingerprints
+moved**, and each shard's store entry composes with the store's
+snapshot-delta path: a shard that drifted slightly is healed by
+delta-updating its closest prior snapshot, not rebuilt.
 
 Why fan-out equals monolithic, per backend: every backend's per-table score
 depends only on the query and that table's index entry — except Starmie,
@@ -36,9 +46,15 @@ import threading
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from repro.datalake.lake import DataLake
-from repro.datalake.partition import LakePartitioner, LakeShard, _stable_shard_hash
-from repro.search.base import TableUnionSearcher
-from repro.utils.errors import SearchError
+from repro.datalake.partition import (
+    LakePartitioner,
+    LakeShard,
+    _stable_shard_hash,
+    shards_from_assignment,
+)
+from repro.search.base import SearchResult, TableUnionSearcher, rank_scores
+from repro.search.cascade import CandidatePrefilter, CascadePrefilterEntry, fit_prefilter
+from repro.utils.errors import SearchError, ServingError
 from repro.utils import parallel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> search)
@@ -109,25 +125,6 @@ def balanced_assignment(
     return assignment, moved
 
 
-def _shards_from_assignment(
-    lake: DataLake, assignment: dict[str, int], num_shards: int
-) -> list[LakeShard]:
-    """Materialise :class:`LakeShard` views from an explicit assignment map."""
-    members: list[list[str]] = [[] for _ in range(num_shards)]
-    for name in lake.table_names():  # lake insertion order within shards
-        members[assignment[name]].append(name)
-    return [
-        LakeShard(
-            parent=lake,
-            shard_id=shard_id,
-            num_shards=num_shards,
-            strategy="pinned",
-            table_names=tuple(names),
-        )
-        for shard_id, names in enumerate(members)
-    ]
-
-
 def _ensure_store_capacity(store: "IndexStore | None", num_shards: int) -> None:
     """Raise the store's per-backend entry bound to fit live shard entries.
 
@@ -147,7 +144,7 @@ def _ensure_store_capacity(store: "IndexStore | None", num_shards: int) -> None:
 
 
 class ShardedSearcher(TableUnionSearcher):
-    """Partition-parallel composite searcher with fan-out/merge serving.
+    """The search executor: optional prefilter, fan-out/merge over shards.
 
     Parameters
     ----------
@@ -155,21 +152,27 @@ class ShardedSearcher(TableUnionSearcher):
         Zero-argument callable building one configured backend instance; one
         searcher is built per shard (plus a prototype used for configuration
         fingerprints and shard-group finalization).
-    num_shards, strategy:
-        The :class:`~repro.datalake.partition.LakePartitioner` configuration.
-        ``"hash"`` keeps table->shard assignment mutation-stable, so a lake
-        mutation touches exactly the shards whose tables changed.
+    num_shards:
+        The :class:`~repro.datalake.partition.LakePartitioner` shard count.
+        Its name-hash assignment is mutation-stable, so a lake mutation
+        touches exactly the shards whose tables changed.
     store:
         Optional :class:`~repro.serving.store.IndexStore` (equivalently,
         pass it to :meth:`warm`).  Each shard then persists as its own entry
         keyed by shard content fingerprint; refreshes re-persist only the
         mutated shards.  The store's per-backend entry bound counts shard
         entries and is raised to fit them automatically.
+    candidate_budget:
+        ``None`` (default): every query is the full fan-out.  Otherwise the
+        prefilter stage keeps ``max(candidate_budget, k)`` candidates and
+        only those are exact-scored.
 
-    The composite's ``config_fingerprint()`` is the *prototype's*: sharding
+    Without a budget, ``config_fingerprint()`` is the *prototype's*: sharding
     is an execution strategy, not a semantic configuration — rankings are
     bit-identical to the flat backend, so result caches and store entries
     are deliberately shared with unsharded deployments of the same config.
+    With one, it folds the budget into the prototype's, still independent of
+    the shard count.
     """
 
     def __init__(
@@ -177,12 +180,17 @@ class ShardedSearcher(TableUnionSearcher):
         factory: Callable[[], TableUnionSearcher],
         *,
         num_shards: int,
-        strategy: str = "hash",
         store: "IndexStore | None" = None,
+        candidate_budget: int | None = None,
     ) -> None:
         super().__init__()
+        if candidate_budget is not None and candidate_budget < 1:
+            raise SearchError(
+                f"candidate_budget must be positive, got {candidate_budget}"
+            )
         self.factory = factory
-        self.partitioner = LakePartitioner(num_shards, strategy=strategy)
+        self.partitioner = LakePartitioner(num_shards)
+        self.candidate_budget = candidate_budget
         self.store = store
         _ensure_store_capacity(store, self.partitioner.num_shards)
         self._prototype = factory()
@@ -209,6 +217,7 @@ class ShardedSearcher(TableUnionSearcher):
         #: :meth:`_materialize_shard` as queries/refreshes touch shards.
         self._deferred: dict[int, dict[str, str]] = {}
         self._restore_lock = threading.Lock()
+        self._prefilter: CandidatePrefilter | None = None
 
     # ------------------------------------------------------------- properties
     @property
@@ -232,17 +241,26 @@ class ShardedSearcher(TableUnionSearcher):
         """Shard ids whose restoration is still pending first touch."""
         return sorted(self._deferred)
 
+    @property
+    def prefilter(self) -> CandidatePrefilter:
+        """The fitted prefilter stage (raises without a budget or before
+        :meth:`index`)."""
+        if self._prefilter is None:
+            raise SearchError("ShardedSearcher has no fitted prefilter stage")
+        return self._prefilter
+
     def config_state(self) -> dict:
         return {
-            "base_class": type(self._prototype).__name__,
-            "base": self._prototype.config_state(),
-            "num_shards": self.partitioner.num_shards,
-            "strategy": self.partitioner.strategy,
+            "base_fingerprint": self._prototype.config_fingerprint(),
+            "candidate_budget": self.candidate_budget,
         }
 
     def config_fingerprint(self) -> str:
-        """The *prototype's* fingerprint — see the class docstring."""
-        return self._prototype.config_fingerprint()
+        """The prototype's fingerprint, folded with the budget when the
+        prefilter stage is on — see the class docstring."""
+        if self.candidate_budget is None:
+            return self._prototype.config_fingerprint()
+        return super().config_fingerprint()
 
     # ------------------------------------------------------------------ build
     def _partition(self, lake: DataLake) -> list[LakeShard]:
@@ -263,7 +281,7 @@ class ShardedSearcher(TableUnionSearcher):
             for name in lake.table_names()
         }
         self._assignment = assignment
-        return _shards_from_assignment(lake, assignment, count)
+        return shards_from_assignment(lake, assignment, count)
 
     def _adopt_partition(
         self,
@@ -418,13 +436,35 @@ class ShardedSearcher(TableUnionSearcher):
                 shard_id: shard_lakes[shard_id].table_fingerprints()
                 for shard_id in jobs
             }
-            self._adopt_partition(lake, shards, shard_lakes, searchers)
-            return
-        self._deferred = {}
-        for shard_id in jobs:
-            searchers[shard_id] = self.factory()
-        self._build_shards(searchers, shard_lakes, jobs)
+        else:
+            self._deferred = {}
+            for shard_id in jobs:
+                searchers[shard_id] = self.factory()
+            self._build_shards(searchers, shard_lakes, jobs)
         self._adopt_partition(lake, shards, shard_lakes, searchers)
+        self._sync_prefilter(lake)
+
+    def _sync_prefilter(self, lake: DataLake) -> None:
+        """Restore the prefilter stage over ``lake`` from the store, or fit
+        and persist it.
+
+        Runs after every build and delta.  A persisted entry short-circuits
+        the fit — fitting touches every shard, which would forfeit a lazily
+        restored partition's O(touched-shards) cold start.  A miss, drift or
+        corruption all end in a fit whose save heals the entry.
+        """
+        if self.candidate_budget is None:
+            return
+        entry = CascadePrefilterEntry(self)
+        if self.store is not None:
+            try:
+                self._prefilter = self.store.load(entry, lake).prefilter
+                return
+            except ServingError:
+                pass
+        self._prefilter = entry.prefilter = fit_prefilter(self, lake)
+        if self.store is not None:
+            self.store.try_save(entry, lake)
 
     # ------------------------------------------------------------ maintenance
     def _apply_index_delta(self, added, removed) -> None:
@@ -476,6 +516,7 @@ class ShardedSearcher(TableUnionSearcher):
             )
         self._deferred = new_deferred
         self._adopt_partition(lake, shards, shard_lakes, searchers)
+        self._sync_prefilter(lake)
 
     def _stamp_unchanged(
         self,
@@ -582,7 +623,7 @@ class ShardedSearcher(TableUnionSearcher):
             if new_assignment[name] != current.get(name)
         ]
         _ensure_store_capacity(self.store, count)
-        shards = _shards_from_assignment(lake, new_assignment, count)
+        shards = shards_from_assignment(lake, new_assignment, count)
         shard_lakes = [shard.to_lake() for shard in shards]
         searchers: list[TableUnionSearcher | None] = [None] * count
         unclaimed: dict[int, TableUnionSearcher] = {
@@ -654,13 +695,22 @@ class ShardedSearcher(TableUnionSearcher):
             )
         return searcher._score_table(query_table, lake_table)
 
-    # ------------------------------------------------------- cascade prefilter
+    def search(self, query_table, k: int) -> list[SearchResult]:
+        """Full fan-out without a budget; otherwise exact-score only the
+        prefilter's ``max(candidate_budget, k)`` candidates."""
+        if self.candidate_budget is None:
+            return super().search(query_table, k)
+        if k <= 0:
+            raise SearchError(f"k must be positive, got {k}")
+        names = self.prefilter.candidates(query_table, max(self.candidate_budget, k))
+        return rank_scores(self.score_candidates(query_table, names), k)
+
     def score_candidates(self, query_table, names) -> dict[str, float]:
         """Fan out by ownership: each shard exact-scores only its own members
-        of ``names`` through the backend's ranking loop, so a cascade's
-        candidate budget never costs a shard a full local search — and the
-        inherited :meth:`search`, which scores every indexed name, is the
-        full fan-out.  Per-table scores are shard-independent
+        of ``names`` through the backend's ranking loop, so a candidate
+        budget never costs a shard a full local search — and the kernel's
+        :meth:`search`, which scores every indexed name, is the full
+        fan-out.  Per-table scores are shard-independent
         (``finalize_shard_group`` closes Starmie's corpus gap), so the union
         is bit-identical to the flat backend's ``score_candidates``,
         membership rule included: shard lakes are snapshots, so a table that
@@ -681,7 +731,7 @@ class ShardedSearcher(TableUnionSearcher):
                 by_shard.setdefault(shard_id, []).append(name)
         scores: dict[str, float] = {}
         # Only owner shards materialize — on a warm deferred deployment this
-        # is the O(touched shards) cold-start path the cascade queries ride.
+        # is the O(touched shards) cold-start path budgeted queries ride.
         for shard_id, shard_names in by_shard.items():
             scores.update(
                 self._materialize_shard(shard_id).score_candidates(
@@ -692,7 +742,7 @@ class ShardedSearcher(TableUnionSearcher):
 
     def prefilter_table_vectors(self):
         """Union of the shard searchers' vectors (``None`` if any shard lacks
-        them — the cascade then falls back to the LSH prefilter uniformly)."""
+        them — the stage then falls back to the LSH prefilter uniformly)."""
         self._materialize_all()  # a prefilter fit covers every shard
         merged: dict = {}
         for searcher in self._shard_searchers:

@@ -12,8 +12,8 @@ One cycle runs three tasks, each a wiring of machinery earlier PRs built:
 
 1. **Re-sync** — :meth:`~repro.api.facade.Discovery.resync` detects lake
    content drift by fingerprint and applies the net delta to every built
-   backend through the PR-4/5 refresh protocol (per-shard delta updates on a
-   ``ShardedSearcher``, prefilter refits on a ``CascadeSearcher``, store
+   backend through the refresh protocol (per-shard delta updates and a
+   prefilter restore-or-refit on a ``ShardedSearcher``, store
    re-persistence, result-cache invalidation).  Queries served before the
    cycle see the previously indexed content; queries after it see the
    mutated lake — no restart.

@@ -220,11 +220,19 @@ class TestDiscoveryConfig:
             ("store", "lazy_shards"),
             ("store", "backend"),
             ("ingest", "max_latency_seconds"),
+            ("sharding", "strategy"),
+            ("cascade", "prefilter"),
+            ("cascade", "escalation_margin"),
+            ("cascade", "projection_dim"),
+            ("cascade", "num_hashes"),
+            ("cascade", "num_bands"),
+            ("cascade", "seed"),
         ],
     )
     def test_removed_execution_knobs_are_rejected(self, section, key):
         """Execution strategy is measured, not configured, the store has one
-        layout and the write path has fixed batch bounds: an old config file
+        layout, the write path has fixed batch bounds and the prefilter and
+        partitioner have fixed parameters: an old config file
         naming a removed knob fails loudly, naming the section and the key —
         or the whole ``store`` / ``ingest`` section, which is gone."""
         with pytest.raises(ConfigurationError) as raised:
@@ -237,7 +245,7 @@ class TestDiscoveryConfig:
             assert key in message
 
     def test_optional_section_key_surface(self):
-        """Snapshot of every key of the four optional sections (22 keys): a
+        """Snapshot of every key of the four optional sections (15 keys): a
         new knob must show up here as a visible diff."""
         surface = {
             section: sorted(DiscoveryConfig.from_dict({section: {}}).to_dict()[section])
@@ -245,17 +253,8 @@ class TestDiscoveryConfig:
         }
         assert surface == {
             "serving": ["cache_size", "store_dir"],
-            "sharding": ["num_shards", "strategy"],
-            "cascade": [
-                "candidate_budget",
-                "escalation_margin",
-                "mode",
-                "num_bands",
-                "num_hashes",
-                "prefilter",
-                "projection_dim",
-                "seed",
-            ],
+            "sharding": ["num_shards"],
+            "cascade": ["candidate_budget", "mode"],
             "server": [
                 "event_log",
                 "host",
@@ -269,7 +268,7 @@ class TestDiscoveryConfig:
                 "retry_after_seconds",
             ],
         }
-        assert sum(len(keys) for keys in surface.values()) == 22
+        assert sum(len(keys) for keys in surface.values()) == 15
 
     def test_serving_section_is_normalised(self):
         config = DiscoveryConfig.from_dict(

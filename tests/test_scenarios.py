@@ -20,7 +20,7 @@ from repro.scenarios import (
     preset_payload,
     random_token_lake,
 )
-from repro.search import CascadeSearcher, ShardedSearcher, ValueOverlapSearcher
+from repro.search import ShardedSearcher, ValueOverlapSearcher
 from repro.utils.errors import ConfigurationError
 
 GENERATORS = available_workloads()
@@ -141,8 +141,8 @@ class TestParitySweep:
         k = 10
         budget = max(k, lake.num_tables // 2)
         flat = ValueOverlapSearcher().index(lake)
-        cascade = CascadeSearcher(
-            ValueOverlapSearcher(), mode="approx", candidate_budget=budget
+        cascade = ShardedSearcher(
+            ValueOverlapSearcher, num_shards=1, candidate_budget=budget
         ).index(scenario.fresh_lake())
         queries = scenario.query_stream[: scenario.num_queries]
         recall = recall_against(
@@ -179,8 +179,8 @@ class TestPresets:
             for name in available_presets()
         } == {
             "exact": "0083d59f64065c34594a5859765aaac19f97721dc059c8d378cd0564bf1599c8",
-            "balanced": "08354db32788641c4e6307336808022e3e6cd56fad664296403cf5cf399f2fdf",
-            "low-latency": "9ac6f36530596ab689619ae144b4ddd0b51c3978ffdb5248cb5b24c3f966fd04",
+            "balanced": "af2d29ca3c4e7c1fb03762f090bdeaae076f0e4093585bf54d0d5563047e6fbd",
+            "low-latency": "eabbf9095dd0ad06da98a265d8eba766217d3ad7bb9295a67ce86ec575293f48",
         }
 
 

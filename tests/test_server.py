@@ -801,7 +801,6 @@ class TestCliSurface:
             "--config",
             "--cascade-mode",
             "--cascade-budget",
-            "--cascade-margin",
             "--shards",
         }
         flag_sets = {}

@@ -385,12 +385,12 @@ class TestFacadeServing:
         searcher = discovery.searcher()
         query = small_benchmark.query_tables[0]
         discovery.search(query, 5)
-        searcher.mode = "exact"  # live config change on the served searcher
+        searcher.candidate_budget = None  # live flip to exact on the served searcher
         discovery.search(query, 5)
         # Two distinct entries were cached — no hit despite identical
         # lake/query/k — and flipping back hits the original approx entry.
         assert discovery.service_stats()["overlap"] == {"hits": 0, "misses": 2, "size": 2}
-        searcher.mode = "approx"
+        searcher.candidate_budget = 4
         discovery.search(query, 5)
         assert discovery.service_stats()["overlap"]["hits"] == 1
 

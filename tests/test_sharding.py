@@ -47,16 +47,15 @@ from repro.utils.rng import seeded_rng
 class TestLakePartitioner:
     def test_partition_is_deterministic_and_covering(self, tus_bench):
         lake = fresh_lake(tus_bench)
-        for strategy in ("hash", "size"):
-            partitioner = LakePartitioner(4, strategy=strategy)
-            first = partitioner.partition(lake)
-            second = partitioner.partition(lake)
-            assert all(isinstance(shard, LakeShard) for shard in first)
-            assert [shard.table_names for shard in first] == [
-                shard.table_names for shard in second
-            ]
-            names = [name for shard in first for name in shard.table_names]
-            assert sorted(names) == sorted(lake.table_names())  # disjoint + complete
+        partitioner = LakePartitioner(4)
+        first = partitioner.partition(lake)
+        second = partitioner.partition(lake)
+        assert all(isinstance(shard, LakeShard) for shard in first)
+        assert [shard.table_names for shard in first] == [
+            shard.table_names for shard in second
+        ]
+        names = [name for shard in first for name in shard.table_names]
+        assert sorted(names) == sorted(lake.table_names())  # disjoint + complete
 
     def test_hash_assignment_is_mutation_stable(self, tus_bench):
         lake = fresh_lake(tus_bench)
@@ -74,16 +73,6 @@ class TestLakePartitioner:
         }
         assert all(after[name] == shard for name, shard in before.items())
         assert after["newcomer"] == partitioner.shard_id_of("newcomer")
-
-    def test_size_strategy_balances_cells(self):
-        tables = [make_table(f"t{i}", rows=2 + 10 * (i % 3)) for i in range(12)]
-        lake = DataLake(tables)
-        shards = LakePartitioner(3, strategy="size").partition(lake)
-        loads = [
-            sum(lake.get(n).num_rows * lake.get(n).num_columns for n in shard.table_names)
-            for shard in shards
-        ]
-        assert max(loads) <= 2 * min(loads)  # near-balanced, never degenerate
 
     def test_shard_lake_shares_table_objects(self, tus_bench):
         lake = fresh_lake(tus_bench)
@@ -108,10 +97,6 @@ class TestLakePartitioner:
     def test_invalid_arguments_rejected(self):
         with pytest.raises(DataLakeError):
             LakePartitioner(0)
-        with pytest.raises(DataLakeError):
-            LakePartitioner(2, strategy="roundrobin")
-        with pytest.raises(DataLakeError):
-            LakePartitioner(2, strategy="size").shard_id_of("x")
 
     def test_more_shards_than_tables_leaves_empty_shards(self):
         lake = DataLake([make_table("a"), make_table("b")])
@@ -156,13 +141,10 @@ class TestPartialMergeParity:
             lake = random_lake(seed)
             queries = [make_table("query", seed="tok"), random_lake(seed + 50, 1).tables()[0].copy(name="q2")]
         num_shards = int(rng.integers(2, 6))
-        strategy = ["hash", "size"][int(rng.integers(0, 2))]
         factory = BACKEND_FACTORIES[backend]
         monolithic = factory(tus_bench).index(lake)
         sharded = ShardedSearcher(
-            lambda: factory(tus_bench),
-            num_shards=num_shards,
-            strategy=strategy,
+            lambda: factory(tus_bench), num_shards=num_shards
         ).index(lake)
         assert sum(s is not None for s in sharded.shard_searchers) >= 1
         assert rankings(sharded, queries) == rankings(monolithic, queries)
@@ -361,9 +343,10 @@ class TestShardedSearcher:
     def test_config_fingerprint_matches_prototype(self):
         sharded = ShardedSearcher(ValueOverlapSearcher, num_shards=4)
         assert sharded.config_fingerprint() == ValueOverlapSearcher().config_fingerprint()
-        state = sharded.config_state()
-        assert state["base_class"] == "ValueOverlapSearcher"
-        assert state["num_shards"] == 4 and state["strategy"] == "hash"
+        assert sharded.config_state() == {
+            "base_fingerprint": ValueOverlapSearcher().config_fingerprint(),
+            "candidate_budget": None,
+        }
 
     def test_score_table_delegates_to_owning_shard(self, tus_bench):
         lake = fresh_lake(tus_bench)
@@ -669,8 +652,7 @@ class TestShardingConfig:
         config = DiscoveryConfig.from_dict(
             {"searcher": "overlap", "sharding": {"num_shards": 4}}
         )
-        assert config.sharding["num_shards"] == 4
-        assert config.sharding["strategy"] == "hash"
+        assert config.sharding == {"num_shards": 4}
         rebuilt = DiscoveryConfig.from_dict(config.to_dict())
         assert rebuilt.fingerprint() == config.fingerprint()
 
@@ -678,7 +660,7 @@ class TestShardingConfig:
         with pytest.raises(ConfigurationError):
             DiscoveryConfig.from_dict({"sharding": {"num_shards": 0}})
         with pytest.raises(ConfigurationError):
-            DiscoveryConfig.from_dict({"sharding": {"strategy": "roundrobin"}})
+            DiscoveryConfig.from_dict({"sharding": {"strategy": "hash"}})  # removed
         with pytest.raises(ConfigurationError):
             DiscoveryConfig.from_dict({"sharding": {"shards": 4}})  # unknown key
 
@@ -716,8 +698,8 @@ class TestShardingConfig:
         self, tmp_path, capsys
     ):
         """Regression: ``warm`` used to build through a merged flat index, so
-        with a non-default shard strategy none of its entries were hit and a
-        sharded cascade server refit its prefilter on first boot."""
+        none of its entries were hit and a sharded cascade server refit its
+        prefilter on first boot."""
         import json
 
         from repro.api.facade import build_benchmark
@@ -726,7 +708,7 @@ class TestShardingConfig:
         store_dir = tmp_path / "store"
         config = {
             "searcher": {"name": "overlap"},
-            "sharding": {"num_shards": 4, "strategy": "size"},
+            "sharding": {"num_shards": 4},
             "cascade": {"mode": "approx", "candidate_budget": 8},
             "serving": {"store_dir": str(store_dir)},
         }

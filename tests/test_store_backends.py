@@ -18,7 +18,7 @@ import pytest
 from repro.api import Discovery
 from repro.api.facade import build_benchmark
 from repro.datalake.lake import DataLake
-from repro.search import CascadeSearcher, ShardedSearcher, ValueOverlapSearcher
+from repro.search import ShardedSearcher, ValueOverlapSearcher
 from repro.search.cascade import CascadePrefilterEntry
 from repro.serving import IndexStore
 from repro.serving.payload import MappedArrayPayload
@@ -350,10 +350,9 @@ class TestLazyShardRestore:
 
 class TestCascadePrefilterEntry:
     def _deployment(self, store):
-        base = ShardedSearcher(
-            lambda: ValueOverlapSearcher(), num_shards=4, store=store
+        return ShardedSearcher(
+            lambda: ValueOverlapSearcher(), num_shards=4, store=store, candidate_budget=4
         )
-        return CascadeSearcher(base, mode="approx", candidate_budget=4)
 
     def test_warm_cascade_restores_prefilter_without_touching_shards(self, tmp_path):
         lake = make_lake(*[f"t{i}" for i in range(12)])
@@ -361,9 +360,9 @@ class TestCascadePrefilterEntry:
         reference = search_pairs(cold, lake)
         warm = self._deployment(make_store(tmp_path)).index(lake)
         assert warm.prefilter.is_fitted
-        assert warm.base.deferred_shards == [0, 1, 2, 3]
+        assert warm.deferred_shards == [0, 1, 2, 3]
         assert search_pairs(warm, lake) == reference
-        assert len(warm.base.deferred_shards) > 0  # query touched a subset
+        assert len(warm.deferred_shards) > 0  # query touched a subset
 
     def test_prefilter_entry_persisted_alongside_shards(self, tmp_path):
         lake = make_lake(*[f"t{i}" for i in range(12)])
@@ -389,8 +388,8 @@ class TestCascadePrefilterEntry:
         added = make_table("t12")
         lake.add_table(added)
         cascade.update_index(added=[added], removed=[])
-        grown = cascade.base.lake
+        grown = cascade.lake
         assert store.contains(CascadePrefilterEntry(cascade), grown)
         warm = self._deployment(make_store(tmp_path)).index(grown)
-        assert warm.base.deferred_shards == [0, 1, 2, 3]
+        assert warm.deferred_shards == [0, 1, 2, 3]
         assert search_pairs(warm, grown) == search_pairs(cascade, grown)
