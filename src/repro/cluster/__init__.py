@@ -3,6 +3,7 @@ silhouette quality, medoid extraction and PCA."""
 
 from repro.cluster.distance import (
     cosine_distance,
+    condensed_distance_matrix,
     cosine_distance_matrix,
     euclidean_distance,
     euclidean_distance_matrix,
@@ -13,11 +14,17 @@ from repro.cluster.distance import (
 )
 from repro.cluster.agglomerative import AgglomerativeClustering, ClusteringResult
 from repro.cluster.silhouette import silhouette_score, best_num_clusters
-from repro.cluster.medoids import cluster_medoids, cluster_members, medoid_index
+from repro.cluster.medoids import (
+    cluster_medoids,
+    cluster_members,
+    context_medoids,
+    medoid_index,
+)
 from repro.cluster.pca import PCA
 
 __all__ = [
     "cosine_distance",
+    "condensed_distance_matrix",
     "cosine_distance_matrix",
     "euclidean_distance",
     "euclidean_distance_matrix",
@@ -31,6 +38,7 @@ __all__ = [
     "best_num_clusters",
     "cluster_medoids",
     "cluster_members",
+    "context_medoids",
     "medoid_index",
     "PCA",
 ]

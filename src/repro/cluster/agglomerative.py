@@ -105,11 +105,17 @@ class AgglomerativeClustering:
             never end up in the same cluster (cannot-link constraint).  Column
             alignment passes the owning table name of each column.
         precomputed_distances:
-            Optional ``(n, n)`` pairwise distance matrix under ``self.metric``
-            (typically a :meth:`~repro.vectorops.DistanceContext.within` view).
-            When given, neither path recomputes distances: the scipy path
-            condenses the matrix instead of running ``pdist``, and the
-            constrained path consumes it directly.  Note the library kernels
+            Optional pairwise distances under ``self.metric``, either the
+            ``(n, n)`` square (e.g. a
+            :meth:`~repro.vectorops.DistanceContext.within` view) or scipy's
+            condensed vector of ``n * (n - 1) / 2`` values (e.g.
+            :meth:`~repro.vectorops.DistanceContext.condensed`).  When given,
+            neither path recomputes distances: the scipy path hands the
+            condensed vector to ``linkage`` as is (a square is condensed
+            first) instead of running ``pdist``, and the constrained path
+            consumes the square (a condensed vector is expanded first).  Both
+            forms of the same distances give the same dendrogram bit for bit.
+            Note the library kernels
             differ from scipy's ``pdist`` in two deliberate ways: cosine
             distances of zero vectors are 1.0 instead of NaN (``pdist`` makes
             ``linkage`` raise on such inputs), and the BLAS-backed euclidean
@@ -133,9 +139,9 @@ class AgglomerativeClustering:
                 f"constraint_groups has {len(constraint_groups)} entries for "
                 f"{self._num_items} items"
             )
-        if precomputed_distances is not None and precomputed_distances.shape != (
-            self._num_items,
-            self._num_items,
+        if precomputed_distances is not None and precomputed_distances.shape not in (
+            (self._num_items, self._num_items),
+            (self._num_items * (self._num_items - 1) // 2,),
         ):
             raise ConfigurationError(
                 f"precomputed_distances has shape {precomputed_distances.shape} "
@@ -151,7 +157,9 @@ class AgglomerativeClustering:
 
         if constraint_groups is None:
             if precomputed_distances is not None:
-                condensed = squareform(precomputed_distances, checks=False)
+                condensed = precomputed_distances
+                if condensed.ndim == 2:
+                    condensed = squareform(condensed, checks=False)
                 self._scipy_linkage = scipy_linkage(condensed, method=self.linkage)
             else:
                 scipy_metric = "cityblock" if self.metric == "manhattan" else self.metric
@@ -175,7 +183,7 @@ class AgglomerativeClustering:
     ) -> None:
         n = matrix.shape[0]
         if precomputed is not None:
-            distances = precomputed
+            distances = precomputed if precomputed.ndim == 2 else squareform(precomputed)
         else:
             distances = pairwise_distance_matrix(matrix, metric=self.metric)
 

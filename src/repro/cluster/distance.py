@@ -4,6 +4,13 @@ The paper uses cosine distance throughout (Sec. 4 and Sec. 6.4.1) and reports
 that Manhattan and Euclidean distances give the same relative ordering of the
 baselines; all three are provided here behind a common interface so the
 benchmark harness can sweep them.
+
+Every self-mode kernel also has a condensed form
+(:func:`condensed_distance_matrix`), the strict upper triangle in scipy's
+``pdist`` order, which Algorithm 2 hands to ``linkage``.  The BLAS kernels
+finish their one ``(n, m)`` product buffer in place, row block by row block,
+so a square costs one ``n * m`` float64 buffer and a condensed vector is
+packed into (and shrunk out of) that same buffer.
 """
 
 from __future__ import annotations
@@ -11,10 +18,14 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 #: Signature shared by all pairwise distance functions on single vectors.
 DistanceFunction = Callable[[np.ndarray, np.ndarray], float]
+
+#: Rows finished per step of the in-place kernels: bounds each step's
+#: temporaries to ``FINISH_BLOCK_ROWS * m`` values, independent of ``n``.
+FINISH_BLOCK_ROWS = 64
 
 
 def _as_2d(matrix: np.ndarray) -> np.ndarray:
@@ -51,21 +62,20 @@ def cosine_distance_matrix(first: np.ndarray, second: np.ndarray | None = None) 
     :func:`cosine_distance_matrix_from_unit`, which holds the single
     implementation of the clipping / zero-vector / diagonal semantics.
     """
-    left = _as_2d(first)
-    left_norms = np.linalg.norm(left, axis=1, keepdims=True)
-    safe_left = np.where(left_norms == 0.0, 1.0, left_norms)
-    left_zero = (left_norms == 0.0).ravel()
+    left_unit, left_zero = _unit_rows(_as_2d(first))
     if second is None:
-        return cosine_distance_matrix_from_unit(left / safe_left, left_zero=left_zero)
-    right = _as_2d(second)
-    right_norms = np.linalg.norm(right, axis=1, keepdims=True)
-    safe_right = np.where(right_norms == 0.0, 1.0, right_norms)
+        return cosine_distance_matrix_from_unit(left_unit, left_zero=left_zero)
+    right_unit, right_zero = _unit_rows(_as_2d(second))
     return cosine_distance_matrix_from_unit(
-        left / safe_left,
-        right / safe_right,
-        left_zero=left_zero,
-        right_zero=(right_norms == 0.0).ravel(),
+        left_unit, right_unit, left_zero=left_zero, right_zero=right_zero
     )
+
+
+def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit L2 norm (zero rows stay zero) and the zero-row mask."""
+    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    zero = norms == 0.0
+    return matrix / np.where(zero, 1.0, norms), zero.ravel()
 
 
 def cosine_distance_matrix_from_unit(
@@ -85,18 +95,47 @@ def cosine_distance_matrix_from_unit(
     computation.
     """
     right = left_unit if right_unit is None else right_unit
-    similarity = left_unit @ right.T
-    similarity = np.clip(similarity, -1.0, 1.0)
-    distances = 1.0 - similarity
+    distances = left_unit @ right.T
+    _finish_cosine(distances)
     if right_unit is None:
         right_zero = left_zero
-    if left_zero is not None and left_zero.any():
-        distances[left_zero, :] = 1.0
-    if right_zero is not None and right_zero.any():
-        distances[:, right_zero] = 1.0
+    _mark_zero_vectors(distances, left_zero, right_zero)
     if right_unit is None:
         np.fill_diagonal(distances, 0.0)
     return distances
+
+
+def cosine_condensed_from_unit(
+    unit: np.ndarray, *, zero: np.ndarray | None = None
+) -> np.ndarray:
+    """Condensed form of :func:`cosine_distance_matrix_from_unit` (self mode).
+
+    Bit-identical to ``squareform(cosine_distance_matrix_from_unit(unit,
+    left_zero=zero), checks=False)``, built inside the one similarity buffer.
+    """
+
+    def finish(block: np.ndarray, start: int, stop: int) -> None:
+        _finish_cosine(block)
+        if zero is not None:
+            _mark_zero_vectors(block, zero[start:stop], zero[start + 1 :])
+
+    return _condense_in_place(unit @ unit.T, finish)
+
+
+def _finish_cosine(similarity: np.ndarray) -> None:
+    """``1 - clip(similarity, -1, 1)`` in place."""
+    np.clip(similarity, -1.0, 1.0, out=similarity)
+    np.subtract(1.0, similarity, out=similarity)
+
+
+def _mark_zero_vectors(
+    distances: np.ndarray, row_zero: np.ndarray | None, col_zero: np.ndarray | None
+) -> None:
+    """Zero vectors are maximally distant (1.0) from everything."""
+    if row_zero is not None and row_zero.any():
+        distances[row_zero, :] = 1.0
+    if col_zero is not None and col_zero.any():
+        distances[:, col_zero] = 1.0
 
 
 # ------------------------------------------------------------------ euclidean
@@ -110,24 +149,39 @@ def euclidean_distance(first: np.ndarray, second: np.ndarray) -> float:
 def euclidean_distance_matrix(first: np.ndarray, second: np.ndarray | None = None) -> np.ndarray:
     """Pairwise Euclidean distance matrix (BLAS Gram trick, in-place finish).
 
-    The element-wise operations run in place on two buffers (the broadcast
-    norm sum and the Gram matrix) so no extra ``(n, m)`` temporaries are
-    allocated; the association order matches the naive
-    ``left_sq + right_sq - 2 * gram`` expression bit for bit.
+    The Gram matrix is the only ``(n, m)`` buffer: it is finished in place in
+    blocks of :data:`FINISH_BLOCK_ROWS` rows, whose association order matches
+    the naive ``left_sq + right_sq - 2 * gram`` expression bit for bit.
     """
     left = _as_2d(first)
     right = left if second is None else _as_2d(second)
-    left_sq = np.sum(left**2, axis=1)[:, None]
-    right_sq = np.sum(right**2, axis=1)[None, :]
-    gram = left @ right.T
-    gram *= 2.0
-    squared = left_sq + right_sq
-    squared -= gram
-    np.maximum(squared, 0.0, out=squared)
-    distances = np.sqrt(squared, out=squared)
+    left_sq = np.sum(left**2, axis=1)
+    right_sq = np.sum(right**2, axis=1)
+    distances = left @ right.T
+    for start in range(0, distances.shape[0], FINISH_BLOCK_ROWS):
+        stop = start + FINISH_BLOCK_ROWS
+        _finish_euclidean(distances[start:stop], left_sq[start:stop], right_sq)
     if second is None:
         np.fill_diagonal(distances, 0.0)
     return distances
+
+
+def _euclidean_condensed(matrix: np.ndarray) -> np.ndarray:
+    """Condensed form of :func:`euclidean_distance_matrix` (self mode)."""
+    squares = np.sum(matrix**2, axis=1)
+
+    def finish(block: np.ndarray, start: int, stop: int) -> None:
+        _finish_euclidean(block, squares[start:stop], squares[start + 1 :])
+
+    return _condense_in_place(matrix @ matrix.T, finish)
+
+
+def _finish_euclidean(gram: np.ndarray, left_sq: np.ndarray, right_sq: np.ndarray) -> None:
+    """``sqrt(max(left_sq + right_sq - 2 * gram, 0))`` in place on a Gram block."""
+    gram *= 2.0
+    np.subtract(left_sq[:, None] + right_sq[None, :], gram, out=gram)
+    np.maximum(gram, 0.0, out=gram)
+    np.sqrt(gram, out=gram)
 
 
 # ------------------------------------------------------------------ manhattan
@@ -161,6 +215,79 @@ DISTANCE_MATRIX_FUNCTIONS = {
     "euclidean": euclidean_distance_matrix,
     "manhattan": manhattan_distance_matrix,
 }
+
+
+def _condense_in_place(
+    product: np.ndarray, finish: Callable[[np.ndarray, int, int], None]
+) -> np.ndarray:
+    """Finish and pack the strict upper triangle of a fresh ``(n, n)`` product.
+
+    Rows are taken in blocks of :data:`FINISH_BLOCK_ROWS`.  ``finish(block,
+    start, stop)`` turns ``product[start:stop, start + 1:]`` into distances in
+    place; the block's upper-triangle entries are then copied, in ``pdist``
+    order, to the front of the same buffer.  Row ``i``'s segment lands at
+    ``i * n - i * (i + 1) / 2 <= i * n``, so the writes stay behind every row
+    still to be read.  The buffer is finally shrunk to ``n * (n - 1) / 2``
+    values in place, so only one ``n * n`` buffer ever exists.
+    """
+    n = product.shape[0]
+    if n < 2:
+        return np.zeros(0, dtype=np.float64)
+    flat = product.reshape(-1)
+    written = 0
+    for start in range(0, n - 1, FINISH_BLOCK_ROWS):
+        stop = min(start + FINISH_BLOCK_ROWS, n - 1)
+        block = product[start:stop, start + 1 :]
+        finish(block, start, stop)
+        upper = np.arange(start + 1, n)[None, :] > np.arange(start, stop)[:, None]
+        values = block[upper]
+        flat[written : written + values.size] = values
+        written += values.size
+    del flat, block, values  # no view may outlive the resize below
+    product.resize(n * (n - 1) // 2, refcheck=False)
+    return product
+
+
+def condensed_distance_matrix(matrix: np.ndarray, metric: str = "cosine") -> np.ndarray:
+    """Condensed pairwise distances among the rows of ``matrix``.
+
+    Equal bit for bit to ``squareform(pairwise_distance_matrix(matrix,
+    metric=metric), checks=False)`` -- scipy's ``pdist`` layout, the input
+    ``linkage`` takes -- without ever holding two ``(n, n)`` buffers.
+    """
+    array = _as_2d(matrix)
+    if array.shape[0] < 2:
+        return np.zeros(0, dtype=np.float64)
+    if metric == "cosine":
+        unit, zero = _unit_rows(array)
+        return cosine_condensed_from_unit(unit, zero=zero)
+    if metric == "euclidean":
+        return _euclidean_condensed(array)
+    if metric == "manhattan":
+        return pdist(array, "cityblock")
+    raise ValueError(
+        f"unknown metric {metric!r}; available: {sorted(DISTANCE_MATRIX_FUNCTIONS)}"
+    )
+
+
+def condensed_entries(
+    condensed: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Entries ``D[rows, cols]`` of the square a condensed vector stands for.
+
+    ``rows`` and ``cols`` broadcast against each other (pass ``rows[:, None]``
+    and ``cols[None, :]`` for a block).  Equal indices read the zero diagonal.
+    """
+    n = int(round((1.0 + np.sqrt(1.0 + 8.0 * condensed.size)) / 2.0))
+    rows, cols = np.broadcast_arrays(
+        np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    )
+    low, high = np.minimum(rows, cols), np.maximum(rows, cols)
+    off = low != high
+    out = np.zeros(rows.shape, dtype=np.float64)
+    low, high = low[off], high[off]
+    out[off] = condensed[n * low - low * (low + 1) // 2 + high - low - 1]
+    return out
 
 
 def pairwise_distance_matrix(

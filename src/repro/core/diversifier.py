@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.api.registry import register_diversifier
 from repro.cluster.agglomerative import AgglomerativeClustering
-from repro.cluster.medoids import cluster_medoids
+from repro.cluster.medoids import context_medoids
 from repro.core.config import DustConfig
 from repro.core.pruning import prune_by_table
 from repro.core.reranking import rank_candidates_against_query, top_k_candidates
@@ -71,22 +71,9 @@ class DustDiversifier(Diversifier):
         result = clustering.cluster(
             embeddings,
             num_clusters,
-            precomputed_distances=context.candidate_distances(self.config.cluster_metric),
+            precomputed_distances=context.condensed(self.config.cluster_metric),
         )
-        # Serve medoids from the cached square when the metrics coincide;
-        # otherwise the per-cluster sub-matrices are cheaper than a second
-        # full square (cluster sizes are ~s/(k*p)).
-        medoid_distances = (
-            context.candidate_distances(self.config.metric)
-            if context.is_cached(self.config.metric)
-            else None
-        )
-        return cluster_medoids(
-            embeddings,
-            result.labels,
-            metric=self.config.metric,
-            distances=medoid_distances,
-        )
+        return context_medoids(context, result.labels, self.config.metric)
 
     # ------------------------------------------------------------------ select
     def select(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.api.registry import register_diversifier
 from repro.cluster.agglomerative import AgglomerativeClustering
-from repro.cluster.medoids import cluster_medoids
+from repro.cluster.medoids import context_medoids
 from repro.diversify.base import DiversificationRequest, Diversifier
 
 
@@ -32,22 +32,13 @@ class CLTDiversifier(Diversifier):
         result = clustering.cluster(
             request.candidate_embeddings,
             request.k,
-            precomputed_distances=context.candidate_distances(self.cluster_metric),
+            precomputed_distances=context.condensed(self.cluster_metric),
         )
-        # Use the cached square only when some consumer already materialised
-        # it; otherwise the per-cluster sub-matrices are cheaper than a full
-        # second square under a different metric.
-        medoids = cluster_medoids(
-            request.candidate_embeddings,
-            result.labels,
-            metric=request.metric,
-            distances=context.candidate_distances(request.metric)
-            if context.is_cached(request.metric)
-            else None,
-        )
-        # Constraint-free clustering may produce fewer clusters than k only when
-        # k exceeds the candidate count, which the request already forbids; pad
-        # defensively with the remaining farthest candidates if it ever happens.
+        medoids = context_medoids(context, result.labels, request.metric)
+        # Constraint-free clustering returns fewer than k clusters whenever the
+        # candidates hold fewer than k distinct rows: exact duplicates merge at
+        # height 0, and ``fcluster`` cannot cut between tied merges.  Pad with
+        # the remaining candidates farthest from those already chosen.
         if len(medoids) < request.k:
             chosen = set(medoids)
             distances = request.candidate_distances()

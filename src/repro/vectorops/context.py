@@ -9,9 +9,14 @@ the k-shortfall fallback and the Eq. 1/Eq. 2 metrics.  A
 matrix lazily — once per metric — and serves cheap sub-matrix views to every
 consumer.
 
-The full matrix is maintained as two independently-cached blocks per metric:
-the ``(s, s)`` candidate square and the ``(s, n)`` candidate-to-query block.
-The ``(n, n)`` query square is only materialised by :meth:`full`, because no
+Per metric, the candidate↔candidate distances are cached in either of two
+forms: the ``(s, s)`` square (what the IR baselines index) or scipy's
+condensed upper triangle of ``s * (s - 1) / 2`` values (what Algorithm 2's
+``linkage`` consumes, built inside one ``(s, s)`` buffer and shrunk to half of
+it).  Each form is derived from the other when that one is cached, so a
+distance is computed at most once per metric, and both forms hold the same
+bits.  The ``(s, n)`` candidate-to-query block is cached alongside.  The
+``(n, n)`` query square is only materialised by :meth:`full`, because no
 stage of Algorithm 2 needs it (Eq. 1 explicitly excludes query↔query
 distances as constant across methods).
 
@@ -24,8 +29,12 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.spatial.distance import squareform
 
 from repro.cluster.distance import (
+    condensed_distance_matrix,
+    condensed_entries,
+    cosine_condensed_from_unit,
     cosine_distance_matrix_from_unit,
     pairwise_distance_matrix,
 )
@@ -77,6 +86,7 @@ class DistanceContext:
         self.metric = metric
         self.kernel: DistanceKernel = kernel or pairwise_distance_matrix
         self._square: dict[str, np.ndarray] = {}
+        self._condensed: dict[str, np.ndarray] = {}
         self._to_query: dict[str, np.ndarray] = {}
         self._full: dict[str, np.ndarray] = {}
 
@@ -117,12 +127,44 @@ class DistanceContext:
         return self.kernel(left.data, right.data, metric=metric)
 
     def candidate_distances(self, metric: str | None = None) -> np.ndarray:
-        """``(s, s)`` pairwise candidate square, computed once per metric."""
+        """``(s, s)`` pairwise candidate square, computed once per metric.
+
+        Expanded from the cached condensed vector when only that exists.
+        """
         metric = metric or self.metric
         cached = self._square.get(metric)
         if cached is None:
-            cached = self._compute(self.candidates, None, metric)
+            if metric in self._condensed:
+                cached = squareform(self._condensed[metric], checks=False)
+            else:
+                cached = self._compute(self.candidates, None, metric)
             self._square[metric] = cached
+        return cached
+
+    def condensed(self, metric: str | None = None) -> np.ndarray:
+        """Condensed candidate distances (scipy ``pdist`` order), once per metric.
+
+        Equal bit for bit to ``squareform(candidate_distances(metric))``.  It is
+        sliced from the cached square when one exists; otherwise the default
+        kernels build it inside a single ``(s, s)`` buffer.  An injected kernel
+        is asked for its square, which is then condensed, so counting spies
+        see every computation.
+        """
+        metric = metric or self.metric
+        cached = self._condensed.get(metric)
+        if cached is None:
+            if metric in self._square:
+                cached = squareform(self._square[metric], checks=False)
+            elif self.kernel is not pairwise_distance_matrix:
+                square = self.kernel(self.candidates.data, metric=metric)
+                cached = squareform(square, checks=False)
+            elif metric == "cosine":
+                cached = cosine_condensed_from_unit(
+                    self.candidates.unit, zero=self.candidates.zero_rows
+                )
+            else:
+                cached = condensed_distance_matrix(self.candidates.data, metric)
+            self._condensed[metric] = cached
         return cached
 
     def query_candidate_distances(self, metric: str | None = None) -> np.ndarray:
@@ -161,8 +203,8 @@ class DistanceContext:
         return (metric or self.metric) in self._square
 
     def computed_metrics(self) -> tuple[str, ...]:
-        """Metrics whose candidate square has already been materialised."""
-        return tuple(self._square)
+        """Metrics whose candidate distances are materialised, in either form."""
+        return tuple(dict.fromkeys([*self._square, *self._condensed]))
 
     # ------------------------------------------------------------------- views
     def block(
@@ -174,9 +216,10 @@ class DistanceContext:
     ) -> np.ndarray:
         """Distances between two candidate subsets (candidate-relative indices).
 
-        Served as a view of the cached square when it exists (or when the
-        whole square is requested); a narrow one-off block on a cold cache is
-        computed directly without materialising the ``(s, s)`` square.
+        Served from the cached square, or gathered from the cached condensed
+        vector, when either exists (the whole square is materialised only when
+        requested); a narrow one-off block on a cold cache is computed directly
+        without materialising the ``(s, s)`` square.
         """
         metric = metric or self.metric
         if rows is None and cols is None:
@@ -185,6 +228,10 @@ class DistanceContext:
         col_index = np.arange(self.num_candidates) if cols is None else np.asarray(cols, dtype=int)
         if self.is_cached(metric):
             return self._square[metric][np.ix_(row_index, col_index)]
+        if metric in self._condensed:
+            return condensed_entries(
+                self._condensed[metric], row_index[:, None], col_index[None, :]
+            )
         left = self.candidates.take(row_index)
         # Equal index sets mean a within-subset matrix: use the self-mode
         # kernel (zeroed diagonal) so warm and cold caches agree.
@@ -241,6 +288,18 @@ class DistanceContext:
         )
         for metric, square in self._square.items():
             child._square[metric] = square[np.ix_(index, index)]
+        for metric, condensed in self._condensed.items():
+            if metric not in child._square:
+                child._condensed[metric] = _condensed_subset(condensed, index)
         for metric, to_query in self._to_query.items():
             child._to_query[metric] = to_query[index]
         return child
+
+
+def _condensed_subset(condensed: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The condensed vector over ``index`` (any order), gathered row by row."""
+    segments = [
+        condensed_entries(condensed, index[row], index[row + 1 :])
+        for row in range(len(index) - 1)
+    ]
+    return np.concatenate(segments) if segments else np.zeros(0, dtype=np.float64)

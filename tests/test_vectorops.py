@@ -82,6 +82,7 @@ class TestDistanceContextCaching:
         # Candidate square: one kernel call no matter how many views follow.
         context.candidate_distances()
         context.candidate_distances()
+        context.condensed()
         context.within([1, 2, 3])
         context.within()
         context.block([0, 1], [4, 5])
@@ -94,7 +95,8 @@ class TestDistanceContextCaching:
         assert kernel.count("cosine", "cross") == 1
         assert kernel.count("cosine") == 2
 
-        # A second metric gets its own (single) square.
+        # A second metric gets its own (single) square, in either form.
+        context.condensed("euclidean")
         context.candidate_distances("euclidean")
         context.within([1, 2], metric="euclidean")
         assert kernel.count("euclidean") == 1
