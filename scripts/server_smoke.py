@@ -17,6 +17,11 @@ bound address from the ``SERVING http://host:port`` readiness line, and then:
 Run from the repo root::
 
     python scripts/server_smoke.py
+    python scripts/server_smoke.py --shards 2
+
+Extra arguments are forwarded to both ``serve`` and ``search``, so the
+second form runs the same checks against a sharded deployment — the wire
+ingest then lands as a per-shard delta that the follow-up query must see.
 """
 
 from __future__ import annotations
@@ -60,10 +65,10 @@ def _wait_for_ready(proc: subprocess.Popen) -> str | None:
             return line.split(None, 1)[1].strip()
 
 
-def main() -> int:
+def main(extra_args: list[str]) -> int:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0", *BENCH_ARGS],
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *BENCH_ARGS, *extra_args],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         env=env,
@@ -98,6 +103,7 @@ def main() -> int:
                 "--k",
                 str(K),
                 "--json",
+                *extra_args,
             ],
             env=env,
             cwd=ROOT,
@@ -194,4 +200,4 @@ if __name__ == "__main__":
     # Give the whole smoke a hard ceiling so a wedged server cannot hang CI.
     signal.signal(signal.SIGALRM, lambda *_: sys.exit("FAIL: smoke timed out"))
     signal.alarm(270)
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

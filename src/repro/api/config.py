@@ -149,21 +149,30 @@ def _validate_component_params(section: str, registry: Registry, spec: Component
         )
 
 
+def _require_number(
+    name: str, value: Any, *, integer: bool = False, low: float = 0, high: float | None = None
+) -> None:
+    """Raise unless ``value`` is a number in ``[low, high]`` — an ``int`` when
+    ``integer`` — and not a bool (``True`` is an ``int`` to Python)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int if integer else (int, float))
+        or not low <= value
+        or (high is not None and value > high)
+    ):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        kind = "an integer" if integer else "a number"
+        raise ConfigurationError(f"{name} must be {kind} {bound}, got {value!r}")
+
+
 def _validate_serving(serving: Mapping[str, Any]) -> None:
     """Eagerly apply the result-cache value constraints."""
-    if serving["cache_size"] < 0:
-        raise ConfigurationError(
-            f"serving.cache_size must be non-negative, got {serving['cache_size']}"
-        )
+    _require_number("serving.cache_size", serving["cache_size"], integer=True)
 
 
 def _validate_sharding(sharding: Mapping[str, Any]) -> None:
     """Eagerly apply the LakePartitioner value constraints."""
-    num_shards = sharding["num_shards"]
-    if not isinstance(num_shards, int) or num_shards < 1:
-        raise ConfigurationError(
-            f"sharding.num_shards must be a positive integer, got {num_shards!r}"
-        )
+    _require_number("sharding.num_shards", sharding["num_shards"], integer=True, low=1)
 
 
 def _validate_cascade(cascade: Mapping[str, Any]) -> None:
@@ -172,40 +181,25 @@ def _validate_cascade(cascade: Mapping[str, Any]) -> None:
         raise ConfigurationError(
             f"cascade.mode must be exact/approx, got {cascade['mode']!r}"
         )
-    budget = cascade["candidate_budget"]
-    if not isinstance(budget, int) or budget < 1:
-        raise ConfigurationError(
-            f"cascade.candidate_budget must be a positive integer, got {budget!r}"
-        )
+    _require_number("cascade.candidate_budget", cascade["candidate_budget"], integer=True, low=1)
 
 
 def _validate_server(server: Mapping[str, Any]) -> None:
-    """Eagerly apply the DiscoveryServer value constraints."""
-    port = server["port"]
-    if not isinstance(port, int) or not 0 <= port <= 65535:
-        raise ConfigurationError(
-            f"server.port must be an integer in [0, 65535] (0 = ephemeral), "
-            f"got {port!r}"
-        )
-    if not isinstance(server["host"], str) or not server["host"]:
-        raise ConfigurationError(
-            f"server.host must be a non-empty string, got {server['host']!r}"
-        )
-    max_inflight = server["max_inflight"]
-    if not isinstance(max_inflight, int) or max_inflight < 1:
-        raise ConfigurationError(
-            f"server.max_inflight must be a positive integer, got {max_inflight!r}"
-        )
+    """Eagerly apply the DiscoveryServer value constraints (port 0 = ephemeral)."""
+    _require_number("server.port", server["port"], integer=True, high=65535)
+    _require_number("server.max_inflight", server["max_inflight"], integer=True, low=1)
+    _require_number("server.prewarm_queries", server["prewarm_queries"], integer=True)
     for key in (
         "queue_timeout_seconds",
         "retry_after_seconds",
         "maintenance_interval_seconds",
         "maintenance_idle_seconds",
     ):
-        if server[key] < 0:
-            raise ConfigurationError(
-                f"server.{key} must be non-negative, got {server[key]}"
-            )
+        _require_number(f"server.{key}", server[key])
+    if not isinstance(server["host"], str) or not server["host"]:
+        raise ConfigurationError(
+            f"server.host must be a non-empty string, got {server['host']!r}"
+        )
     if server["event_log"] is not None and not isinstance(server["event_log"], str):
         raise ConfigurationError(
             f"server.event_log must be a path string or null, got {server['event_log']!r}"
@@ -213,11 +207,6 @@ def _validate_server(server: Mapping[str, Any]) -> None:
     if not isinstance(server["maintenance"], bool):
         raise ConfigurationError(
             f"server.maintenance must be a boolean, got {server['maintenance']!r}"
-        )
-    prewarm = server["prewarm_queries"]
-    if not isinstance(prewarm, int) or prewarm < 0:
-        raise ConfigurationError(
-            f"server.prewarm_queries must be a non-negative integer, got {prewarm!r}"
         )
 
 

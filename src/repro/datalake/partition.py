@@ -98,29 +98,6 @@ class LakeShard:
         )
 
 
-def shards_from_assignment(
-    lake: DataLake, assignment: dict[str, int], num_shards: int
-) -> list[LakeShard]:
-    """Materialise ``num_shards`` :class:`LakeShard` views of an assignment map.
-
-    Every table lands in exactly one shard; shards may be empty (more shards
-    than tables).  Member order within a shard follows the lake's insertion
-    order, so re-partitioning an unchanged lake is stable.
-    """
-    members: list[list[str]] = [[] for _ in range(num_shards)]
-    for name in lake.table_names():
-        members[assignment[name]].append(name)
-    return [
-        LakeShard(
-            parent=lake,
-            shard_id=shard_id,
-            num_shards=num_shards,
-            table_names=tuple(names),
-        )
-        for shard_id, names in enumerate(members)
-    ]
-
-
 class LakePartitioner:
     """Splits a lake into ``num_shards`` deterministic :class:`LakeShard` views."""
 
@@ -134,6 +111,21 @@ class LakePartitioner:
         return _stable_shard_hash(table_name) % self.num_shards
 
     def partition(self, lake: DataLake) -> list[LakeShard]:
-        """Partition ``lake`` into exactly ``num_shards`` disjoint shards."""
-        assignment = {name: self.shard_id_of(name) for name in lake.table_names()}
-        return shards_from_assignment(lake, assignment, self.num_shards)
+        """Partition ``lake`` into exactly ``num_shards`` disjoint shards.
+
+        Every table lands in exactly one shard; shards may be empty (more
+        shards than tables).  Member order within a shard follows the lake's
+        insertion order, so re-partitioning an unchanged lake is stable.
+        """
+        members: list[list[str]] = [[] for _ in range(self.num_shards)]
+        for name in lake.table_names():
+            members[self.shard_id_of(name)].append(name)
+        return [
+            LakeShard(
+                parent=lake,
+                shard_id=shard_id,
+                num_shards=self.num_shards,
+                table_names=tuple(names),
+            )
+            for shard_id, names in enumerate(members)
+        ]

@@ -6,10 +6,9 @@ add/remove/replace events (:mod:`repro.ingest.events`) flows into one
 keeps the last event per table and applies bounded micro-batches atomically
 to the lake and its indexes under the deployment's activity gate, with
 journal compaction checkpoints so ``changes_since`` consumers re-anchor
-instead of hitting the full-rebuild floor, and online shard rebalancing when
-size skew drifts (:mod:`repro.ingest.rebalance`).  ``Discovery.ingest()`` is
-the front door, ``POST /v1/ingest`` and ``python -m repro ingest`` the
-wire/CLI surfaces.
+instead of hitting the full-rebuild floor.  ``Discovery.ingest()`` is the
+front door, ``POST /v1/ingest`` and ``python -m repro ingest`` the wire/CLI
+surfaces.
 """
 
 from repro.ingest.controller import IngestController
@@ -19,7 +18,6 @@ from repro.ingest.events import (
     event_from_payload,
     events_from_jsonl,
 )
-from repro.ingest.rebalance import find_sharded
 
 __all__ = [
     "EVENT_OPS",
@@ -27,5 +25,4 @@ __all__ = [
     "TableEvent",
     "event_from_payload",
     "events_from_jsonl",
-    "find_sharded",
 ]

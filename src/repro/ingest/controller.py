@@ -16,11 +16,9 @@ exclusively *before* draining (a drain timeout consumes nothing), applies
 each event, and — when the lake version moved — runs
 :meth:`Discovery.resync` (per-shard ``update_index``) and checkpoints the
 journal so re-anchoring consumers never hit the full-rebuild floor, all
-before the gate releases.  The controller also triggers online shard
-rebalancing when size skew drifts past :data:`REBALANCE_SKEW_THRESHOLD`.
-The server's maintenance loop drives :meth:`~IngestController.flush_if_due`
-and :meth:`~IngestController.maybe_rebalance` between request bursts;
-embedded callers flush explicitly.
+before the gate releases.  The server's maintenance loop drives
+:meth:`~IngestController.flush_if_due` between request bursts; embedded
+callers flush explicitly.
 """
 
 from __future__ import annotations
@@ -31,8 +29,6 @@ from collections import Counter
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.ingest.events import TableEvent, event_from_payload
-from repro.ingest.rebalance import find_sharded
-from repro.search.sharded import skew_of
 from repro.utils.errors import IngestError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api -> ingest)
@@ -45,10 +41,6 @@ MAX_BATCH_EVENTS = 256
 MAX_BATCH_BYTES = 1_048_576
 #: ... or once the oldest pending event has waited this long.
 MAX_LATENCY_SECONDS = 0.5
-#: Record a lake compaction checkpoint after every batch that moved the lake.
-CHECKPOINT = True
-#: Shard size skew above which :meth:`IngestController.maybe_rebalance` acts.
-REBALANCE_SKEW_THRESHOLD = 2.0
 #: Seconds to wait for in-flight queries to drain before a flush yields.
 EXCLUSIVE_TIMEOUT_SECONDS = 5.0
 
@@ -67,8 +59,8 @@ class IngestController:
     ) -> None:
         self.discovery = discovery
         self.lake = discovery.lake  # raises when not attached
-        #: The gate batches and rebalances must hold exclusively; ``None``
-        #: assumes single-threaded use (tests, embedded callers).
+        #: The gate batches must hold exclusively; ``None`` assumes
+        #: single-threaded use (tests, embedded callers).
         self.gate = gate
         self._lock = threading.Lock()
         self._flush_lock = threading.Lock()
@@ -81,7 +73,6 @@ class IngestController:
                 "received", "noops_dropped", "cancelled", "superseded",
                 "deduped", "drained", "batches_applied", "events_applied",
                 "flush_timeouts", "pending_events", "pending_bytes",
-                "rebalances", "rebalance_moved_tables",
             ),
             0,
         )
@@ -209,8 +200,7 @@ class IngestController:
             checkpoint_version = None
             if self.lake.version != version_before:
                 self.discovery.resync()
-                if CHECKPOINT:
-                    checkpoint_version = self.lake.checkpoint()
+                checkpoint_version = self.lake.checkpoint()
             version_after = self.lake.version
         finally:
             if gate is not None:
@@ -247,49 +237,10 @@ class IngestController:
         lake.replace_table(event.table)  # identical content is a no-op
         return "skipped" if lake.version == version else "replaced"
 
-    # ------------------------------------------------------------- rebalancing
-    def maybe_rebalance(self, *, force: bool = False) -> list[dict]:
-        """Rebalance every sharded backend whose size skew drifted too far.
-
-        Walks the deployment's built backends, unwraps each to its sharded
-        composite (if any), and — when the skew exceeds
-        :data:`REBALANCE_SKEW_THRESHOLD`, or ``force`` is set — runs
-        :meth:`~repro.search.sharded.ShardedSearcher.rebalance` under the
-        gate's exclusive mode, so queries never observe a half-moved
-        partition.  Returns one report per backend considered; a gate drain
-        timeout skips that backend until the next cycle (never blocks
-        traffic, never loses state).
-        """
-        reports: list[dict] = []
-        for key in self.discovery.built_backends:
-            sharded = find_sharded(self.discovery.searcher(key))
-            if sharded is None:
-                continue
-            skew = skew_of(sharded.shard_loads())
-            if not force and skew <= REBALANCE_SKEW_THRESHOLD:
-                continue
-            gate = self.gate
-            if gate is not None and not gate.acquire_exclusive(
-                timeout=EXCLUSIVE_TIMEOUT_SECONDS
-            ):
-                reports.append({"backend": key, "rebalanced": False, "yielded": True})
-                continue
-            try:
-                report = sharded.rebalance(skew_threshold=REBALANCE_SKEW_THRESHOLD)
-            finally:
-                if gate is not None:
-                    gate.release_exclusive()
-            if report.get("rebalanced"):
-                with self._lock:
-                    self._stats["rebalances"] += 1
-                    self._stats["rebalance_moved_tables"] += int(report.get("moved", 0))
-            reports.append({"backend": key, **report})
-        return reports
-
     # ------------------------------------------------------------------ stats
     @property
     def stats(self) -> dict:
-        """Netting, batching and rebalancing counters plus pending state."""
+        """Netting and batching counters plus pending state."""
         with self._lock:
             return {
                 **self._stats,

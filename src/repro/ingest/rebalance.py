@@ -1,11 +1,9 @@
-"""Locating sharded backends for online rebalancing.
+"""Locating a deployment's sharded executor: :func:`find_sharded`.
 
-The rebalancing machinery itself lives on
-:class:`~repro.search.sharded.ShardedSearcher` (it owns the shard state);
-this module supplies the glue the
-:class:`~repro.ingest.controller.IngestController` needs: the built
-backend's executor, whose ``shard_loads()`` the controller reads so it only
-pays for a rebalance when drift crossed its skew threshold.
+Tests and benchmarks use it to reach a built backend's
+:class:`~repro.search.sharded.ShardedSearcher` (its shards, deferred
+restores and per-shard store entries) through the ``Discovery`` facade.  The
+module keeps its path because dustbench imports :func:`find_sharded` from it.
 """
 
 from __future__ import annotations

@@ -43,15 +43,10 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.datalake.lake import DataLake
-from repro.datalake.partition import (
-    LakePartitioner,
-    LakeShard,
-    _stable_shard_hash,
-    shards_from_assignment,
-)
+from repro.datalake.partition import LakePartitioner, LakeShard
 from repro.search.base import SearchResult, TableUnionSearcher, rank_scores
 from repro.search.cascade import CandidatePrefilter, CascadePrefilterEntry, fit_prefilter
 from repro.utils.errors import SearchError, ServingError
@@ -59,70 +54,6 @@ from repro.utils import parallel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (serving -> search)
     from repro.serving.store import IndexStore
-
-
-def skew_of(loads: Sequence[int]) -> float:
-    """Size skew of a shard load vector: ``max(load) / mean(load)``.
-
-    1.0 means perfectly balanced; 2.0 means the hottest shard carries twice
-    the average.  Empty or all-zero vectors report 1.0 (nothing to balance).
-    """
-    if not loads:
-        return 1.0
-    mean = sum(loads) / len(loads)
-    if mean <= 0:
-        return 1.0
-    return max(loads) / mean
-
-
-def balanced_assignment(
-    assignment: dict[str, int],
-    sizes: dict[str, int],
-    num_shards: int,
-    *,
-    skew_threshold: float = 2.0,
-) -> tuple[dict[str, int], list[str]]:
-    """Rebalance ``assignment`` by moving as few tables as possible.
-
-    Greedy descent: while the load skew exceeds ``skew_threshold``, move the
-    largest table off the hottest shard onto the coldest shard — but only
-    when the move strictly lowers the pair's max load, so the loop always
-    terminates and never thrashes a table back and forth.  Minimizing *moved
-    tables* (rather than recomputing a globally optimal layout) is the point:
-    every mover is a shard index rebuild and a store re-persist.
-
-    Returns ``(new_assignment, moved_names)``.
-    """
-    assignment = dict(assignment)
-    loads = [0] * num_shards
-    members: list[list[str]] = [[] for _ in range(num_shards)]
-    for name, shard_id in assignment.items():
-        loads[shard_id] += sizes.get(name, 1)
-        members[shard_id].append(name)
-    moved: list[str] = []
-    for _ in range(2 * max(1, len(assignment))):
-        if skew_of(loads) <= skew_threshold:
-            break
-        hot = max(range(num_shards), key=lambda i: loads[i])
-        cold = min(range(num_shards), key=lambda i: loads[i])
-        if hot == cold:
-            break
-        chosen = None
-        for name in sorted(members[hot], key=lambda n: -sizes.get(n, 1)):
-            size = sizes.get(name, 1)
-            if max(loads[hot] - size, loads[cold] + size) < loads[hot]:
-                chosen = name
-                break
-        if chosen is None:
-            break  # no single move improves the hot/cold pair further
-        size = sizes.get(chosen, 1)
-        members[hot].remove(chosen)
-        members[cold].append(chosen)
-        loads[hot] -= size
-        loads[cold] += size
-        assignment[chosen] = cold
-        moved.append(chosen)
-    return assignment, moved
 
 
 def _ensure_store_capacity(store: "IndexStore | None", num_shards: int) -> None:
@@ -203,13 +134,6 @@ class ShardedSearcher(TableUnionSearcher):
         self._shard_lakes: list[DataLake] = []
         self._shard_searchers: list[TableUnionSearcher | None] = []
         self._shard_of_table: dict[str, int] = {}
-        #: Pinned table->shard assignment installed by :meth:`rebalance`.
-        #: While pinned, re-partitions honour it (new tables route by stable
-        #: name hash, departed names are pruned) instead of re-deriving from
-        #: the partitioner — otherwise the next mutation's refresh would
-        #: silently undo the rebalance.
-        self._assignment: dict[str, int] | None = None
-        self._assignment_shards: int = self.partitioner.num_shards
         #: Shards whose restoration is deferred until first touch: shard id
         #: -> the shard content fingerprints the warm store entry covers.
         #: Populated by :meth:`_build_index` when every non-empty shard has a
@@ -222,8 +146,6 @@ class ShardedSearcher(TableUnionSearcher):
     # ------------------------------------------------------------- properties
     @property
     def num_shards(self) -> int:
-        if self._assignment is not None:
-            return self._assignment_shards
         return self.partitioner.num_shards
 
     @property
@@ -263,26 +185,6 @@ class ShardedSearcher(TableUnionSearcher):
         return super().config_fingerprint()
 
     # ------------------------------------------------------------------ build
-    def _partition(self, lake: DataLake) -> list[LakeShard]:
-        """Partition ``lake``, honouring a pinned rebalanced assignment.
-
-        Without a pinned assignment this is exactly
-        ``self.partitioner.partition(lake)``.  With one, membership follows
-        the pinned map: tables the map has never seen route by stable name
-        hash onto the pinned shard count, and names no longer in the lake
-        are pruned — so the assignment tracks the lake without drifting back
-        to the partitioner's layout.
-        """
-        if self._assignment is None:
-            return self.partitioner.partition(lake)
-        count = self._assignment_shards
-        assignment = {
-            name: self._assignment.get(name, _stable_shard_hash(name) % count)
-            for name in lake.table_names()
-        }
-        self._assignment = assignment
-        return shards_from_assignment(lake, assignment, count)
-
     def _adopt_partition(
         self,
         lake: DataLake,
@@ -365,8 +267,8 @@ class ShardedSearcher(TableUnionSearcher):
     ) -> TableUnionSearcher:
         """Bring one shard's searcher onto ``shard_lake`` and persist it.
 
-        The single per-shard lifecycle step behind builds, deferred restores,
-        refreshes and rebalances: a fresh searcher warms through the store
+        The single per-shard lifecycle step behind builds, deferred restores
+        and refreshes: a fresh searcher warms through the store
         (load, delta-heal or build + persist), a live one is delta-updated in
         memory and re-persisted.  Backends whose index is not shard-local
         (the oracle) bypass the store — their state round-trips through a
@@ -424,7 +326,7 @@ class ShardedSearcher(TableUnionSearcher):
             searchers[shard_id].load_partial(shard_lakes[shard_id], *state)
 
     def _build_index(self, lake: DataLake) -> None:
-        shards = self._partition(lake)
+        shards = self.partitioner.partition(lake)
         shard_lakes = [shard.to_lake() for shard in shards]
         searchers: list[TableUnionSearcher | None] = [None] * len(shards)
         jobs = [i for i, shard_lake in enumerate(shard_lakes) if shard_lake.num_tables]
@@ -478,7 +380,7 @@ class ShardedSearcher(TableUnionSearcher):
         re-persisted — only them.
         """
         lake = self.lake
-        shards = self._partition(lake)
+        shards = self.partitioner.partition(lake)
         shard_lakes = [shard.to_lake() for shard in shards]
         searchers: list[TableUnionSearcher | None] = [None] * len(shards)
         new_deferred: dict[int, dict[str, str]] = {}
@@ -538,151 +440,6 @@ class ShardedSearcher(TableUnionSearcher):
         live = (i for i, searcher in enumerate(searchers) if searcher is not None)
         for shard_id in [*deferred, *live]:
             self.store.touch(self._prototype, shard_lakes[shard_id])
-
-    # ------------------------------------------------------------- rebalancing
-    def shard_loads(self) -> list[int]:
-        """Per-shard load (total cell count) of the current partition."""
-        loads = [0] * max(1, len(self._shard_searchers) or self.num_shards)
-        if not self._shard_of_table:
-            return loads
-        lake = self.lake
-        for name, shard_id in self._shard_of_table.items():
-            table = lake.get(name)
-            loads[shard_id] += max(1, table.num_rows * table.num_columns)
-        return loads
-
-    def rebalance(
-        self, *, skew_threshold: float = 2.0, num_shards: int | None = None
-    ) -> dict:
-        """Online shard rebalancing: fix size drift, touching only movers.
-
-        Measures the current partition's load skew (:func:`skew_of` over
-        per-shard cell counts).  When it exceeds ``skew_threshold`` — or
-        ``num_shards`` asks for a different shard count (split/merge) — a
-        minimal-move balanced reassignment (:func:`balanced_assignment`) is
-        computed and **pinned**: subsequent refreshes honour it instead of
-        drifting back to the partitioner's layout.
-
-        Shards whose membership is untouched keep their searcher objects
-        (and store entries) as-is; only shards that gained or lost tables
-        are delta-rebuilt (:meth:`~TableUnionSearcher.rebase` reuses the
-        best-overlapping previous shard searcher) and re-persisted.  Served
-        rankings are bit-identical before and after — sharding is an
-        execution strategy, so rebalancing can never change results, only
-        per-shard cost.
-
-        Returns a report: ``rebalanced``, ``num_shards``, ``skew_before``,
-        ``skew_after``, ``moved`` (tables reassigned), ``shards_rebuilt``.
-        """
-        lake = self.lake  # raises before index()
-        if skew_threshold < 1.0:
-            raise SearchError(
-                f"skew_threshold must be >= 1.0, got {skew_threshold}"
-            )
-        current = dict(self._shard_of_table)
-        count_before = len(self._shard_searchers) or self.num_shards
-        count = int(num_shards) if num_shards is not None else count_before
-        if count < 1:
-            raise SearchError(f"num_shards must be >= 1, got {count}")
-        sizes = {
-            table.name: max(1, table.num_rows * table.num_columns) for table in lake
-        }
-        loads_before = [0] * count_before
-        for name, shard_id in current.items():
-            loads_before[shard_id] += sizes.get(name, 1)
-        skew_before = skew_of(loads_before)
-        if count == count_before and skew_before <= skew_threshold:
-            return {
-                "rebalanced": False,
-                "num_shards": count_before,
-                "skew_before": skew_before,
-                "skew_after": skew_before,
-                "moved": 0,
-                "shards_rebuilt": 0,
-            }
-        # Rebalancing reassigns tables across shard searchers, so every
-        # still-deferred shard must be live before passes 1 and 2 inspect
-        # their indexed fingerprints.
-        self._materialize_all()
-        # A changed shard count re-seeds by stable name hash (the layout new
-        # tables will route to anyway); an unchanged count starts from the
-        # current assignment so the balancer moves as little as possible.
-        if count == count_before:
-            base = current
-        else:
-            base = {
-                name: _stable_shard_hash(name) % count
-                for name in lake.table_names()
-            }
-        new_assignment, _ = balanced_assignment(
-            base, sizes, count, skew_threshold=skew_threshold
-        )
-        moved = [
-            name
-            for name in lake.table_names()
-            if new_assignment[name] != current.get(name)
-        ]
-        _ensure_store_capacity(self.store, count)
-        shards = shards_from_assignment(lake, new_assignment, count)
-        shard_lakes = [shard.to_lake() for shard in shards]
-        searchers: list[TableUnionSearcher | None] = [None] * count
-        unclaimed: dict[int, TableUnionSearcher] = {
-            i: s for i, s in enumerate(self._shard_searchers) if s is not None
-        }
-        # Pass 1: shards whose member content is exactly a previous shard's
-        # reuse that searcher object untouched — no rebuild, no re-persist.
-        pending: list[int] = []
-        for shard_id, shard_lake in enumerate(shard_lakes):
-            if shard_lake.num_tables == 0:
-                continue
-            target_fps = shard_lake.table_fingerprints()
-            match = next(
-                (
-                    pid
-                    for pid, prev in unclaimed.items()
-                    if prev.is_indexed and prev._indexed_table_fps == target_fps
-                ),
-                None,
-            )
-            if match is not None:
-                searchers[shard_id] = unclaimed.pop(match)
-            else:
-                pending.append(shard_id)
-        # Pass 2: mover shards delta-rebuild from their best-overlapping
-        # previous searcher (rebase = remove departed + add arrivals) and
-        # re-persist — only these shards pay.
-        if pending:
-            self._stamp_unchanged(shard_lakes, searchers)
-        rebuilt = 0
-        for shard_id in pending:
-            shard_lake = shard_lakes[shard_id]
-            names = set(shard_lake.table_names())
-            best_id, best_overlap = None, 0
-            for pid, prev in unclaimed.items():
-                overlap = len(
-                    names & set(getattr(prev, "_indexed_table_fps", None) or {})
-                )
-                if overlap > best_overlap:
-                    best_id, best_overlap = pid, overlap
-            searchers[shard_id] = self._sync_shard(
-                unclaimed.pop(best_id) if best_id is not None else self.factory(),
-                shard_lake,
-            )
-            rebuilt += 1
-        self._assignment = new_assignment
-        self._assignment_shards = count
-        self._adopt_partition(lake, shards, shard_lakes, searchers)
-        loads_after = [0] * count
-        for name, shard_id in new_assignment.items():
-            loads_after[shard_id] += sizes.get(name, 1)
-        return {
-            "rebalanced": True,
-            "num_shards": count,
-            "skew_before": skew_before,
-            "skew_after": skew_of(loads_after),
-            "moved": len(moved),
-            "shards_rebuilt": rebuilt,
-        }
 
     # ----------------------------------------------------------------- search
     def _score_table(self, query_table, lake_table) -> float:

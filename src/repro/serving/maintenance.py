@@ -24,10 +24,10 @@ One cycle runs three tasks, each a wiring of machinery earlier PRs built:
    superseded index snapshots the mutation history accumulated on disk.
 
 With an :class:`~repro.ingest.controller.IngestController` attached, the
-cycle first flushes its due micro-batches and ends with shard rebalancing.
-Only a gate-drain timeout (:class:`~repro.utils.errors.IngestError`, which
-drains nothing) counts as a yield; any other failure of a batch counts as
-an error, because its events were already drained and applied.
+cycle first flushes its due micro-batches.  Only a gate-drain timeout
+(:class:`~repro.utils.errors.IngestError`, which drains nothing) counts as a
+yield; any other failure of a batch counts as an error, because its events
+were already drained and applied.
 """
 
 from __future__ import annotations
@@ -219,8 +219,7 @@ class MaintenanceLoop:
         self.exclusive_timeout = exclusive_timeout
         #: Optional streaming-ingest controller; when present each cycle
         #: flushes due micro-batches first (the freshest possible index for
-        #: the re-sync/pre-warm that follows) and checks shard rebalancing
-        #: last (the most expensive, least urgent task).
+        #: the re-sync/pre-warm that follows).
         self.ingest = ingest
         #: Serializes cycles: the background thread and an on-demand
         #: ``/v1/refresh`` may ask for one concurrently.
@@ -236,7 +235,6 @@ class MaintenanceLoop:
             "evicted_entries": 0,
             "batches_applied": 0,
             "events_applied": 0,
-            "rebalances": 0,
             "yields": 0,
             "errors": 0,
         }
@@ -270,7 +268,6 @@ class MaintenanceLoop:
             "prewarmed": 0,
             "evicted": 0,
             "batches_applied": 0,
-            "rebalanced": 0,
             "yielded": 0,
         }
         self._bump("cycles")
@@ -329,25 +326,6 @@ class MaintenanceLoop:
             evicted = self.store.evict_cold()
             self._bump("evicted_entries", evicted)
             done["evicted"] = evicted
-        if self.gate.busy:
-            self._bump("yields")
-            done["yielded"] = 1
-            return done
-        # Rebalancing runs last: it is the most expensive task and only
-        # matters once size skew has drifted, which takes many batches.
-        if self.ingest is not None:
-            try:
-                rebalanced = [
-                    report
-                    for report in self.ingest.maybe_rebalance()
-                    if report.get("rebalanced")
-                ]
-            except ReproError:
-                self._bump("errors")
-                rebalanced = []
-            if rebalanced:
-                done["rebalanced"] = len(rebalanced)
-                self._bump("rebalances", len(rebalanced))
         return done
 
     def _prewarm(self) -> int:

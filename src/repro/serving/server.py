@@ -396,7 +396,11 @@ class DiscoveryServer(ThreadingHTTPServer):
             table = resolved
         elif "query_index" in payload:
             index = payload["query_index"]
-            if not isinstance(index, int) or not 0 <= index < len(self._query_order):
+            if (
+                not isinstance(index, int)
+                or isinstance(index, bool)
+                or not 0 <= index < len(self._query_order)
+            ):
                 raise ServingError(
                     f"query_index {index!r} out of range; server has "
                     f"{len(self._query_order)} registered query tables"

@@ -41,7 +41,7 @@ class SearchError(ReproError):
 
 
 class IngestError(ReproError):
-    """A streaming-ingest event, batch, or rebalance operation failed."""
+    """A streaming-ingest event or batch failed, or its flush timed out."""
 
 
 class BenchmarkError(ReproError):

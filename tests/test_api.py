@@ -206,6 +206,28 @@ class TestDiscoveryConfig:
             DiscoveryConfig.from_dict({"serving": {"cache_size": -5}})
 
     @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("serving", "cache_size", "16"),
+            ("server", "queue_timeout_seconds", "1"),
+            ("server", "retry_after_seconds", "1"),
+            ("server", "maintenance_interval_seconds", "1"),
+            ("server", "maintenance_idle_seconds", "1"),
+            ("sharding", "num_shards", True),
+            ("cascade", "candidate_budget", True),
+            ("server", "port", True),
+            ("server", "max_inflight", True),
+            ("server", "prewarm_queries", True),
+        ],
+    )
+    def test_mistyped_numbers_are_configuration_errors(self, section, key, value):
+        """A string where a number belongs, or a bool where an integer
+        belongs, is a ConfigurationError naming the key — never a TypeError
+        (which the CLI would print as a traceback), never served as 1."""
+        with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
+            DiscoveryConfig.from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize(
         "section, key",
         [
             ("serving", "max_workers"),

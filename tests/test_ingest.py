@@ -29,9 +29,7 @@ from repro.ingest import (
     TableEvent,
     event_from_payload,
     events_from_jsonl,
-    find_sharded,
 )
-from repro.search.sharded import skew_of
 from repro.serving.maintenance import ActivityGate, MaintenanceLoop
 from repro.serving.server import DiscoveryServer
 from repro.utils.errors import IngestError, SearchError
@@ -586,50 +584,9 @@ class TestIngestController:
                 "events_applied",
                 "pending_events",
                 "pending_bytes",
-                "rebalances",
-                "rebalance_moved_tables",
             ):
                 assert key in stats
             assert stats["pending_events"] == 1
-
-    def test_maybe_rebalance_skips_flat_backends(self, small_benchmark):
-        with Discovery.from_config(None).attach(fresh_lake(small_benchmark)) as d:
-            d.searcher()  # built, but not sharded
-            assert d.ingest().maybe_rebalance(force=True) == []
-
-    def test_maybe_rebalance_on_sharded_backend(self, small_benchmark):
-        config = {"sharding": {"num_shards": 2}}
-        with Discovery.from_config(config).attach(fresh_lake(small_benchmark)) as d:
-            d.searcher()
-            controller = d.ingest()
-            # Skew the shards: a burst of adds all hash wherever they land;
-            # force=True rebalances regardless of the threshold.
-            for i in range(6):
-                controller.submit(add_event(f"skew_{i}"))
-            controller.flush()
-            (report,) = controller.maybe_rebalance(force=True)
-            assert report["backend"]
-            sharded = find_sharded(d.searcher())
-            assert sharded is not None
-            assert skew_of(sharded.shard_loads()) >= 1.0
-
-    def test_gate_timeout_reports_yield(self, small_benchmark, monkeypatch):
-        monkeypatch.setattr(controller_module, "EXCLUSIVE_TIMEOUT_SECONDS", 0.05)
-        config = {"sharding": {"num_shards": 2}}
-        with Discovery.from_config(config).attach(fresh_lake(small_benchmark)) as d:
-            d.searcher()
-            gate = ActivityGate()
-            controller = d.ingest(gate=gate)
-            gate.enter()
-            try:
-                (report,) = controller.maybe_rebalance(force=True)
-                assert report == {
-                    "backend": d.built_backends[0],
-                    "rebalanced": False,
-                    "yielded": True,
-                }
-            finally:
-                gate.leave()
 
 
 # ------------------------------------------------------------ facade health
@@ -773,8 +730,6 @@ class TestIngestEndpoint:
             "flush_timeouts",
             "pending_events",
             "pending_bytes",
-            "rebalances",
-            "rebalance_moved_tables",
         ])
 
 

@@ -260,7 +260,6 @@ class TestMaintenanceLoop:
                 "prewarmed": 0,
                 "evicted": 0,
                 "batches_applied": 0,
-                "rebalanced": 0,
                 "yielded": 1,
             }
             assert loop.stats["yields"] == 1
@@ -339,9 +338,6 @@ class TestMaintenanceLoop:
                     self.active -= 1
                 return []
 
-            def maybe_rebalance(self):
-                return []
-
         with Discovery.from_config(None).attach(small_benchmark.lake) as discovery:
             probe = ProbeIngest()
             loop = MaintenanceLoop(discovery, idle_seconds=0.0, ingest=probe)
@@ -367,9 +363,6 @@ class TestMaintenanceLoop:
             def flush_if_due(self):
                 entered.set()
                 assert release.wait(timeout=30)
-                return []
-
-            def maybe_rebalance(self):
                 return []
 
         with Discovery.from_config(None).attach(small_benchmark.lake) as discovery:
@@ -481,6 +474,13 @@ class TestServerEndpoints:
         status, body, _ = _post(server.url + "/v1/search", {"query_name": name, "k": 3})
         assert status == 200
         assert json.loads(body)["query"] == name
+
+    def test_bool_query_index_is_rejected(self, server):
+        """JSON ``true`` is not query 1: ``query_index`` rejects bools the way
+        ``k`` does."""
+        status, body, _ = _post(server.url + "/v1/search", {"query_index": True})
+        assert status == 400
+        assert "query_index" in json.loads(body)["error"]
 
     def test_error_paths(self, server):
         status, payload, _ = _get(server.url + "/v1/nope")

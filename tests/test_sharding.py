@@ -31,7 +31,6 @@ from repro.search import (
     StarmieSearcher,
     ValueOverlapSearcher,
 )
-from repro.search.sharded import balanced_assignment, skew_of
 from repro.serving import IndexStore
 from repro.utils.errors import (
     ConfigurationError,
@@ -475,139 +474,6 @@ class TestShardStorePersistence:
         fresh = ValueOverlapSearcher().index(lake)
         query = tus_bench.query_tables[0]
         assert searcher.search(query, 8) == fresh.search(query, 8)
-
-
-# ------------------------------------------------------- online shard rebalance
-def skewed_lake(bench) -> DataLake:
-    """The benchmark lake plus a few oversized tables, so per-shard cell
-    loads drift well past any reasonable skew threshold."""
-    lake = fresh_lake(bench)
-    for index in range(3):
-        lake.add_table(
-            Table(
-                name=f"whale_{index}",
-                columns=["entity", "measure"],
-                rows=[(f"w{index}_e{row}", str(row)) for row in range(120)],
-            )
-        )
-    return lake
-
-
-class TestRebalance:
-    def test_flat_partition_is_a_noop(self, tus_bench):
-        lake = fresh_lake(tus_bench)
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3
-        ).index(lake)
-        report = sharded.rebalance(skew_threshold=1e9)
-        assert report == {
-            "rebalanced": False,
-            "num_shards": 3,
-            "skew_before": report["skew_before"],
-            "skew_after": report["skew_before"],
-            "moved": 0,
-            "shards_rebuilt": 0,
-        }
-
-    def test_rebalance_reduces_skew_and_preserves_rankings(self, tus_bench):
-        lake = skewed_lake(tus_bench)
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3
-        ).index(lake)
-        before = rankings(sharded, tus_bench.query_tables)
-        report = sharded.rebalance(skew_threshold=1.1)
-        assert report["rebalanced"]
-        assert report["moved"] >= 1
-        assert report["skew_after"] <= report["skew_before"]
-        # Sharding is an execution strategy: moving tables between shards
-        # must be invisible in the served rankings.
-        assert rankings(sharded, tus_bench.query_tables) == before
-        rebuilt = ValueOverlapSearcher().index(lake)
-        assert rankings(sharded, tus_bench.query_tables) == rankings(
-            rebuilt, tus_bench.query_tables
-        )
-
-    def test_pinned_assignment_survives_refresh(self, tus_bench):
-        lake = skewed_lake(tus_bench)
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3
-        ).index(lake)
-        report = sharded.rebalance(skew_threshold=1.1)
-        assert report["rebalanced"]
-        pinned = {
-            name: sharded.partitioner.shard_id_of(name)
-            for name in lake.table_names()
-        }
-        placement_after_rebalance = dict(sharded._shard_of_table)
-        lake.add_table(make_table("zz_post_rebalance"))
-        sharded.refresh()
-        # Refresh must honour the pinned assignment, not drift back to the
-        # hash partitioner's layout (which `pinned` captures).
-        for name, shard_id in placement_after_rebalance.items():
-            assert sharded._shard_of_table[name] == shard_id, name
-        assert placement_after_rebalance != pinned  # the pin actually differs
-        rebuilt = ValueOverlapSearcher().index(lake)
-        assert rankings(sharded, tus_bench.query_tables) == rankings(
-            rebuilt, tus_bench.query_tables
-        )
-
-    def test_split_and_merge_change_shard_count(self, tus_bench):
-        lake = skewed_lake(tus_bench)
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=2
-        ).index(lake)
-        expected = rankings(sharded, tus_bench.query_tables)
-        split = sharded.rebalance(skew_threshold=1.5, num_shards=5)
-        assert split["rebalanced"] and split["num_shards"] == 5
-        assert sharded.num_shards == 5
-        assert rankings(sharded, tus_bench.query_tables) == expected
-        merged = sharded.rebalance(skew_threshold=1.5, num_shards=2)
-        assert merged["rebalanced"] and merged["num_shards"] == 2
-        assert sharded.num_shards == 2
-        assert rankings(sharded, tus_bench.query_tables) == expected
-
-    def test_rebalance_repersists_only_movers(self, tus_bench, tmp_path):
-        store = IndexStore(tmp_path, max_entries_per_backend=None)
-        lake = skewed_lake(tus_bench)
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=3, store=store
-        ).index(lake)
-        backend_dir = store.backend_dir(ValueOverlapSearcher())
-        before = {p.parent.name for p in backend_dir.glob("*/manifest.json")}
-        report = sharded.rebalance(skew_threshold=1.1)
-        assert report["rebalanced"]
-        after = {p.parent.name for p in backend_dir.glob("*/manifest.json")}
-        # Only shards whose membership changed were rebuilt and re-persisted.
-        occupied = sum(1 for s in sharded.shard_searchers if s is not None)
-        assert 1 <= report["shards_rebuilt"] <= occupied
-        assert len(after - before) == report["shards_rebuilt"]
-
-    def test_validation(self, tus_bench):
-        lake = fresh_lake(tus_bench)
-        sharded = ShardedSearcher(
-            ValueOverlapSearcher, num_shards=2
-        ).index(lake)
-        with pytest.raises(SearchError):
-            sharded.rebalance(skew_threshold=0.5)
-        with pytest.raises(SearchError):
-            sharded.rebalance(num_shards=0)
-        with pytest.raises(SearchError):
-            ShardedSearcher(ValueOverlapSearcher, num_shards=2).rebalance()
-
-    def test_skew_of_and_balanced_assignment(self):
-        assert skew_of([]) == 1.0
-        assert skew_of([0, 0]) == 1.0
-        assert skew_of([10, 10]) == 1.0
-        assert skew_of([30, 10]) == pytest.approx(1.5)  # 30 / mean(20)
-        sizes = {"a": 90, "b": 10, "c": 10, "d": 10}
-        assignment, moved = balanced_assignment(
-            {"a": 0, "b": 0, "c": 0, "d": 0}, sizes, 2, skew_threshold=1.2
-        )
-        loads = [0, 0]
-        for name, shard in assignment.items():
-            loads[shard] += sizes[name]
-        assert skew_of(loads) <= 1.2 or moved  # balanced, and something moved
-        assert set(assignment) == set(sizes)
 
 
 # ------------------------------------------------------------- utils.parallel
