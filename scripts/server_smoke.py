@@ -12,7 +12,9 @@ bound address from the ``SERVING http://host:port`` readiness line, and then:
    JSONL add through ``POST /v1/ingest``, a follow-up query finds the
    ingested table, and ``/v1/metrics`` reports the applied batch in its
    ``lake``/``ingest`` blocks,
-5. sends SIGTERM and requires a clean exit code 0.
+5. sends SIGTERM and requires a clean exit code 0,
+6. runs ``serve`` on a port another socket holds and requires exit code 2
+   with an ``error:`` line (no traceback) within 30 s.
 
 Run from the repo root::
 
@@ -29,9 +31,9 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
-import time
 import urllib.request
 from pathlib import Path
 
@@ -63,6 +65,34 @@ def _wait_for_ready(proc: subprocess.Popen) -> str | None:
         print(f"serve: {line.rstrip()}")
         if line.startswith("SERVING "):
             return line.split(None, 1)[1].strip()
+
+
+def _busy_port_failure(env: dict[str, str], extra_args: list[str]) -> str | None:
+    """Run ``serve`` on a held port; the problem found, or None when it fails cleanly."""
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = busy.getsockname()[1]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "serve", "--port", str(port),
+                 *BENCH_ARGS, *extra_args],
+                env=env,
+                cwd=ROOT,
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+        except subprocess.TimeoutExpired:
+            return f"serve on busy port {port} still running after 30s"
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    if proc.returncode != 2 or not errors:
+        return (
+            f"serve on busy port {port}: exit {proc.returncode}, "
+            f"stderr {proc.stderr[-400:]!r}"
+        )
+    print(f"busy port: exit 2, {errors[0]}")
+    return None
 
 
 def main(extra_args: list[str]) -> int:
@@ -192,7 +222,11 @@ def main(extra_args: list[str]) -> int:
 
     if code != 0:
         return _fail(f"server exited with code {code} after SIGTERM")
-    print("PASS: clean SIGTERM shutdown (exit 0)")
+    print("clean SIGTERM shutdown (exit 0)")
+    failure = _busy_port_failure(env, extra_args)
+    if failure is not None:
+        return _fail(failure)
+    print("PASS")
     return 0
 
 

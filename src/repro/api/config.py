@@ -43,7 +43,7 @@ from repro.api.registry import (
     TUPLE_ENCODERS,
     Registry,
 )
-from repro.core.config import DustConfig, PipelineConfig
+from repro.core.config import DustConfig, PipelineConfig, _require_number
 from repro.utils.errors import ConfigurationError
 
 #: Section name -> registry used to validate the component's ``name``.
@@ -71,13 +71,8 @@ _SERVER_DEFAULTS: dict[str, Any] = {
     "host": "127.0.0.1",
     "port": 8765,
     "max_inflight": 4,
-    "queue_timeout_seconds": 1.0,
-    "retry_after_seconds": 1.0,
     "event_log": None,
     "maintenance": True,
-    "maintenance_interval_seconds": 1.0,
-    "maintenance_idle_seconds": 0.5,
-    "prewarm_queries": 8,
 }
 
 
@@ -149,22 +144,6 @@ def _validate_component_params(section: str, registry: Registry, spec: Component
         )
 
 
-def _require_number(
-    name: str, value: Any, *, integer: bool = False, low: float = 0, high: float | None = None
-) -> None:
-    """Raise unless ``value`` is a number in ``[low, high]`` — an ``int`` when
-    ``integer`` — and not a bool (``True`` is an ``int`` to Python)."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int if integer else (int, float))
-        or not low <= value
-        or (high is not None and value > high)
-    ):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        kind = "an integer" if integer else "a number"
-        raise ConfigurationError(f"{name} must be {kind} {bound}, got {value!r}")
-
-
 def _validate_serving(serving: Mapping[str, Any]) -> None:
     """Eagerly apply the result-cache value constraints."""
     _require_number("serving.cache_size", serving["cache_size"], integer=True)
@@ -188,14 +167,6 @@ def _validate_server(server: Mapping[str, Any]) -> None:
     """Eagerly apply the DiscoveryServer value constraints (port 0 = ephemeral)."""
     _require_number("server.port", server["port"], integer=True, high=65535)
     _require_number("server.max_inflight", server["max_inflight"], integer=True, low=1)
-    _require_number("server.prewarm_queries", server["prewarm_queries"], integer=True)
-    for key in (
-        "queue_timeout_seconds",
-        "retry_after_seconds",
-        "maintenance_interval_seconds",
-        "maintenance_idle_seconds",
-    ):
-        _require_number(f"server.{key}", server[key])
     if not isinstance(server["host"], str) or not server["host"]:
         raise ConfigurationError(
             f"server.host must be a non-empty string, got {server['host']!r}"
@@ -259,7 +230,7 @@ class DiscoveryConfig:
     #: ``mode: "exact"`` keeps rankings bit-identical to the bare backend.
     cascade: dict[str, Any] | None = None
     #: Optional resident-server section: ``{"host": ..., "port": ...,
-    #: "max_inflight": 4, "queue_timeout_seconds": 1.0, ...}`` consumed by
+    #: "max_inflight": 4, "event_log": null, "maintenance": true}`` consumed by
     #: ``python -m repro serve`` /
     #: :class:`~repro.serving.server.DiscoveryServer`.  Deliberately
     #: **fingerprint-neutral**: where a deployment listens and how it

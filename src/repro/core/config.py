@@ -3,10 +3,27 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.cluster.agglomerative import SUPPORTED_LINKAGE
 from repro.cluster.distance import DISTANCE_FUNCTIONS
 from repro.utils.errors import ConfigurationError
+
+
+def _require_number(
+    name: str, value: Any, *, integer: bool = False, low: float = 0, high: float | None = None
+) -> None:
+    """Raise unless ``value`` is a number in ``[low, high]`` — an ``int`` when
+    ``integer`` — and not a bool (``True`` is an ``int`` to Python)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int if integer else (int, float))
+        or not low <= value
+        or (high is not None and value > high)
+    ):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        kind = "an integer" if integer else "a number"
+        raise ConfigurationError(f"{name} must be {kind} {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,14 +54,11 @@ class DustConfig:
     cluster_metric: str = "euclidean"
 
     def __post_init__(self) -> None:
-        if self.candidate_multiplier < 1:
-            raise ConfigurationError(
-                f"candidate_multiplier (p) must be >= 1, got {self.candidate_multiplier}"
-            )
-        if self.prune_limit is not None and self.prune_limit <= 0:
-            raise ConfigurationError(
-                f"prune_limit (s) must be positive or None, got {self.prune_limit}"
-            )
+        _require_number(
+            "dust.candidate_multiplier (p)", self.candidate_multiplier, integer=True, low=1
+        )
+        if self.prune_limit is not None:
+            _require_number("dust.prune_limit (s)", self.prune_limit, integer=True, low=1)
         if self.metric not in DISTANCE_FUNCTIONS:
             raise ConfigurationError(
                 f"metric must be one of {sorted(DISTANCE_FUNCTIONS)}, got {self.metric!r}"
@@ -84,13 +98,8 @@ class PipelineConfig:
     min_query_rows: int = 3
 
     def __post_init__(self) -> None:
-        if self.num_search_tables <= 0:
-            raise ConfigurationError(
-                f"num_search_tables must be positive, got {self.num_search_tables}"
-            )
-        if self.k <= 0:
-            raise ConfigurationError(f"k must be positive, got {self.k}")
-        if self.min_query_rows < 0:
-            raise ConfigurationError(
-                f"min_query_rows must be non-negative, got {self.min_query_rows}"
-            )
+        _require_number(
+            "pipeline.num_search_tables", self.num_search_tables, integer=True, low=1
+        )
+        _require_number("pipeline.k", self.k, integer=True, low=1)
+        _require_number("pipeline.min_query_rows", self.min_query_rows, integer=True)

@@ -67,7 +67,7 @@ def _ensure_store_capacity(store: "IndexStore | None", num_shards: int) -> None:
     it once, centrally, instead of every call site having to know the
     arithmetic.
     """
-    if store is None or store.max_entries_per_backend is None:
+    if store is None:
         return
     required = 2 * num_shards + 2  # live shards + delta-snapshot headroom
     if store.max_entries_per_backend < required:

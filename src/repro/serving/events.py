@@ -29,19 +29,20 @@ from typing import Any, Iterable, Mapping, Sequence
 from repro.utils.errors import ServingError
 
 
+#: Events kept in the in-memory tail (the JSONL file keeps everything).
+TAIL_SIZE = 512
+
+
 class EventLog:
     """Append-only event sink: optional JSONL file plus a bounded tail.
 
-    ``tail_size`` bounds the in-memory window (the file, when configured,
-    keeps everything).  Appends are cheap and thread-safe; readers get
-    snapshots, never live references.
+    The in-memory window holds the last :data:`TAIL_SIZE` events.  Appends
+    are cheap and thread-safe; readers get snapshots, never live references.
     """
 
-    def __init__(self, path: str | Path | None = None, *, tail_size: int = 512) -> None:
-        if tail_size < 1:
-            raise ServingError(f"tail_size must be positive, got {tail_size}")
+    def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
-        self._tail: deque[dict[str, Any]] = deque(maxlen=tail_size)
+        self._tail: deque[dict[str, Any]] = deque(maxlen=TAIL_SIZE)
         self._lock = threading.Lock()
         self._count = 0
         self._handle = None

@@ -3,8 +3,8 @@
 The resident server (:mod:`repro.serving.server`) answers queries in request
 threads and runs a single :class:`MaintenanceLoop` thread between bursts.
 The loop never competes with live traffic: an :class:`ActivityGate` tracks
-in-flight queries, the loop waits until the deployment has been idle for a
-configured window before starting a cycle, and it checks the gate again
+in-flight queries, the loop waits until the deployment has been idle for
+:data:`IDLE_SECONDS` before starting a cycle, and it checks the gate again
 between tasks so a query arriving mid-cycle makes it yield immediately —
 maintenance *pauses around queries and resumes when idle*.
 
@@ -44,6 +44,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api -> serving)
     from repro.api.facade import Discovery
     from repro.ingest.controller import IngestController
     from repro.serving.store import IndexStore
+
+#: Minimum delay between the end of one cycle and the start of the next, so
+#: an idle server does not spin.
+INTERVAL_SECONDS = 1.0
+#: How long the deployment must be quiet before a cycle may start.
+IDLE_SECONDS = 0.5
+#: Upper bound of distinct recent queries replayed per cycle.
+PREWARM_QUERIES = 8
+#: How long a cycle waits for in-flight queries to drain before the re-sync
+#: yields.  Not ingest's ``EXCLUSIVE_TIMEOUT_SECONDS`` (5.0): the two waits
+#: differ, and how writers yield under read traffic depends on both.
+RESYNC_EXCLUSIVE_TIMEOUT_SECONDS = 1.0
 
 
 class ActivityGate:
@@ -163,11 +175,6 @@ class MaintenanceLoop:
         The served :class:`~repro.api.facade.Discovery` deployment.
     gate:
         The :class:`ActivityGate` the request path reports through.
-    interval_seconds:
-        Minimum delay between the *end* of one cycle and the start of the
-        next, so an idle server does not spin.
-    idle_seconds:
-        How long the deployment must be quiet before a cycle may start.
     event_log:
         Optional :class:`~repro.serving.events.EventLog` whose tail drives
         cache pre-warming.
@@ -177,12 +184,16 @@ class MaintenanceLoop:
         its registered query tables and the lake).  Unresolvable names are
         skipped — the tail may reference inline wire tables the server no
         longer holds.
-    prewarm_queries:
-        Upper bound of distinct recent queries replayed per cycle (0
-        disables pre-warming).
     store:
         Optional :class:`~repro.serving.store.IndexStore` to trim with
         ``evict_cold`` each cycle.
+    ingest:
+        Optional :class:`~repro.ingest.controller.IngestController` whose
+        due micro-batches each cycle flushes first.
+
+    The cadence and bounds are the module constants :data:`INTERVAL_SECONDS`,
+    :data:`IDLE_SECONDS`, :data:`PREWARM_QUERIES` and
+    :data:`RESYNC_EXCLUSIVE_TIMEOUT_SECONDS`, read at use time.
     """
 
     def __init__(
@@ -190,33 +201,16 @@ class MaintenanceLoop:
         discovery: "Discovery",
         *,
         gate: ActivityGate | None = None,
-        interval_seconds: float = 1.0,
-        idle_seconds: float = 0.5,
         event_log: EventLog | None = None,
         resolve_query: Callable[[str], Table | None] | None = None,
-        prewarm_queries: int = 8,
         store: "IndexStore | None" = None,
-        exclusive_timeout: float = 1.0,
         ingest: "IngestController | None" = None,
     ) -> None:
-        if interval_seconds < 0 or idle_seconds < 0:
-            raise ServingError(
-                "maintenance interval/idle seconds must be non-negative, got "
-                f"{interval_seconds}/{idle_seconds}"
-            )
-        if prewarm_queries < 0:
-            raise ServingError(
-                f"prewarm_queries must be non-negative, got {prewarm_queries}"
-            )
         self.discovery = discovery
         self.gate = gate if gate is not None else ActivityGate()
-        self.interval_seconds = interval_seconds
-        self.idle_seconds = idle_seconds
         self.event_log = event_log
         self.resolve_query = resolve_query
-        self.prewarm_queries = prewarm_queries
         self.store = store
-        self.exclusive_timeout = exclusive_timeout
         #: Optional streaming-ingest controller; when present each cycle
         #: flushes due micro-batches first (the freshest possible index for
         #: the re-sync/pre-warm that follows).
@@ -298,7 +292,7 @@ class MaintenanceLoop:
         # exclusively: in-flight queries drain first, arriving queries wait
         # at enter() until the delta is applied.  Under constant traffic the
         # drain times out and the cycle yields rather than stalling requests.
-        if not self.gate.acquire_exclusive(timeout=self.exclusive_timeout):
+        if not self.gate.acquire_exclusive(timeout=RESYNC_EXCLUSIVE_TIMEOUT_SECONDS):
             self._bump("yields")
             done["yielded"] = 1
             return done
@@ -330,16 +324,12 @@ class MaintenanceLoop:
 
     def _prewarm(self) -> int:
         """Replay recent distinct queries so the LRU is hot after a re-sync."""
-        if (
-            self.prewarm_queries == 0
-            or self.event_log is None
-            or self.resolve_query is None
-        ):
+        if self.event_log is None or self.resolve_query is None:
             return 0
         replayed = 0
         seen: set[tuple[str, str | None]] = set()
         for event in reversed(self.event_log.tail()):
-            if replayed >= self.prewarm_queries or self.gate.busy:
+            if replayed >= PREWARM_QUERIES or self.gate.busy:
                 break
             if event.get("status") != "ok" or event.get("kind") != "search":
                 continue
@@ -375,7 +365,7 @@ class MaintenanceLoop:
 
     def _run(self) -> None:
         while not self._stop.is_set():
-            if not self.gate.wait_idle(self.idle_seconds, self._stop):
+            if not self.gate.wait_idle(IDLE_SECONDS, self._stop):
                 break  # stopped while waiting
             try:
                 self.run_cycle()
@@ -383,7 +373,7 @@ class MaintenanceLoop:
                 # The loop must outlive any single bad cycle: a failed
                 # maintenance pass degrades freshness, never availability.
                 self._bump("errors")
-            self._stop.wait(self.interval_seconds)
+            self._stop.wait(INTERVAL_SECONDS)
 
     def stop(self, timeout: float = 5.0) -> None:
         """Signal the thread to exit and join it; double-stop is a no-op."""

@@ -22,9 +22,9 @@ versioned HTTP/JSON API off the standard library's ``ThreadingHTTPServer``
 Four mechanisms keep heavy concurrent traffic honest:
 
 * **Admission control** — a bounded semaphore caps in-flight searches;
-  a request that cannot acquire a slot within the queue timeout is
-  rejected with ``503`` and a ``Retry-After`` header instead of piling
-  onto an overloaded deployment.
+  a request that cannot acquire a slot within :data:`QUEUE_TIMEOUT_SECONDS`
+  is rejected with ``503`` and a ``Retry-After`` header of the same
+  length instead of piling onto an overloaded deployment.
 * **Latency events** — every answered (or rejected) search appends one
   event to an :class:`~repro.serving.events.EventLog`; ``/v1/metrics``
   and the concurrency benchmark summarise percentiles from it, and the
@@ -77,6 +77,10 @@ ENDPOINTS: dict[str, tuple[str, ...]] = {
     "GET": ("/v1/health", "/v1/info", "/v1/metrics"),
     "POST": ("/v1/search", "/v1/refresh", "/v1/ingest"),
 }
+
+#: How long a search waits for an admission slot before the ``503``; also
+#: the ``Retry-After`` it advertises.
+QUEUE_TIMEOUT_SECONDS = 1.0
 
 
 def _json_bytes(payload: Any) -> bytes:
@@ -183,7 +187,11 @@ class DiscoveryServer(ThreadingHTTPServer):
     Parameters mirror the config's ``server`` section (see
     :data:`repro.api.config._SERVER_DEFAULTS`); :meth:`from_config` maps the
     section automatically.  ``port=0`` binds an ephemeral port — read the
-    bound address back from :attr:`url`.
+    bound address back from :attr:`url`; a port that cannot be bound raises
+    :class:`~repro.utils.errors.ServingError` after releasing the owned
+    event log and facade.  Admission waits :data:`QUEUE_TIMEOUT_SECONDS`;
+    the maintenance cadence comes from :mod:`repro.serving.maintenance`'s
+    constants.
 
     ``queries`` registers named query tables (typically a benchmark's) that
     wire clients can reference by ``query_index``/``query_name`` without
@@ -206,14 +214,9 @@ class DiscoveryServer(ThreadingHTTPServer):
         host: str = "127.0.0.1",
         port: int = 0,
         max_inflight: int = 4,
-        queue_timeout_seconds: float = 1.0,
-        retry_after_seconds: float = 1.0,
         event_log: "EventLog | str | None" = None,
         queries: Sequence[Table] | None = None,
         maintenance: bool = True,
-        maintenance_interval_seconds: float = 1.0,
-        maintenance_idle_seconds: float = 0.5,
-        prewarm_queries: int = 8,
         owns_discovery: bool = False,
     ) -> None:
         if not isinstance(max_inflight, int) or max_inflight < 1:
@@ -233,8 +236,6 @@ class DiscoveryServer(ThreadingHTTPServer):
         self._query_order: list[str] = [table.name for table in queries]
         self._queries: dict[str, Table] = {table.name: table for table in queries}
         self.max_inflight = max_inflight
-        self.queue_timeout_seconds = float(queue_timeout_seconds)
-        self.retry_after_seconds = float(retry_after_seconds)
         self._admission = threading.BoundedSemaphore(max_inflight)
         self._state_lock = threading.Lock()
         self._counters = {"served": 0, "rejected": 0, "errors": 0}
@@ -249,11 +250,8 @@ class DiscoveryServer(ThreadingHTTPServer):
         self.maintenance = MaintenanceLoop(
             discovery,
             gate=self.gate,
-            interval_seconds=maintenance_interval_seconds,
-            idle_seconds=maintenance_idle_seconds,
             event_log=self.events,
             resolve_query=self.resolve_query,
-            prewarm_queries=prewarm_queries,
             store=discovery.store,
             ingest=self.ingest,
         )
@@ -261,7 +259,11 @@ class DiscoveryServer(ThreadingHTTPServer):
         self._serve_thread: threading.Thread | None = None
         self._started_at: float | None = None
         self._stopped = False
-        super().__init__((host, int(port)), _RequestHandler)
+        try:
+            super().__init__((host, int(port)), _RequestHandler)
+        except OSError as exc:
+            self._release_owned()
+            raise ServingError(f"cannot bind {host}:{port}: {exc}") from exc
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -295,14 +297,9 @@ class DiscoveryServer(ThreadingHTTPServer):
             host=section["host"],
             port=section["port"],
             max_inflight=section["max_inflight"],
-            queue_timeout_seconds=section["queue_timeout_seconds"],
-            retry_after_seconds=section["retry_after_seconds"],
             event_log=section["event_log"],
             queries=queries,
             maintenance=section["maintenance"],
-            maintenance_interval_seconds=section["maintenance_interval_seconds"],
-            maintenance_idle_seconds=section["maintenance_idle_seconds"],
-            prewarm_queries=section["prewarm_queries"],
             owns_discovery=True,
         )
 
@@ -340,6 +337,9 @@ class DiscoveryServer(ThreadingHTTPServer):
             self._serve_thread.join(timeout=5.0)
             self._serve_thread = None
         self.server_close()
+        self._release_owned()
+
+    def _release_owned(self) -> None:
         if self._owns_events:
             self.events.close()
         if self._owns_discovery:
@@ -423,7 +423,7 @@ class DiscoveryServer(ThreadingHTTPServer):
             "result_schema_version": RESULT_SCHEMA_VERSION,
             "endpoints": {method: list(paths) for method, paths in ENDPOINTS.items()},
             "max_inflight": self.max_inflight,
-            "queue_timeout_seconds": self.queue_timeout_seconds,
+            "queue_timeout_seconds": QUEUE_TIMEOUT_SECONDS,
             "maintenance": self.maintenance_enabled,
             "queries": list(self._query_order),
         }
@@ -504,20 +504,20 @@ class DiscoveryServer(ThreadingHTTPServer):
 
     def api_search(self, payload: Any) -> tuple[int, dict[str, str], bytes]:
         """Admission-controlled Algorithm-1 run; returns (status, headers, body)."""
-        if not self._admission.acquire(timeout=self.queue_timeout_seconds):
+        timeout = QUEUE_TIMEOUT_SECONDS
+        if not self._admission.acquire(timeout=timeout):
             self._bump("rejected")
             self.events.append(kind="search", status="rejected")
             body = _json_bytes(
                 {
                     "error": (
                         f"server saturated: {self.max_inflight} queries in "
-                        f"flight and none finished within "
-                        f"{self.queue_timeout_seconds}s"
+                        f"flight and none finished within {timeout}s"
                     ),
-                    "retry_after_seconds": self.retry_after_seconds,
+                    "retry_after_seconds": timeout,
                 }
             )
-            return 503, {"Retry-After": f"{self.retry_after_seconds:g}"}, body
+            return 503, {"Retry-After": f"{timeout:g}"}, body
         with self._state_lock:
             self._inflight += 1
         try:

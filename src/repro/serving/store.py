@@ -60,6 +60,13 @@ _STATE = "state.json"
 _ARRAYS = "arrays.npz"
 _MANIFEST = "manifest.json"
 
+#: :meth:`IndexStore.load_or_build` delta-updates a prior snapshot only when
+#: the diff touches at most this fraction of the lake's tables; beyond it a
+#: rebuild tends to be as cheap and keeps delta lineages short.
+MAX_DELTA_FRACTION = 0.5
+#: Default per-backend entry bound (see ``IndexStore.max_entries_per_backend``).
+MAX_ENTRIES_PER_BACKEND = 8
+
 
 def _file_checksum(path: Path) -> str:
     """Streaming sha256 of one payload file, in fixed 1 MiB chunks.
@@ -76,38 +83,21 @@ def _file_checksum(path: Path) -> str:
 class IndexStore:
     """Persisted search indexes keyed by backend config and lake content.
 
-    ``max_delta_fraction`` bounds when :meth:`load_or_build` prefers updating
-    a prior snapshot over rebuilding: a delta is applied only when it touches
-    at most that fraction of the lake's tables (beyond it, a rebuild tends to
-    be as cheap and keeps the store from chaining long delta lineages).
-
-    ``max_entries_per_backend`` bounds disk growth under continuous lake
-    mutation: every refresh persists a full entry for the new lake content,
-    so without a bound a long-lived deployment would accumulate one snapshot
-    per content version forever.  :meth:`save` evicts the
-    least-recently-accessed superseded entries of the same backend beyond
-    the bound (``None`` disables eviction).
+    ``root`` is the store directory.  The attribute
+    ``max_entries_per_backend`` (initially :data:`MAX_ENTRIES_PER_BACKEND`)
+    bounds disk growth under continuous lake mutation: every refresh
+    persists a full entry for the new lake content, so without a bound a
+    long-lived deployment would accumulate one snapshot per content version
+    forever.  :meth:`save` evicts the least-recently-accessed superseded
+    entries of the same backend beyond the bound; a sharded executor raises
+    it to fit its live shard entries.  :data:`MAX_DELTA_FRACTION` bounds
+    when :meth:`load_or_build` prefers updating a prior snapshot over
+    rebuilding.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        max_delta_fraction: float = 0.5,
-        max_entries_per_backend: int | None = 8,
-    ) -> None:
-        if not 0.0 <= max_delta_fraction <= 1.0:
-            raise ServingError(
-                f"max_delta_fraction must be in [0, 1], got {max_delta_fraction}"
-            )
-        if max_entries_per_backend is not None and max_entries_per_backend < 1:
-            raise ServingError(
-                f"max_entries_per_backend must be >= 1 or None, "
-                f"got {max_entries_per_backend}"
-            )
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
-        self.max_delta_fraction = max_delta_fraction
-        self.max_entries_per_backend = max_entries_per_backend
+        self.max_entries_per_backend = MAX_ENTRIES_PER_BACKEND
 
     # ------------------------------------------------------------- addressing
     def backend_dir(self, searcher: TableUnionSearcher) -> Path:
@@ -283,8 +273,6 @@ class IndexStore:
         just written.  Best-effort: eviction failures are ignored so a
         read-only race never breaks a save.
         """
-        if self.max_entries_per_backend is None:
-            return
         namespace = entry.parent
         aged = [
             stamped
@@ -295,8 +283,8 @@ class IndexStore:
         for _, stale in sorted(aged)[:excess] if excess > 0 else []:
             self._delete_entry(namespace / stale)
 
-    def evict_cold(self, max_entries: int | None = None) -> int:
-        """Trim every backend namespace to its freshest ``max_entries`` entries.
+    def evict_cold(self) -> int:
+        """Trim every backend namespace to its ``max_entries_per_backend`` freshest.
 
         The maintenance-loop complement of the per-save eviction: a
         long-lived server accumulates superseded lake-content snapshots
@@ -305,20 +293,16 @@ class IndexStore:
         longer being saved to at all.  Ordering uses the manifest-recorded
         ``last_access`` stamp where present (loads refresh it even when the
         payload bytes are only ever memory-mapped), falling back to the
-        manifest mtime for pre-stamp entries.  ``max_entries`` defaults to
-        the store's ``max_entries_per_backend``; with both unset the sweep
-        is a no-op (an unbounded store stays unbounded).  Returns the number
-        of entries removed.  Best-effort like :meth:`_evict_superseded`:
-        removal failures are skipped, never raised.
+        manifest mtime for pre-stamp entries.  Returns the number of entries
+        removed.  Best-effort like :meth:`_evict_superseded`: removal
+        failures are skipped, never raised.
         """
-        bound = max_entries if max_entries is not None else self.max_entries_per_backend
-        if bound is None or bound < 1:
-            return 0
         removed = 0
         for namespace in self._namespaces():
             aged = self._stamped_entries(namespace)
+            excess = max(0, len(aged) - self.max_entries_per_backend)
             # Freshest entries survive; stamp ties keep every tied entry.
-            for _, stale in sorted(aged)[: max(0, len(aged) - bound)]:
+            for _, stale in sorted(aged)[:excess]:
                 if self._delete_entry(namespace / stale):
                     removed += 1
         return removed
@@ -442,7 +426,7 @@ class IndexStore:
         if best is None:
             return False
         changes, entry, manifest, added, removed = best
-        if changes > self.max_delta_fraction * max(lake.num_tables, 1):
+        if changes > MAX_DELTA_FRACTION * max(lake.num_tables, 1):
             return False
         try:
             state, arrays = self._read_payloads(entry, manifest)

@@ -209,15 +209,15 @@ class TestDiscoveryConfig:
         "section, key, value",
         [
             ("serving", "cache_size", "16"),
-            ("server", "queue_timeout_seconds", "1"),
-            ("server", "retry_after_seconds", "1"),
-            ("server", "maintenance_interval_seconds", "1"),
-            ("server", "maintenance_idle_seconds", "1"),
             ("sharding", "num_shards", True),
             ("cascade", "candidate_budget", True),
             ("server", "port", True),
             ("server", "max_inflight", True),
-            ("server", "prewarm_queries", True),
+            ("pipeline", "k", "5"),
+            ("pipeline", "k", True),
+            ("pipeline", "num_search_tables", 2.5),
+            ("dust", "prune_limit", "5"),
+            ("dust", "prune_limit", True),
         ],
     )
     def test_mistyped_numbers_are_configuration_errors(self, section, key, value):
@@ -249,13 +249,18 @@ class TestDiscoveryConfig:
             ("cascade", "num_hashes"),
             ("cascade", "num_bands"),
             ("cascade", "seed"),
+            ("server", "queue_timeout_seconds"),
+            ("server", "retry_after_seconds"),
+            ("server", "maintenance_interval_seconds"),
+            ("server", "maintenance_idle_seconds"),
+            ("server", "prewarm_queries"),
         ],
     )
     def test_removed_execution_knobs_are_rejected(self, section, key):
         """Execution strategy is measured, not configured, the store has one
-        layout, the write path has fixed batch bounds and the prefilter and
-        partitioner have fixed parameters: an old config file
-        naming a removed knob fails loudly, naming the section and the key —
+        layout, the write path has fixed batch bounds, the prefilter and
+        partitioner have fixed parameters and the server's waits are module
+        constants: an old config file naming a removed knob fails loudly, naming the section and the key —
         or the whole ``store`` / ``ingest`` section, which is gone."""
         with pytest.raises(ConfigurationError) as raised:
             DiscoveryConfig.from_dict({section: {key: 1}})
@@ -267,7 +272,7 @@ class TestDiscoveryConfig:
             assert key in message
 
     def test_optional_section_key_surface(self):
-        """Snapshot of every key of the four optional sections (15 keys): a
+        """Snapshot of every key of the four optional sections (10 keys): a
         new knob must show up here as a visible diff."""
         surface = {
             section: sorted(DiscoveryConfig.from_dict({section: {}}).to_dict()[section])
@@ -277,20 +282,9 @@ class TestDiscoveryConfig:
             "serving": ["cache_size", "store_dir"],
             "sharding": ["num_shards"],
             "cascade": ["candidate_budget", "mode"],
-            "server": [
-                "event_log",
-                "host",
-                "maintenance",
-                "maintenance_idle_seconds",
-                "maintenance_interval_seconds",
-                "max_inflight",
-                "port",
-                "prewarm_queries",
-                "queue_timeout_seconds",
-                "retry_after_seconds",
-            ],
+            "server": ["event_log", "host", "maintenance", "max_inflight", "port"],
         }
-        assert sum(len(keys) for keys in surface.values()) == 15
+        assert sum(len(keys) for keys in surface.values()) == 10
 
     def test_serving_section_is_normalised(self):
         config = DiscoveryConfig.from_dict(

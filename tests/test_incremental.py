@@ -13,6 +13,7 @@ import json
 import pytest
 
 import repro.datalake.lake as lake_module
+import repro.serving.store as store_module
 from repro.api import Discovery
 from repro.benchgen import generate_tus_benchmark
 from repro.datalake import DataLake, LakeDelta, Table, diff_table_fingerprints
@@ -29,7 +30,6 @@ from repro.utils.errors import (
     ConfigurationError,
     DataLakeError,
     SearchError,
-    ServingError,
 )
 
 
@@ -438,8 +438,9 @@ class TestStoreDelta:
             rebuilt, tus_bench.query_tables
         )
 
-    def test_delta_fraction_zero_disables_updates(self, tus_bench, tmp_path):
-        store = IndexStore(tmp_path, max_delta_fraction=0.0)
+    def test_delta_fraction_zero_disables_updates(self, tus_bench, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "MAX_DELTA_FRACTION", 0.0)
+        store = IndexStore(tmp_path)
         lake = fresh_lake(tus_bench)
         store.load_or_build(ValueOverlapSearcher(), lake)
         mutate_tenth(lake, tus_bench)
@@ -455,14 +456,9 @@ class TestStoreDelta:
         store.load_or_build(searcher, lake)
         assert calls["updates"] == 0  # threshold suppressed the delta path
 
-    def test_invalid_delta_fraction_rejected(self, tmp_path):
-        with pytest.raises(ServingError):
-            IndexStore(tmp_path, max_delta_fraction=1.5)
-        with pytest.raises(ServingError):
-            IndexStore(tmp_path, max_entries_per_backend=0)
-
     def test_save_evicts_superseded_entries(self, tus_bench, tmp_path):
-        store = IndexStore(tmp_path, max_entries_per_backend=2)
+        store = IndexStore(tmp_path)
+        store.max_entries_per_backend = 2
         lake = fresh_lake(tus_bench)
         searcher = ValueOverlapSearcher()
         store.load_or_build(searcher, lake)
@@ -473,17 +469,6 @@ class TestStoreDelta:
         entries = list(store.backend_dir(searcher).glob("*/manifest.json"))
         assert len(entries) == 2  # oldest snapshots evicted
         assert store.contains(searcher, lake)  # newest content always kept
-
-    def test_eviction_disabled_with_none(self, tus_bench, tmp_path):
-        store = IndexStore(tmp_path, max_entries_per_backend=None)
-        lake = fresh_lake(tus_bench)
-        searcher = ValueOverlapSearcher()
-        store.load_or_build(searcher, lake)
-        for round_number in range(3):
-            lake.add_table(make_table(f"keep{round_number}", seed=str(round_number)))
-            searcher.refresh()
-            store.save(searcher, lake)
-        assert len(list(store.backend_dir(searcher).glob("*/manifest.json"))) == 4
 
 
 # ------------------------------------------------------- drift + result cache

@@ -20,6 +20,7 @@ from testkit import fresh_lake, make_lake, make_table, rankings
 
 import repro.datalake.lake as lake_module
 import repro.ingest.controller as controller_module
+import repro.serving.maintenance as maintenance_module
 from repro.api.cli import main as cli_main
 from repro.api.facade import Discovery
 from repro.benchgen import generate_ugen_benchmark
@@ -818,10 +819,11 @@ class TestMaintenanceIntegration:
     ):
         monkeypatch.setattr(controller_module, "MAX_LATENCY_SECONDS", 0.0)
         monkeypatch.setattr(controller_module, "EXCLUSIVE_TIMEOUT_SECONDS", 0.05)
+        monkeypatch.setattr(maintenance_module, "RESYNC_EXCLUSIVE_TIMEOUT_SECONDS", 0.05)
         with Discovery.from_config(None).attach(fresh_lake(small_benchmark)) as d:
             gate = ActivityGate()
             controller = d.ingest(gate=gate)
-            loop = MaintenanceLoop(d, gate=gate, ingest=controller, exclusive_timeout=0.05)
+            loop = MaintenanceLoop(d, gate=gate, ingest=controller)
             controller.submit(add_event("cycle_kept"))
             gate.enter()
             try:

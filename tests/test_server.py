@@ -2,15 +2,21 @@
 repro.serving.server / maintenance / events, repro.api.schema, and the
 Discovery lifecycle (close / context manager)."""
 
+import gc
 import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
+import repro.serving.events as events_module
+import repro.serving.maintenance as maintenance_module
+import repro.serving.server as server_module
 from repro.api.cli import build_parser
 from repro.api.facade import Discovery
 from repro.api.schema import (
@@ -145,8 +151,9 @@ class TestDiscoveryLifecycle:
 
 # ------------------------------------------------------------------ event logs
 class TestEventLog:
-    def test_tail_is_bounded_but_count_is_not(self):
-        log = EventLog(tail_size=3)
+    def test_tail_is_bounded_but_count_is_not(self, monkeypatch):
+        monkeypatch.setattr(events_module, "TAIL_SIZE", 3)
+        log = EventLog()
         for index in range(5):
             log.append(kind="search", index=index)
         assert len(log) == 5
@@ -178,8 +185,6 @@ class TestEventLog:
         with pytest.raises(ServingError):
             percentile([1.0], 1.5)
         assert latency_summary([])["count"] == 0
-        with pytest.raises(ServingError):
-            EventLog(tail_size=0)
 
 
 # -------------------------------------------------------------------- the gate
@@ -239,17 +244,18 @@ class TestMaintenanceLoop:
             seed=11,
         ).lake
         with Discovery.from_config({"serving": {}}).attach(lake) as discovery:
-            loop = MaintenanceLoop(discovery, idle_seconds=0.0)
+            loop = MaintenanceLoop(discovery)
             assert loop.run_cycle()["resynced_backends"] == 0
             lake.add_table(table_from_rows("fresh", [{"a": 1}, {"a": 2}]))
             done = loop.run_cycle()
             assert done["resynced_backends"] == 1
             assert loop.stats["resyncs"] == 1
 
-    def test_cycle_yields_under_sustained_traffic(self, small_benchmark):
+    def test_cycle_yields_under_sustained_traffic(self, small_benchmark, monkeypatch):
+        monkeypatch.setattr(maintenance_module, "RESYNC_EXCLUSIVE_TIMEOUT_SECONDS", 0.05)
         with Discovery.from_config(None).attach(small_benchmark.lake) as discovery:
             gate = ActivityGate()
-            loop = MaintenanceLoop(discovery, gate=gate, exclusive_timeout=0.05)
+            loop = MaintenanceLoop(discovery, gate=gate)
             gate.enter()
             try:
                 done = loop.run_cycle()
@@ -291,11 +297,11 @@ class TestMaintenanceLoop:
             (cache_stats,) = stats.values()
             assert cache_stats["size"] >= 1 or cache_stats["misses"] >= 1
 
-    def test_start_stop_lifecycle(self, small_benchmark):
+    def test_start_stop_lifecycle(self, small_benchmark, monkeypatch):
+        monkeypatch.setattr(maintenance_module, "INTERVAL_SECONDS", 0.01)
+        monkeypatch.setattr(maintenance_module, "IDLE_SECONDS", 0.0)
         with Discovery.from_config(None).attach(small_benchmark.lake) as discovery:
-            loop = MaintenanceLoop(
-                discovery, interval_seconds=0.01, idle_seconds=0.0
-            ).start()
+            loop = MaintenanceLoop(discovery).start()
             with pytest.raises(ServingError):
                 loop.start()
             assert loop.running
@@ -306,13 +312,6 @@ class TestMaintenanceLoop:
             assert not loop.running
             assert loop.stats["cycles"] >= 1
             loop.stop()  # double stop is a no-op
-
-    def test_validation(self, small_benchmark):
-        with Discovery.from_config(None) as discovery:
-            with pytest.raises(ServingError):
-                MaintenanceLoop(discovery, interval_seconds=-1.0)
-            with pytest.raises(ServingError):
-                MaintenanceLoop(discovery, prewarm_queries=-1)
 
     def test_run_cycle_is_serialized_across_threads(self, small_benchmark):
         """The background maintenance thread and an on-demand ``/v1/refresh``
@@ -340,7 +339,7 @@ class TestMaintenanceLoop:
 
         with Discovery.from_config(None).attach(small_benchmark.lake) as discovery:
             probe = ProbeIngest()
-            loop = MaintenanceLoop(discovery, idle_seconds=0.0, ingest=probe)
+            loop = MaintenanceLoop(discovery, ingest=probe)
             threads = [threading.Thread(target=loop.run_cycle) for _ in range(4)]
             for thread in threads:
                 thread.start()
@@ -351,7 +350,7 @@ class TestMaintenanceLoop:
             assert loop.stats["cycles"] == 4
 
     def test_background_thread_and_refresh_share_the_cycle_lock(
-        self, small_benchmark
+        self, small_benchmark, monkeypatch
     ):
         """While the background thread is mid-cycle, a concurrent on-demand
         run_cycle (what ``/v1/refresh`` calls) blocks until it finishes
@@ -365,13 +364,10 @@ class TestMaintenanceLoop:
                 assert release.wait(timeout=30)
                 return []
 
+        monkeypatch.setattr(maintenance_module, "IDLE_SECONDS", 0.0)
+        monkeypatch.setattr(maintenance_module, "INTERVAL_SECONDS", 0.01)
         with Discovery.from_config(None).attach(small_benchmark.lake) as discovery:
-            loop = MaintenanceLoop(
-                discovery,
-                idle_seconds=0.0,
-                interval_seconds=0.01,
-                ingest=BlockingIngest(),
-            ).start()
+            loop = MaintenanceLoop(discovery, ingest=BlockingIngest()).start()
             try:
                 assert entered.wait(timeout=30)  # background thread mid-cycle
                 on_demand: list[dict] = []
@@ -395,7 +391,7 @@ class TestMaintenanceLoop:
 # --------------------------------------------------------------- store hygiene
 class TestEvictCold:
     def test_trims_every_backend_to_the_bound(self, tmp_path, small_benchmark):
-        store = IndexStore(tmp_path / "store", max_entries_per_backend=None)
+        store = IndexStore(tmp_path / "store")
         lake = small_benchmark.lake
         searcher = ValueOverlapSearcher().index(lake)
         store.save(searcher, lake)
@@ -407,10 +403,10 @@ class TestEvictCold:
             seed=21,
         ).lake
         store.save(ValueOverlapSearcher().index(lake_two), lake_two)
-        assert store.evict_cold() == 0  # unbounded store stays unbounded
-        assert store.evict_cold(max_entries=1) == 1
+        store.max_entries_per_backend = 1
+        assert store.evict_cold() == 1
         assert store.contains(searcher, lake_two)  # newest entry survives
-        assert store.evict_cold(max_entries=1) == 0
+        assert store.evict_cold() == 0
 
 
 # ------------------------------------------------------------------ the server
@@ -545,7 +541,9 @@ class TestServerEndpoints:
 
 
 class TestServerConcurrency:
-    def test_threaded_clients_get_bit_identical_results(self, small_benchmark):
+    def test_threaded_clients_get_bit_identical_results(
+        self, small_benchmark, monkeypatch
+    ):
         config = {"serving": {}}
         with Discovery.from_config(config).attach(small_benchmark.lake) as direct:
             expected = {
@@ -556,15 +554,15 @@ class TestServerConcurrency:
                 )
                 for index, query in enumerate(small_benchmark.query_tables)
             }
+        monkeypatch.setattr(server_module, "QUEUE_TIMEOUT_SECONDS", 30.0)
+        monkeypatch.setattr(maintenance_module, "IDLE_SECONDS", 0.0)
+        monkeypatch.setattr(maintenance_module, "INTERVAL_SECONDS", 0.05)
         with DiscoveryServer.from_config(
             config,
             small_benchmark.lake,
             queries=small_benchmark.query_tables,
             port=0,
             max_inflight=8,
-            queue_timeout_seconds=30.0,
-            maintenance_idle_seconds=0.0,
-            maintenance_interval_seconds=0.05,
         ) as running:
             results: dict[int, tuple[int, bytes]] = {}
 
@@ -592,15 +590,16 @@ class TestServerConcurrency:
             assert metrics["latency"]["count"] == 6
             assert metrics["latency"]["p95"] >= metrics["latency"]["p50"] > 0.0
 
-    def test_admission_control_rejects_with_retry_after(self, small_benchmark):
+    def test_admission_control_rejects_with_retry_after(
+        self, small_benchmark, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "QUEUE_TIMEOUT_SECONDS", 0.05)
         with DiscoveryServer.from_config(
             None,
             small_benchmark.lake,
             queries=small_benchmark.query_tables,
             port=0,
             max_inflight=1,
-            queue_timeout_seconds=0.05,
-            retry_after_seconds=2.5,
             maintenance=False,
         ) as running:
             release = threading.Event()
@@ -630,8 +629,10 @@ class TestServerConcurrency:
             release.set()
             holder.join()
             assert status == 503
-            assert headers["Retry-After"] == "2.5"
-            assert "saturated" in json.loads(body)["error"]
+            assert headers["Retry-After"] == "0.05"
+            rejection = json.loads(body)
+            assert "saturated" in rejection["error"]
+            assert rejection["retry_after_seconds"] == 0.05
             assert first["status"] == 200
             _, metrics, _ = _get(running.url + "/v1/metrics")
             assert metrics["counters"]["rejected"] == 1
@@ -649,13 +650,13 @@ class TestServerConcurrency:
         monkeypatch.setattr(
             blas, "_PROCESS_CAP", blas.BlasCap([(_set, lambda: library["threads"])])
         )
+        monkeypatch.setattr(server_module, "QUEUE_TIMEOUT_SECONDS", 30.0)
         with DiscoveryServer.from_config(
             None,
             small_benchmark.lake,
             queries=small_benchmark.query_tables,
             port=0,
             max_inflight=4,
-            queue_timeout_seconds=30.0,
             maintenance=False,
         ) as running:
             release = threading.Event()
@@ -781,6 +782,37 @@ class TestServerLifecycle:
         assert running.discovery.closed  # from_config hands over ownership
         with pytest.raises(ServingError):
             running.start()
+
+    def test_failed_bind_releases_owned_resources(
+        self, small_benchmark, tmp_path, monkeypatch
+    ):
+        """A busy port is a ServingError naming host:port, and the event log
+        and facade the server owns are closed, not left for the collector."""
+        closed: list[Discovery] = []
+        original_close = Discovery.close
+
+        def _recording_close(discovery):
+            closed.append(discovery)
+            original_close(discovery)
+
+        monkeypatch.setattr(Discovery, "close", _recording_close)
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(ServingError, match=f"127.0.0.1:{port}"):
+                    DiscoveryServer.from_config(
+                        None,
+                        small_benchmark.lake,
+                        port=port,
+                        event_log=str(tmp_path / "ev.jsonl"),
+                        maintenance=False,
+                    )
+                gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert len(closed) == 1 and closed[0].closed
 
     def test_invalid_max_inflight(self, small_benchmark):
         with Discovery.from_config(None).attach(small_benchmark.lake) as discovery:

@@ -247,6 +247,7 @@ class TestIndexStore:
         import threading
 
         store = IndexStore(tmp_path / "store")
+        store.max_entries_per_backend = 1
         lake = small_benchmark.lake
         mutated = DataLake(
             [table.copy() for table in lake] + [Table("extra", ["a"], [("v",)])],
@@ -270,7 +271,7 @@ class TestIndexStore:
         def evictor():
             try:
                 while not stop.is_set():
-                    store.evict_cold(max_entries=1)
+                    store.evict_cold()
             except BaseException as exc:  # noqa: BLE001 - recorded for the assert
                 errors.append(exc)
 

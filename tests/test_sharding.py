@@ -374,7 +374,7 @@ class TestShardedSearcher:
 # ------------------------------------------------------- per-shard persistence
 class TestShardStorePersistence:
     def test_per_shard_entries_and_load_path(self, tus_bench, tmp_path):
-        store = IndexStore(tmp_path, max_entries_per_backend=None)
+        store = IndexStore(tmp_path)
         lake = fresh_lake(tus_bench)
         first = ShardedSearcher(
             ValueOverlapSearcher, num_shards=3, store=store
@@ -404,7 +404,7 @@ class TestShardStorePersistence:
         )
 
     def test_mutating_one_shard_persists_only_that_shard(self, tus_bench, tmp_path):
-        store = IndexStore(tmp_path, max_entries_per_backend=None)
+        store = IndexStore(tmp_path)
         lake = fresh_lake(tus_bench)
         sharded = ShardedSearcher(
             ValueOverlapSearcher, num_shards=3, store=store
@@ -460,7 +460,7 @@ class TestShardStorePersistence:
         assert store.stats() == before  # and nothing written
 
     def test_sharded_service_skips_monolithic_store_entry(self, tus_bench, tmp_path):
-        store = IndexStore(tmp_path, max_entries_per_backend=None)
+        store = IndexStore(tmp_path)
         lake = fresh_lake(tus_bench)
         searcher = ShardedSearcher(
             ValueOverlapSearcher, num_shards=3

@@ -27,8 +27,8 @@ from repro.utils.errors import IndexStoreMiss, ServingError
 from testkit import make_lake, make_table
 
 
-def make_store(tmp_path, **kwargs):
-    return IndexStore(tmp_path / "store", **kwargs)
+def make_store(tmp_path):
+    return IndexStore(tmp_path / "store")
 
 
 def search_pairs(searcher, lake, query_name="t0", k=5):
@@ -126,7 +126,8 @@ class TestStoreContract:
         assert search_pairs(delta, grown) == search_pairs(fresh, grown)
 
     def test_save_evicts_superseded_entries(self, tmp_path):
-        store = make_store(tmp_path, max_entries_per_backend=2)
+        store = make_store(tmp_path)
+        store.max_entries_per_backend = 2
         searcher = ValueOverlapSearcher()
         lakes = [
             make_lake("t0", "t1", f"snapshot{i}") for i in range(3)
@@ -149,7 +150,8 @@ class TestStoreContract:
         store.save(ValueOverlapSearcher().index(new), new)
         time.sleep(0.01)
         store.load(ValueOverlapSearcher(), old)  # touch: old is now freshest
-        assert store.evict_cold(max_entries=1) == 1
+        store.max_entries_per_backend = 1
+        assert store.evict_cold() == 1
         assert store.contains(searcher, old)
         assert not store.contains(searcher, new)
 
@@ -159,8 +161,9 @@ class TestStoreContract:
             lake = make_lake("t0", "t1", f"v{i}")
             store.save(ValueOverlapSearcher().index(lake), lake)
             time.sleep(0.01)
-        assert store.evict_cold(max_entries=1) == 2
-        assert store.evict_cold(max_entries=1) == 0
+        store.max_entries_per_backend = 1
+        assert store.evict_cold() == 2
+        assert store.evict_cold() == 0
 
     def test_stats_report_occupancy(self, tmp_path):
         lake = make_lake("t0", "t1", "t2")
