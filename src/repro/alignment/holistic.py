@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.alignment.types import AlignedCluster, ColumnAlignment
 from repro.cluster.agglomerative import AgglomerativeClustering
+from repro.cluster.distance import pairwise_distance_matrix
 from repro.cluster.silhouette import best_num_clusters
 from repro.datalake.table import Column, Table
 from repro.embeddings.base import ColumnEncoder
@@ -94,7 +95,9 @@ class HolisticColumnAligner:
         columns are reported in ``ColumnAlignment.discarded``); if a cluster
         ends up containing more than one query column — possible because the
         constraint only forbids same-table co-clustering — the data lake
-        members are assigned to the closest of those query columns.
+        members are assigned to the closest of those query columns.  One
+        distance matrix serves both the constrained ``fit`` and the
+        silhouette selection of the cluster count.
         """
         if query_table.num_columns == 0:
             raise AlignmentError(
@@ -104,8 +107,11 @@ class HolisticColumnAligner:
         refs, embeddings = self._embed_columns(all_tables)
         constraint_groups = [ref.table_name for ref in refs]
 
+        distances = pairwise_distance_matrix(embeddings, metric=self.metric)
         clustering = AgglomerativeClustering(linkage=self.linkage, metric=self.metric)
-        clustering.fit(embeddings, constraint_groups=constraint_groups)
+        clustering.fit(
+            embeddings, constraint_groups=constraint_groups, precomputed_distances=distances
+        )
 
         total_columns = len(refs)
         lower = max(2, min(query_table.num_columns, total_columns))
@@ -116,6 +122,7 @@ class HolisticColumnAligner:
             lambda k: clustering.labels_for(k).labels,
             candidates,
             metric=self.metric,
+            distances=distances,
         )
         if best_count <= 1:
             best_count = min(query_table.num_columns, total_columns)

@@ -52,14 +52,8 @@ class ClusteringResult:
 
 def _canonical_labels(raw_labels: Sequence[int]) -> np.ndarray:
     """Relabel clusters as 0..k-1 in order of first appearance."""
-    mapping: dict[int, int] = {}
-    canonical = np.empty(len(raw_labels), dtype=np.int64)
-    for index, label in enumerate(raw_labels):
-        label = int(label)
-        if label not in mapping:
-            mapping[label] = len(mapping)
-        canonical[index] = mapping[label]
-    return canonical
+    _, first, inverse = np.unique(raw_labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first)).astype(np.int64)[inverse]
 
 
 class AgglomerativeClustering:
@@ -203,10 +197,9 @@ class AgglomerativeClustering:
         working[:n, :n] = distances
         np.fill_diagonal(working, np.inf)
         # Forbid same-group singleton pairs up-front.
-        for i in range(n):
-            for j in range(i + 1, n):
-                if groups[i] == groups[j]:
-                    working[i, j] = working[j, i] = np.inf
+        group_ids: dict[object, int] = {}
+        ids = np.array([group_ids.setdefault(group, len(group_ids)) for group in groups])
+        working[:n, :n][ids[:, None] == ids[None, :]] = np.inf
 
         current = n
         while True:

@@ -2,7 +2,12 @@
 
 The paper selects the number of column clusters by maximising Silhouette's
 coefficient over candidate cuts of the dendrogram (Sec. 3.3, following
-Khatiwada et al. [26] and Rousseeuw [44]).
+Khatiwada et al. [26] and Rousseeuw [44]).  A cut is scored from one segment
+sum: with the distance columns stably sorted by label, ``np.add.reduceat``
+over each cluster's run gives every item's distance sum to every cluster, and
+the coefficient follows as array operations, with no per-item or per-cluster
+Python loop.  The contract is the chosen count, not the score's bits: these
+sums round differently from per-item means, by about one ulp.
 """
 
 from __future__ import annotations
@@ -28,7 +33,9 @@ def silhouette_score(
     A clustering with a single cluster or with every item in its own cluster
     is scored 0, since the coefficient is undefined there.  ``distances``
     optionally supplies the precomputed pairwise matrix under ``metric`` so
-    repeated scoring of candidate cuts reuses one computation.
+    repeated scoring of candidate cuts reuses one computation.  Each item's
+    ``a`` and ``b`` come from one ``(n, K)`` table of per-cluster sums; the
+    contract is the chosen count, as a score may move in its last bit.
     """
     matrix = np.asarray(embeddings, dtype=np.float64)
     label_array = np.asarray(labels, dtype=np.int64)
@@ -39,8 +46,8 @@ def silhouette_score(
             f"{label_array.shape[0]} labels for {matrix.shape[0]} embeddings"
         )
     n = matrix.shape[0]
-    unique = np.unique(label_array)
-    if len(unique) < 2 or len(unique) >= n:
+    _, own, counts = np.unique(label_array, return_inverse=True, return_counts=True)
+    if len(counts) < 2 or len(counts) >= n:
         return 0.0
 
     if distances is None:
@@ -49,25 +56,17 @@ def silhouette_score(
         raise ConfigurationError(
             f"distances has shape {distances.shape} for {n} embeddings"
         )
-    scores = np.zeros(n, dtype=np.float64)
-    members_by_label = {int(label): np.flatnonzero(label_array == label) for label in unique}
-
-    for index in range(n):
-        own_label = int(label_array[index])
-        own_members = members_by_label[own_label]
-        if len(own_members) <= 1:
-            scores[index] = 0.0
-            continue
-        within = distances[index, own_members]
-        a_value = (within.sum()) / (len(own_members) - 1)
-        b_value = np.inf
-        for label, members in members_by_label.items():
-            if label == own_label:
-                continue
-            b_value = min(b_value, float(distances[index, members].mean()))
-        denominator = max(a_value, b_value)
-        scores[index] = 0.0 if denominator == 0 else (b_value - a_value) / denominator
-
+    starts = np.cumsum(counts) - counts
+    sums = np.add.reduceat(distances[:, np.argsort(own, kind="stable")], starts, axis=1)
+    items = np.arange(n)
+    own_counts = counts[own]
+    a_values = sums[items, own] / np.maximum(own_counts - 1, 1)
+    means = sums / counts
+    means[items, own] = np.inf
+    b_values = means.min(axis=1)
+    denominators = np.maximum(a_values, b_values)
+    scored = (own_counts > 1) & (denominators != 0)  # singletons score 0
+    scores = np.divide(b_values - a_values, denominators, out=np.zeros(n), where=scored)
     return float(scores.mean())
 
 
@@ -77,6 +76,7 @@ def best_num_clusters(
     candidates: Iterable[int],
     *,
     metric: str = "euclidean",
+    distances: np.ndarray | None = None,
 ) -> tuple[int, float]:
     """Choose the cluster count maximising the silhouette coefficient.
 
@@ -90,6 +90,9 @@ def best_num_clusters(
     candidates:
         Candidate cluster counts to evaluate; counts outside ``[2, n]`` are
         skipped.  Ties are broken in favour of the smaller count.
+    distances:
+        Optional precomputed ``(n, n)`` pairwise matrix under ``metric``,
+        e.g. the one the clustering was fitted on; built here otherwise.
 
     Returns
     -------
@@ -98,19 +101,13 @@ def best_num_clusters(
     matrix = np.asarray(embeddings, dtype=np.float64)
     n = matrix.shape[0]
     best_count, best_score = 1, -np.inf
-    evaluated = False
-    distances: np.ndarray | None = None
     for candidate in sorted(set(int(c) for c in candidates)):
         if candidate < 2 or candidate > n:
             continue
-        if distances is None:
-            # One matrix shared by every candidate cut instead of one per cut.
+        if distances is None:  # one matrix shared by every candidate cut
             distances = pairwise_distance_matrix(matrix, metric=metric)
         labels = labels_for(candidate)
         score = silhouette_score(matrix, labels, metric=metric, distances=distances)
-        evaluated = True
         if score > best_score:
             best_count, best_score = candidate, score
-    if not evaluated:
-        return 1, 0.0
-    return best_count, float(best_score)
+    return (best_count, float(best_score)) if best_count > 1 else (1, 0.0)

@@ -171,11 +171,15 @@ class IndexStore:
 
         Persistence is an optimization: a backend without ``index_state()``
         still serves in-process, so every best-effort persist (a build's
-        first save, a refresh's re-save) goes through here.
+        first save, a refresh's re-save) goes through here.  An ``OSError``
+        is a failed save too: a concurrent :meth:`evict_cold` can remove the
+        entry directory while its payloads are written, and the searcher is
+        already built in memory.  Without a manifest the partial entry is a
+        miss, so the next :meth:`load_or_build` writes it again.
         """
         try:
             self.save(searcher, lake)
-        except SearchError:
+        except (SearchError, OSError):
             pass
 
     def touch(self, searcher: TableUnionSearcher, lake: DataLake) -> None:

@@ -241,6 +241,40 @@ class TestIndexStore:
         fresh = ValueOverlapSearcher().index(lake)
         assert healed.search(query, 5) == fresh.search(query, 5)
 
+    def test_entry_evicted_mid_save_keeps_the_built_searcher(
+        self, small_benchmark, tmp_path, monkeypatch
+    ):
+        """Regression: evict_cold racing load_or_build's save.  The sweep can
+        rmtree the entry between _write_entry's mkdir and its checksum
+        writes; the FileNotFoundError is a failed best-effort save, not an
+        error for a caller whose searcher is already built."""
+        import shutil
+
+        import repro.serving.store as store_module
+
+        store = IndexStore(tmp_path / "store")
+        lake = small_benchmark.lake
+        entry = store.entry_dir(ValueOverlapSearcher(), lake)
+        real_checksum = store_module._file_checksum
+        evictions = {"remaining": 1}
+
+        def evict_then_checksum(path):
+            if evictions["remaining"]:
+                evictions["remaining"] -= 1
+                shutil.rmtree(entry)
+            return real_checksum(path)
+
+        monkeypatch.setattr(store_module, "_file_checksum", evict_then_checksum)
+        built = store.load_or_build(ValueOverlapSearcher(), lake)
+        assert built.is_indexed
+        assert not store.contains(ValueOverlapSearcher(), lake)
+        query = small_benchmark.query_tables[0]
+        fresh = ValueOverlapSearcher().index(lake)
+        assert built.search(query, 5) == fresh.search(query, 5)
+
+        store.load_or_build(ValueOverlapSearcher(), lake)
+        assert store.contains(ValueOverlapSearcher(), lake)
+
     def test_evict_cold_racing_load_or_build_stress(self, small_benchmark, tmp_path):
         """evict_cold and load_or_build hammering one store concurrently must
         never raise and must always end with a servable index."""
