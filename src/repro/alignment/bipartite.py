@@ -44,13 +44,19 @@ class BipartiteColumnAligner:
         self.min_similarity = min_similarity
 
     # -------------------------------------------------------------- embedding
-    def _table_column_embeddings(self, table: Table) -> dict[str, np.ndarray]:
+    def _embed_tables(self, tables: Sequence[Table]) -> list[dict[str, np.ndarray]]:
+        """``{column: embedding}`` of every table, from one ``encode_columns`` call.
+
+        Starmie keeps its per-table path, since it blends each table's own
+        context in.
+        """
         if isinstance(self.column_encoder, StarmieColumnEncoder):
-            return self.column_encoder.encode_table_columns(table)
-        return {
-            column: self.column_encoder.encode_column(column, table.column_values(column))
-            for column in table.columns
-        }
+            return [self.column_encoder.encode_table_columns(table) for table in tables]
+        matrix = self.column_encoder.encode_columns(
+            [(column, table.column_values(column)) for table in tables for column in table.columns]
+        )
+        rows = iter(matrix)  # zip stops at each table's last column
+        return [dict(zip(table.columns, rows)) for table in tables]
 
     @staticmethod
     def _similarity(first: np.ndarray, second: np.ndarray) -> float:
@@ -67,8 +73,16 @@ class BipartiteColumnAligner:
         Returns ``{lake column name: query column name}`` for the retained
         matches of the maximum-weight bipartite matching.
         """
-        query_embeddings = self._table_column_embeddings(query_table)
-        lake_embeddings = self._table_column_embeddings(lake_table)
+        query_embeddings, lake_embeddings = self._embed_tables([query_table, lake_table])
+        return self._match(query_table, query_embeddings, lake_table, lake_embeddings)
+
+    def _match(
+        self,
+        query_table: Table,
+        query_embeddings: dict[str, np.ndarray],
+        lake_table: Table,
+        lake_embeddings: dict[str, np.ndarray],
+    ) -> dict[str, str]:
         query_columns = list(query_table.columns)
         lake_columns = list(lake_table.columns)
         if not query_columns or not lake_columns:
@@ -96,8 +110,9 @@ class BipartiteColumnAligner:
             )
         assigned: dict[str, list[Column]] = {column: [] for column in query_table.columns}
         discarded: list[Column] = []
-        for lake_table in lake_tables:
-            mapping = self.match_pair(query_table, lake_table)
+        query_embeddings, *embedded = self._embed_tables([query_table, *lake_tables])
+        for lake_table, lake_embeddings in zip(lake_tables, embedded):
+            mapping = self._match(query_table, query_embeddings, lake_table, lake_embeddings)
             for column in lake_table.columns:
                 ref = lake_table.column_ref(column)
                 target = mapping.get(column)

@@ -65,26 +65,27 @@ class HolisticColumnAligner:
     def _embed_columns(
         self, tables: Sequence[Table]
     ) -> tuple[list[Column], np.ndarray]:
-        """Embed every column of ``tables`` and return refs plus the matrix."""
-        refs: list[Column] = []
-        vectors: list[np.ndarray] = []
-        for table in tables:
-            if isinstance(self.column_encoder, StarmieColumnEncoder):
-                per_column = self.column_encoder.encode_table_columns(table)
-                for column in table.columns:
-                    refs.append(table.column_ref(column))
-                    vectors.append(per_column[column])
-            else:
-                for column in table.columns:
-                    refs.append(table.column_ref(column))
-                    vectors.append(
-                        self.column_encoder.encode_column(
-                            column, table.column_values(column)
-                        )
-                    )
+        """Embed every column of ``tables`` and return refs plus the matrix.
+
+        Every column goes through one ``encode_columns`` call; Starmie keeps
+        its per-table path, since it blends each table's own context in.
+        """
+        refs = [table.column_ref(column) for table in tables for column in table.columns]
         if not refs:
             raise AlignmentError("no columns to align: all input tables are empty")
-        return refs, np.vstack(vectors)
+        if isinstance(self.column_encoder, StarmieColumnEncoder):
+            vectors = []
+            for table in tables:
+                per_column = self.column_encoder.encode_table_columns(table)
+                vectors.extend(per_column[column] for column in table.columns)
+            return refs, np.vstack(vectors)
+        return refs, self.column_encoder.encode_columns(
+            [
+                (column, table.column_values(column))
+                for table in tables
+                for column in table.columns
+            ]
+        )
 
     # -------------------------------------------------------------------- API
     def align(self, query_table: Table, lake_tables: Sequence[Table]) -> ColumnAlignment:

@@ -67,6 +67,23 @@ class ColumnEncoder(abc.ABC):
     def encode_column(self, header: str, values: Sequence[Any]) -> np.ndarray:
         """Encode a column given its header and cell values."""
 
+    def encode_columns(self, columns: Sequence[tuple[str, Sequence[Any]]]) -> np.ndarray:
+        """Encode ``(header, values)`` columns into a ``(n, dim)`` matrix.
+
+        This is the batch entry point the column aligners call, once per
+        request with every column of the query and of its result tables.
+        The default loops over :meth:`encode_column`.  Encoders with a batch
+        path override it: the column-level encoder hands every column
+        sentence to one ``encode_many``, where a contextual base stacks the
+        sentences' token rows into row blocks of one GEMM per layer (a
+        one-token sentence runs alone, since a one-row product takes numpy's
+        gemv path and rounds differently).  Row ``i`` must stay
+        bit-identical to ``encode_column(*columns[i])``.
+        """
+        if not columns:
+            return np.zeros((0, self.dimension), dtype=np.float64)
+        return np.vstack([self.encode_column(header, values) for header, values in columns])
+
 
 def l2_normalize(vector: np.ndarray, *, epsilon: float = 1e-12) -> np.ndarray:
     """Return ``vector`` scaled to unit L2 norm (zero vectors stay zero)."""

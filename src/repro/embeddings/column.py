@@ -97,8 +97,8 @@ class CellLevelColumnEncoder(ColumnEncoder):
         cells = [value for value in values if not is_null(value)][: self._max_cells]
         if not cells:
             return self._base.encode_text(str(header))
-        embeddings = [self._base.encode_text(f"{header} {value}") for value in cells]
-        return l2_normalize(np.mean(embeddings, axis=0))
+        embeddings = self._base.encode_many([f"{header} {value}" for value in cells])
+        return l2_normalize(embeddings.mean(axis=0))
 
 
 @register_column_encoder("column-level")
@@ -198,7 +198,9 @@ class ColumnLevelColumnEncoder(ColumnEncoder):
 
         TF-IDF token selection runs over the whole batch (one shared IDF
         lookup via :meth:`TfidfSelector.select_many`) and the sentences are
-        embedded through the base encoder's batch ``encode_many`` path.
+        embedded by one call of the base encoder's ``encode_many``; a
+        contextual base runs them as row blocks.  Row ``i`` is bit-identical
+        to ``encode_column(*columns[i])``.
         """
         documents = [
             self._tokenizer.tokenize_text(serialize_column(header, values))

@@ -3,8 +3,9 @@
 Every OpenBLAS library keeps one process-wide worker team, sized at load time
 from ``OPENBLAS_NUM_THREADS`` or the core count.  A search alone gains from
 that team, but two concurrent searches fight over it: on a 2-vCPU host two
-threads of ``encode_many`` took 1.24-1.40x their sequential time at the
-default thread count and 0.56-0.59x at one thread.  :class:`BlasCap`
+threads of ``encode_many`` (75 short texts each, row-block forward pass) took
+0.98-1.26x their sequential time at the default thread count (median 1.12
+over six rounds) and 0.45-0.72x at one thread (median 0.57).  :class:`BlasCap`
 therefore follows the number of searches actually in flight: while two or
 more hold it, every found library runs one thread; at one holder or none the
 startup count comes back.

@@ -498,11 +498,11 @@ class TestEncoderMemo:
         ).attach(lake)
         encoder = discovery.tuple_encoder
         forward_passes = []
-        forward = encoder.encode_tokens
+        forward = encoder._forward  # the one forward seam: a row block of sequences
         monkeypatch.setattr(
             encoder,
-            "encode_tokens",
-            lambda tokens: forward_passes.append(tokens) or forward(tokens),
+            "_forward",
+            lambda sequences: forward_passes.extend(sequences) or forward(sequences),
         )
         query = small_benchmark.query_tables[0]
         first = discovery.run(query)

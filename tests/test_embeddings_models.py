@@ -1,8 +1,11 @@
 """Tests for the hashed vector space, word models and contextual encoders."""
 
+import math
 import sys
 import threading
 import time
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from repro.embeddings import contextual
 from repro.embeddings.base import l2_normalize
 from repro.embeddings.contextual import ContextualEncoder
 from repro.cluster.distance import cosine_distance
+from repro.utils.blas import find_openblas
 
 
 class TestHashedVectorSpace:
@@ -230,6 +234,110 @@ class TestTextMemo:
         assert not table.flags.writeable
         for length in (1, 2, 7, 60, 511, 512):
             assert np.array_equal(table[:length], contextual._position_encoding(length, 768))
+
+
+_WORDS = (
+    "park river city lake museum bridge tower garden harbor valley forest "
+    "castle market street station island canyon desert meadow summit"
+).split()
+
+
+def _texts_of_lengths(lengths, seed):
+    """Distinct texts whose sequences have ``lengths`` rows ([CLS] included)."""
+    rng = np.random.default_rng(seed)
+    return [" ".join(rng.choice(_WORDS, length - 1)) for length in lengths]
+
+
+@contextmanager
+def _blas_threads(mode):
+    """Run at the startup OpenBLAS thread count, or at one thread."""
+    controls = find_openblas()
+    startup = [getter() for _, getter in controls]
+    try:
+        if mode == "one":
+            for setter, _ in controls:
+                setter(1)
+        yield
+    finally:
+        for (setter, _), threads in zip(controls, startup):
+            setter(threads)
+
+
+class TestBatchedForward:
+    """``encode_many`` stacks memo misses into row blocks; the bits do not move."""
+
+    @pytest.mark.parametrize("threads", ["startup", "one"])
+    @pytest.mark.parametrize(
+        "model_class", [BertLikeModel, RobertaLikeModel, SentenceBertLikeModel]
+    )
+    def test_rows_equal_encode_text(self, model_class, threads, monkeypatch):
+        block = contextual.BATCH_ROWS
+        # Lengths chosen so sequences straddle block boundaries, fill one
+        # exactly, overflow one by a row, and exceed the 512-token cap.
+        lengths = [2, 3, 60, 50, 40, block - 1, 2, block, block + 1, 30, 99, 2, 45]
+        varied = _texts_of_lengths(lengths, seed=len(lengths))
+        texts = [
+            "",
+            "[CLS]",
+            "park",
+            "[CLS] river",
+            *varied[:5],
+            "park river " * 300,
+            *varied[5:],
+            "river park " * 400,
+            "park",  # duplicates inside the batch
+            varied[2],
+            "",
+            "[CLS]",
+            "memo hit one",
+            "memo hit two",
+        ]
+        model = model_class()
+        model.encode_text("memo hit one")
+        model.encode_text("memo hit two")
+        blocks = []
+        forward = model._forward
+        monkeypatch.setattr(
+            model, "_forward", lambda sequences: blocks.append(len(sequences)) or forward(sequences)
+        )
+        with _blas_threads(threads):
+            batched = model.encode_many(texts)
+            reference = model_class()
+            expected = np.vstack([reference.encode_text(text) for text in texts])
+        assert batched.shape == (len(texts), 768)
+        for row, text in enumerate(texts):
+            assert np.array_equal(batched[row], expected[row]), text[:40]
+        assert max(blocks) > 1 and len(blocks) > 2  # several multi-sequence blocks ran
+
+    def test_forward_passes_scale_with_row_blocks(self, monkeypatch):
+        model = RobertaLikeModel()
+        texts = _texts_of_lengths([13, 14] * 30, seed=7)
+        assert len(set(texts)) == 60
+        rows = sum(len(model._sequence(text)) for text in texts)
+        calls = []
+        forward = model._forward
+        monkeypatch.setattr(
+            model, "_forward", lambda sequences: calls.append(len(sequences)) or forward(sequences)
+        )
+        model.encode_many(texts)
+        assert sum(calls) == 60
+        assert len(calls) <= math.ceil(rows / contextual.BATCH_ROWS) + 1
+
+    def test_peak_memory_is_a_few_row_blocks(self):
+        model = RobertaLikeModel()
+        # Warm the token vectors and the memo's slab, so the traced peak is
+        # the forward pass's own buffers.
+        model.encode_text(" ".join(_WORDS))
+        texts = list(dict.fromkeys(_texts_of_lengths([13] * 420, seed=11)))[:400]
+        assert len(texts) == 400
+        tracemalloc.start()
+        try:
+            encoded = model.encode_many(texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_bytes = contextual.BATCH_ROWS * 768 * 8
+        assert peak - encoded.nbytes <= 4 * block_bytes
 
 
 class TestNormalisationHelpers:

@@ -17,7 +17,8 @@ from repro.models import (
     select_threshold,
 )
 from repro.models.evaluate import evaluate_encoder_on_pairs
-from repro.embeddings import BertLikeModel, RobertaLikeModel
+from repro.embeddings import BertLikeModel
+from repro.embeddings.base import EncoderInfo, TupleEncoder
 from repro.models.layers import EmbeddingHead
 from repro.utils.errors import TrainingError
 
@@ -170,8 +171,10 @@ class TestDitto:
 
 class TestEvaluation:
     def test_pair_accuracy_perfect_encoder(self):
-        class PerfectEncoder(RobertaLikeModel):
+        class PerfectEncoder(TupleEncoder):
             """Maps texts containing 'park' to one vector, others to an orthogonal one."""
+
+            info = EncoderInfo(name="perfect", dimension=4, family="test")
 
             def encode_text(self, text):
                 vector = np.zeros(4)
