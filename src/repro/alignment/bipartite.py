@@ -16,7 +16,6 @@ from scipy.optimize import linear_sum_assignment
 from repro.alignment.types import AlignedCluster, ColumnAlignment
 from repro.datalake.table import Column, Table
 from repro.embeddings.base import ColumnEncoder
-from repro.embeddings.column import StarmieColumnEncoder
 from repro.utils.errors import AlignmentError
 
 
@@ -45,17 +44,9 @@ class BipartiteColumnAligner:
 
     # -------------------------------------------------------------- embedding
     def _embed_tables(self, tables: Sequence[Table]) -> list[dict[str, np.ndarray]]:
-        """``{column: embedding}`` of every table, from one ``encode_columns`` call.
-
-        Starmie keeps its per-table path, since it blends each table's own
-        context in.
-        """
-        if isinstance(self.column_encoder, StarmieColumnEncoder):
-            return [self.column_encoder.encode_table_columns(table) for table in tables]
-        matrix = self.column_encoder.encode_columns(
-            [(column, table.column_values(column)) for table in tables for column in table.columns]
-        )
-        rows = iter(matrix)  # zip stops at each table's last column
+        """``{column: embedding}`` of every table, from one ``encode_tables`` call."""
+        rows = iter(self.column_encoder.encode_tables(tables))
+        # zip stops at each table's last column, so the next table resumes there.
         return [dict(zip(table.columns, rows)) for table in tables]
 
     @staticmethod

@@ -20,7 +20,6 @@ from repro.cluster.distance import pairwise_distance_matrix
 from repro.cluster.silhouette import best_num_clusters
 from repro.datalake.table import Column, Table
 from repro.embeddings.base import ColumnEncoder
-from repro.embeddings.column import StarmieColumnEncoder
 from repro.utils.errors import AlignmentError
 
 
@@ -67,25 +66,13 @@ class HolisticColumnAligner:
     ) -> tuple[list[Column], np.ndarray]:
         """Embed every column of ``tables`` and return refs plus the matrix.
 
-        Every column goes through one ``encode_columns`` call; Starmie keeps
-        its per-table path, since it blends each table's own context in.
+        Every column goes through one ``encode_tables`` call (Starmie blends
+        each table's own context into its rows).
         """
         refs = [table.column_ref(column) for table in tables for column in table.columns]
         if not refs:
             raise AlignmentError("no columns to align: all input tables are empty")
-        if isinstance(self.column_encoder, StarmieColumnEncoder):
-            vectors = []
-            for table in tables:
-                per_column = self.column_encoder.encode_table_columns(table)
-                vectors.extend(per_column[column] for column in table.columns)
-            return refs, np.vstack(vectors)
-        return refs, self.column_encoder.encode_columns(
-            [
-                (column, table.column_values(column))
-                for table in tables
-                for column in table.columns
-            ]
-        )
+        return refs, self.column_encoder.encode_tables(tables)
 
     # -------------------------------------------------------------------- API
     def align(self, query_table: Table, lake_tables: Sequence[Table]) -> ColumnAlignment:

@@ -501,17 +501,23 @@ class Discovery:
             "checkpoints": lake.checkpoint_versions,
         }
 
-    def encoder_memo_stats(self) -> dict[str, int]:
-        """Text-memo ``{hits, misses, entries, bytes, budget_bytes}`` summed
-        over the distinct contextual encoders this facade built (all zero
-        when neither stage uses one)."""
-        totals = dict.fromkeys(("hits", "misses", "entries", "bytes", "budget_bytes"), 0)
-        encoders = {id(e): e for e in (self._tuple_encoder, self._column_base)}
-        for encoder in encoders.values():
-            if isinstance(encoder, ContextualEncoder):
-                for key, value in encoder.memo_stats().items():
-                    totals[key] += value
-        return totals
+    def encoder_memo_stats(self) -> dict[str, Any]:
+        """Text-memo counters ``{hits, misses, entries, bytes, budget_bytes}``.
+
+        ``column`` holds the column base's column-sentence memo and ``tuple``
+        the tuple encoder's tuple memo (zeros for a stage whose encoder is
+        not contextual); the five top-level keys are their sums.
+        """
+        keys = ("hits", "misses", "entries", "bytes", "budget_bytes")
+        stages = {
+            stage: (
+                encoder.memo_stats(stage)
+                if isinstance(encoder, ContextualEncoder)
+                else dict.fromkeys(keys, 0)
+            )
+            for stage, encoder in (("column", self._column_base), ("tuple", self._tuple_encoder))
+        }
+        return {key: sum(stats[key] for stats in stages.values()) for key in keys} | stages
 
     def service_stats(self) -> dict[str, dict[str, int]]:
         """Result-cache ``{hits, misses, size}`` per built backend."""

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.datalake.table import Table
 
 
 @dataclass(frozen=True)
@@ -49,6 +52,18 @@ class TupleEncoder(abc.ABC):
             return np.zeros((0, self.dimension), dtype=np.float64)
         return np.vstack([self.encode_text(text) for text in texts])
 
+    def encode_lake_texts(self, texts: Sequence[str]) -> np.ndarray:
+        """:meth:`encode_many` for texts the lake makes constant.
+
+        The column encoders call this with column sentences and cells, which
+        recur whenever a lake table is a search result again, unlike the
+        serialised tuples of the embed stage.  Rows are those of
+        :meth:`encode_many`; an encoder that memoises texts
+        (:class:`~repro.embeddings.contextual.ContextualEncoder`) keeps these
+        in a memo of their own.
+        """
+        return self.encode_many(texts)
+
 
 class ColumnEncoder(abc.ABC):
     """Maps the values of one column to a fixed-dimension embedding."""
@@ -74,7 +89,7 @@ class ColumnEncoder(abc.ABC):
         request with every column of the query and of its result tables.
         The default loops over :meth:`encode_column`.  Encoders with a batch
         path override it: the column-level encoder hands every column
-        sentence to one ``encode_many``, where a contextual base stacks the
+        sentence to one ``encode_lake_texts``, where a contextual base stacks the
         sentences' token rows into row blocks of one GEMM per layer (a
         one-token sentence runs alone, since a one-row product takes numpy's
         gemv path and rounds differently).  Row ``i`` must stay
@@ -83,6 +98,17 @@ class ColumnEncoder(abc.ABC):
         if not columns:
             return np.zeros((0, self.dimension), dtype=np.float64)
         return np.vstack([self.encode_column(header, values) for header, values in columns])
+
+    def encode_tables(self, tables: Sequence[Table]) -> np.ndarray:
+        """Encode every column of ``tables``, in table then column order.
+
+        The aligners' entry point.  The default is one :meth:`encode_columns`
+        call over all the columns; the Starmie encoder also blends each
+        table's context into its own rows.
+        """
+        return self.encode_columns(
+            [(column, table.column_values(column)) for table in tables for column in table.columns]
+        )
 
 
 def l2_normalize(vector: np.ndarray, *, epsilon: float = 1e-12) -> np.ndarray:

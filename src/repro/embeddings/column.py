@@ -96,8 +96,8 @@ class CellLevelColumnEncoder(ColumnEncoder):
     def encode_column(self, header: str, values: Sequence[Any]) -> np.ndarray:
         cells = [value for value in values if not is_null(value)][: self._max_cells]
         if not cells:
-            return self._base.encode_text(str(header))
-        embeddings = self._base.encode_many([f"{header} {value}" for value in cells])
+            return self._base.encode_lake_texts([str(header)])[0]
+        embeddings = self._base.encode_lake_texts([f"{header} {value}" for value in cells])
         return l2_normalize(embeddings.mean(axis=0))
 
 
@@ -198,9 +198,9 @@ class ColumnLevelColumnEncoder(ColumnEncoder):
 
         TF-IDF token selection runs over the whole batch (one shared IDF
         lookup via :meth:`TfidfSelector.select_many`) and the sentences are
-        embedded by one call of the base encoder's ``encode_many``; a
-        contextual base runs them as row blocks.  Row ``i`` is bit-identical
-        to ``encode_column(*columns[i])``.
+        embedded by one call of the base encoder's ``encode_lake_texts``; a
+        contextual base runs them as row blocks, through its column memo.
+        Row ``i`` is bit-identical to ``encode_column(*columns[i])``.
         """
         documents = [
             self._tokenizer.tokenize_text(serialize_column(header, values))
@@ -217,7 +217,7 @@ class ColumnLevelColumnEncoder(ColumnEncoder):
             " ".join(tokens) if tokens else str(header)
             for tokens, (header, _) in zip(documents, columns)
         ]
-        return self._base.encode_many(sentences)
+        return self._base.encode_lake_texts(sentences)
 
 
 @register_column_encoder("starmie")
@@ -287,27 +287,33 @@ class StarmieColumnEncoder(ColumnEncoder):
         """Encode a column without table context (falls back to column-level)."""
         return self._column_encoder.encode_column(header, values)
 
-    def encode_table_columns(self, table: Table) -> dict[str, np.ndarray]:
-        """Encode every column of ``table`` with its table context blended in.
+    def encode_tables(self, tables: Sequence[Table]) -> np.ndarray:
+        """Every column of ``tables``, each blended with its own table's context.
 
-        All columns go through the column encoder's batch path, so the
-        table's TF-IDF selection and base-encoder work is shared.
+        One batch through the column encoder for all the tables, so their
+        TF-IDF selection and base-encoder work is shared; each row depends
+        only on its own column, so the blend of a table's row slice is the
+        one a per-table call would make.
         """
-        if not table.columns:
-            return {}
-        encoded = self._column_encoder.encode_columns(
-            [(column, table.column_values(column)) for column in table.columns]
-        )
-        raw = {column: encoded[i] for i, column in enumerate(table.columns)}
-        context = l2_normalize(np.mean(list(raw.values()), axis=0))
-        blended = {
-            column: l2_normalize(
-                (1.0 - self._table_context_weight) * vector
-                + self._table_context_weight * context
-            )
-            for column, vector in raw.items()
-        }
+        raw = self._column_encoder.encode_tables(tables)
+        blended = np.empty_like(raw)
+        start = 0
+        for table in tables:
+            stop = start + table.num_columns
+            if stop == start:
+                continue
+            context = l2_normalize(np.mean(raw[start:stop], axis=0))
+            for row in range(start, stop):
+                blended[row] = l2_normalize(
+                    (1.0 - self._table_context_weight) * raw[row]
+                    + self._table_context_weight * context
+                )
+            start = stop
         return blended
+
+    def encode_table_columns(self, table: Table) -> dict[str, np.ndarray]:
+        """``{column: embedding}`` of ``table``, with its table context blended in."""
+        return dict(zip(table.columns, self.encode_tables([table])))
 
     def encode_table(self, table: Table) -> np.ndarray:
         """Whole-table embedding: mean of its contextualised column embeddings."""

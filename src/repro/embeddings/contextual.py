@@ -21,7 +21,14 @@ Every encoding goes through a byte-bounded memo keyed on the exact input text
 (:class:`_TextMemo`).  The output is a pure function of that text, so a
 resident server that sees the same lake tables query after query pays the
 forward pass once per distinct column sentence or serialised tuple, and the
-memo needs no invalidation.
+memo needs no invalidation.  Each encoder keeps two memos of
+:data:`MEMO_BUDGET_BYTES` each.  :meth:`ContextualEncoder.encode_lake_texts`
+(column sentences and cells, which recur whenever a lake table is a search
+result again) looks up one; :meth:`~ContextualEncoder.encode_many` and
+:meth:`~ContextualEncoder.encode_text` (serialised tuples, which carry the
+request's query headers and so are mostly seen once) look up the other.  In
+one shared LRU the tuple churn evicted the column sentences before they came
+back.
 
 The forward pass runs on row blocks.  :meth:`ContextualEncoder.encode_many`
 stacks the token rows of the texts that miss the memo into blocks of about
@@ -53,8 +60,9 @@ from repro.embeddings.tokenizer import CLS_TOKEN, MAX_SEQUENCE_LENGTH, Tokenizer
 from repro.utils.rng import stable_hash
 
 
-#: Byte budget of each encoder's text memo: its float64 rows plus the memory
-#: of their key strings.  24 MiB holds ~4 000 768-d rows of short texts.
+#: Byte budget of each of an encoder's two text memos: its float64 rows plus
+#: the memory of their key strings.  24 MiB holds ~4 000 768-d rows of short
+#: texts.
 MEMO_BUDGET_BYTES = 24 * 1024 * 1024
 
 #: Token rows one forward block stacks into a GEMM per layer.  Per row, a
@@ -249,7 +257,9 @@ class ContextualEncoder(TupleEncoder):
         self._pooling = pooling
         self._context_weight = context_weight
         self._weights = [self._layer_weights(layer) for layer in range(num_layers)]
-        self._memo = _TextMemo(dimension, MEMO_BUDGET_BYTES)
+        self._memos = {
+            stage: _TextMemo(dimension, MEMO_BUDGET_BYTES) for stage in ("column", "tuple")
+        }
 
     # ------------------------------------------------------------ construction
     def _layer_weights(self, layer: int) -> np.ndarray:
@@ -321,44 +331,56 @@ class ContextualEncoder(TupleEncoder):
         Memoised on the exact text; the forward pass runs outside the memo's
         lock, and every call returns a vector the caller owns.
         """
-        vector = self._memo.get(text)
+        memo = self._memos["tuple"]
+        vector = memo.get(text)
         if vector is None:
             vector = self.encode_tokens(self._sequence(text))
-            self._memo.put(text, vector)
+            memo.put(text, vector)
         return vector
 
     def encode_many(self, texts: Sequence[str]) -> np.ndarray:
         """Encode a batch of texts into a ``(n, dim)`` matrix, one forward pass per row block.
 
-        Each distinct text is looked up in the memo once; the misses'
+        Each distinct text is looked up in the tuple memo once; the misses'
         sequences are stacked, in order, into blocks of about
         :data:`BATCH_ROWS` token rows (a longer sequence, or a one-token
         one, is a block of its own), and each block runs every layer as one
         GEMM.  Row ``i`` is bit-identical to ``encode_text(texts[i])``, and
         the memo counts hits and misses as that loop would.
         """
+        return self._encode(texts, self._memos["tuple"])
+
+    def encode_lake_texts(self, texts: Sequence[str]) -> np.ndarray:
+        """:meth:`encode_many` through the column memo, so tuple texts cannot evict them."""
+        return self._encode(texts, self._memos["column"])
+
+    def _encode(self, texts: Sequence[str], memo: _TextMemo) -> np.ndarray:
         encoded = np.empty((len(texts), self.dimension), dtype=np.float64)
         rows: dict[str, list[int]] = {}
         for row, text in enumerate(texts):
             rows.setdefault(text, []).append(row)
-        found, missing = self._memo.get_many(texts)
+        found, missing = memo.get_many(texts)
         for text, vector in found.items():
             encoded[rows[text]] = vector
         sequences = [self._sequence(text) for text in missing]
         for index, tokens in enumerate(sequences):
             if not tokens:
                 encoded[rows[missing[index]]] = 0.0
-                self._memo.put(missing[index], np.zeros(self.dimension, dtype=np.float64))
+                memo.put(missing[index], np.zeros(self.dimension, dtype=np.float64))
         for block in _row_blocks([len(tokens) for tokens in sequences]):
             vectors = self._forward([sequences[index] for index in block])
             for index, vector in zip(block, vectors):
                 encoded[rows[missing[index]]] = vector
-                self._memo.put(missing[index], vector)
+                memo.put(missing[index], vector)
         return encoded
 
-    def memo_stats(self) -> dict[str, int]:
-        """Counters of the text memo: ``{hits, misses, entries, bytes, budget_bytes}``."""
-        return self._memo.stats()
+    def memo_stats(self, stage: str = "tuple") -> dict[str, int]:
+        """Counters of one text memo: ``{hits, misses, entries, bytes, budget_bytes}``.
+
+        ``stage`` is ``"tuple"`` (:meth:`encode_many` and :meth:`encode_text`)
+        or ``"column"`` (:meth:`encode_lake_texts`).
+        """
+        return self._memos[stage].stats()
 
 
 @register_tuple_encoder("bert")

@@ -1,5 +1,7 @@
 """Tests for the unified discovery API: registries, config, facade."""
 
+import sys
+
 import pytest
 
 from repro import DustPipeline
@@ -20,6 +22,7 @@ from repro.benchgen import generate_ugen_benchmark
 from repro.core import DustConfig, DustDiversifier
 from repro.datalake import DataLake, Table
 from repro.embeddings import CellLevelColumnEncoder, FastTextLikeModel, GloveLikeModel
+from repro.embeddings import contextual
 from repro.search import StarmieSearcher, TableUnionSearcher, ValueOverlapSearcher
 from repro.utils.errors import ConfigurationError
 
@@ -522,6 +525,67 @@ class TestEncoderMemo:
         discovery.run(query)
         assert forward_passes
         assert all(marker in tokens for tokens in forward_passes)
+
+    def test_tuple_churn_keeps_the_column_sentences(self, small_benchmark, monkeypatch):
+        config = {"pipeline": {"k": 5, "num_search_tables": 4}}
+        lake = DataLake(small_benchmark.lake.tables(), name="churn-lake")
+        query = small_benchmark.query_tables[0]
+        # One run's distinct column sentences, as the column stage looks them up.
+        column_texts: dict[str, None] = {}
+        in_column_stage = []
+        get_many = contextual._TextMemo.get_many
+
+        def recording_get_many(memo, texts):
+            if in_column_stage:
+                column_texts.update(dict.fromkeys(texts))
+            return get_many(memo, texts)
+
+        monkeypatch.setattr(contextual._TextMemo, "get_many", recording_get_many)
+
+        def count_column_stage(discovery, forward_passes):
+            """Wrap ``encode_columns``; return the sequences it forwards."""
+            column_passes = []
+            encode_columns = discovery.column_encoder.encode_columns
+
+            def counted(columns):
+                before = len(forward_passes)
+                in_column_stage.append(True)
+                try:
+                    return encode_columns(columns)
+                finally:
+                    in_column_stage.clear()
+                    column_passes.extend(forward_passes[before:])
+
+            monkeypatch.setattr(discovery.column_encoder, "encode_columns", counted)
+            return column_passes
+
+        probe = Discovery.from_config(config).attach(lake)
+        count_column_stage(probe, [])
+        probe.run(query)
+        assert column_texts
+        row_bytes = 768 * 8
+        budget = sum(row_bytes + sys.getsizeof(text) for text in column_texts)
+        # The memos hold exactly one run's column sentences.
+        monkeypatch.setattr(contextual, "MEMO_BUDGET_BYTES", budget)
+
+        discovery = Discovery.from_config(config).attach(lake)
+        encoder = discovery.tuple_encoder
+        forward_passes = []
+        forward = encoder._forward  # the one forward seam: a row block of sequences
+        monkeypatch.setattr(
+            encoder,
+            "_forward",
+            lambda sequences: forward_passes.extend(sequences) or forward(sequences),
+        )
+        column_passes = count_column_stage(discovery, forward_passes)
+        first = discovery.run(query)
+        assert column_passes
+        # One-off tuple texts, more than the budget holds.
+        churn = [f"churn tuple {i}" for i in range(budget // row_bytes + 8)]
+        encoder.encode_many(churn)
+        column_passes.clear()
+        assert discovery.run(query).selections() == first.selections()
+        assert column_passes == []
 
 
 class TestBuildBenchmark:

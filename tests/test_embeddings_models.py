@@ -11,16 +11,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.datalake import Table
 from repro.embeddings import (
     BertLikeModel,
+    CellLevelColumnEncoder,
+    ColumnLevelColumnEncoder,
     FastTextLikeModel,
     GloveLikeModel,
     HashedVectorSpace,
     RobertaLikeModel,
     SentenceBertLikeModel,
+    StarmieColumnEncoder,
 )
 from repro.embeddings import contextual
-from repro.embeddings.base import l2_normalize
+from repro.embeddings.base import TupleEncoder, l2_normalize
 from repro.embeddings.contextual import ContextualEncoder
 from repro.cluster.distance import cosine_distance
 from repro.utils.blas import find_openblas
@@ -338,6 +342,65 @@ class TestBatchedForward:
             tracemalloc.stop()
         block_bytes = contextual.BATCH_ROWS * 768 * 8
         assert peak - encoded.nbytes <= 4 * block_bytes
+
+
+class _TextByText(TupleEncoder):
+    """Routes every batch to ``encode_text``, one text at a time."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    @property
+    def info(self):
+        return self._inner.info
+
+    def encode_text(self, text):
+        return self._inner.encode_text(text)
+
+
+class TestColumnPathParity:
+    """Column sentences and cells go through the column memo; the bits do not move."""
+
+    @pytest.mark.parametrize("threads", ["startup", "one"])
+    @pytest.mark.parametrize(
+        "model_class", [BertLikeModel, RobertaLikeModel, SentenceBertLikeModel]
+    )
+    def test_column_rows_equal_encode_text(self, model_class, threads):
+        # Over 512 distinct tokens, so TF-IDF selection still leaves a
+        # sentence at the cap.
+        long_value = " ".join(f"park{i}" for i in range(700))
+        tables = [
+            Table("parks", ["Park Name", "Country", "Notes"], [
+                ("River Park", "USA", long_value),
+                ("Lake Park", None, "shaded"),
+                (None, None, "open"),
+            ]),
+            Table("cities", ["City", "Empty"], [("Oslo", None), ("Lima", "")]),
+            Table("single", ["Code"], [("x",)]),
+        ]
+        columns = [
+            (column, table.column_values(column)) for table in tables for column in table.columns
+        ]
+        model = model_class()
+        with _blas_threads(threads):
+            reference = _TextByText(model_class())
+            encoders = [
+                (ColumnLevelColumnEncoder(model), ColumnLevelColumnEncoder(reference)),
+                (CellLevelColumnEncoder(model), CellLevelColumnEncoder(reference)),
+                (StarmieColumnEncoder(model), StarmieColumnEncoder(reference)),
+            ]
+            for batched, one_by_one in encoders:
+                expected = np.vstack([
+                    vector
+                    for table in tables
+                    for vector in one_by_one.encode_tables([table])
+                ])
+                for _ in range(2):  # forward passes, then memo hits
+                    encoded = batched.encode_tables(tables)
+                    for row, (header, _) in enumerate(columns):
+                        assert np.array_equal(encoded[row], expected[row]), header
+        assert model.memo_stats("column")["hits"] > 0
+        assert model.memo_stats("tuple")["misses"] == 0
 
 
 class TestNormalisationHelpers:

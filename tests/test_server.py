@@ -426,9 +426,13 @@ class TestServerEndpoints:
         assert metrics["counters"]["served"] == 0
         assert metrics["latency"]["count"] == 0
         memo = metrics["encoder_memo"]
-        assert set(memo) == {"hits", "misses", "entries", "bytes", "budget_bytes"}
-        # The default config's column and tuple stages share one encoder.
-        assert memo["budget_bytes"] == MEMO_BUDGET_BYTES
+        keys = {"hits", "misses", "entries", "bytes", "budget_bytes"}
+        assert set(memo) == keys | {"column", "tuple"}
+        assert set(memo["column"]) == set(memo["tuple"]) == keys
+        # The default config's column and tuple stages share one encoder,
+        # which keeps one memo per stage.
+        assert memo["budget_bytes"] == 2 * MEMO_BUDGET_BYTES
+        assert memo["column"]["budget_bytes"] == memo["tuple"]["budget_bytes"] == MEMO_BUDGET_BYTES
         assert set(metrics["blas"]) == {
             "available",
             "default_threads",
